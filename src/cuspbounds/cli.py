@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
@@ -39,6 +41,16 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise ValueError(f"expected three integers, got {text!r}")
     return tuple(int(part) for part in parts)  # type: ignore[return-value]
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _sig(x) -> str:
@@ -136,7 +148,7 @@ def _print_batch_text(report: dict, out) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--budget", type=Fraction, help="length budget for the criterion check")
-    parser.add_argument("--volume", type=float, help="complement volume for surgery windows")
+    parser.add_argument("--volume", type=_finite_float, help="complement volume for surgery windows")
     parser.add_argument("--slopes", type=parse_slope_list, default=(), help="p/q[,p/q...]")
     parser.add_argument(
         "--prime", action="store_true", help="assert the diagram is prime (caller's responsibility)"
@@ -181,34 +193,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (``| head``). As the Python docs advise for SIGPIPE,
+        # point stdout at devnull so that the final flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "analyze":
-            if (args.pd is None) == (args.pair is None):
+        if args.command in ("analyze", "braid", "pretzel"):
+            if args.command == "analyze" and (args.pd is None) == (args.pair is None):
                 parser.error("analyze needs a PD code or --pair, not both")
             request = AnalysisRequest(
-                pd=args.pd,
-                pair=args.pair,
-                budget=args.budget,
-                volume=args.volume,
-                slopes=args.slopes,
-                prime_asserted=args.prime,
-            )
-            report = run_analyze(request)
-        elif args.command == "braid":
-            request = AnalysisRequest(
-                braid=args.word,
-                budget=args.budget,
-                volume=args.volume,
-                slopes=args.slopes,
-                prime_asserted=args.prime,
-            )
-            report = run_analyze(request)
-        elif args.command == "pretzel":
-            request = AnalysisRequest(
-                pretzel=args.params,
+                pd=getattr(args, "pd", None),
+                pair=getattr(args, "pair", None),
+                braid=getattr(args, "word", None),
+                pretzel=getattr(args, "params", None),
                 budget=args.budget,
                 volume=args.volume,
                 slopes=args.slopes,

@@ -8,15 +8,17 @@ embedding data needed to trace strands and traverse faces, and planarity is
 enforced through the Euler count (a connected knot diagram on the sphere has
 exactly c + 2 faces).
 
-Darts are pairs (crossing index, slot). Two involutions generate everything:
+Darts are integers ``d = 4 * ci + si`` (crossing index, slot). Two
+involutions generate everything:
 
-* ``across``    -- (ci, si) <-> (ci, si + 2 mod 4), the strand running
-                   straight through a crossing;
-* ``partner``   -- the other occurrence of the same edge label.
+* ``across``    -- ``d ^ 2``, the strand running straight through a crossing;
+* ``partner``   -- the dart carrying the other occurrence of the same edge
+                   label, one flat list built in a single pass over the slots.
 
 Strand components are the orbits of the group generated by both involutions;
-faces are the orbits of ``rotate(partner(dart))``, the usual turn-left rule
-for combinatorial maps.
+faces are the orbits of "rotate after partner" (``p = partner[d]``, then
+``(p & ~3) | ((p + 1) & 3)``), the usual turn-left rule for combinatorial
+maps. Each is counted by one walk over the darts.
 
 Braid closures are emitted so that a positive generator takes the strand
 entering from the higher-numbered position underneath. With that chirality
@@ -27,8 +29,10 @@ the all-B smoothing of a positive braid closure reproduces the braid-strand
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .errors import (
     BadGeneratorIndex,
@@ -52,10 +56,12 @@ class Crossing:
     slots: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.slots) != 4:
-            raise MalformedToken(f"crossing needs 4 edge labels, got {self.slots!r}")
-        if any(not isinstance(s, int) or s < 1 for s in self.slots):
-            raise MalformedToken(f"edge labels must be positive integers: {self.slots!r}")
+        slots = self.slots
+        if len(slots) != 4:
+            raise MalformedToken(f"crossing needs 4 edge labels, got {slots!r}")
+        for s in slots:
+            if not isinstance(s, int) or s < 1:
+                raise MalformedToken(f"edge labels must be positive integers: {slots!r}")
 
 
 @dataclass(frozen=True)
@@ -70,29 +76,87 @@ class Face:
         return len(self.boundary)
 
 
+def is_alternating_bigon(d1: int, d2: int) -> bool:
+    """Whether the degree-2 face with darts d1, d2 is a bigon between two crossings whose
+    edges alternate over/under: equal-parity slots (0/2 under, 1/3 over)."""
+    return d1 >> 2 != d2 >> 2 and not (d1 ^ d2) & 1
+
+
+def _pair_darts(slots: list[int]) -> list[int]:
+    """The involution pairing the two darts that carry each edge label."""
+    n = len(slots)
+    partner = [-1] * n
+    first: dict[int, int] = {}
+    for d, label in enumerate(slots):
+        other = first.setdefault(label, d)
+        if other != d:
+            partner[d] = other
+            partner[other] = d
+    # A label used once leaves its dart unpaired; with n/2 distinct labels,
+    # any label used other than twice forces another one used once.
+    if 2 * len(first) != n or -1 in partner:
+        counts = Counter(slots)
+        bad = sorted(label for label, k in counts.items() if k != 2)
+        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
+    return partner
+
+
+def _strand_component_count(partner: Sequence[int]) -> int:
+    """Orbits of ``partner(d ^ 2)``; each walk also marks the reverse darts."""
+    seen = bytearray(len(partner))
+    components = 0
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        components += 1
+        d = start
+        while not seen[d]:
+            seen[d] = seen[d ^ 2] = 1
+            d = partner[d ^ 2]
+    return components
+
+
+def _face_orbits(partner: Sequence[int]) -> list[list[int]]:
+    """Turn-left orbits: cross the edge, then rotate one slot counterclockwise."""
+    seen = bytearray(len(partner))
+    orbits = []
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        orbit = []
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            orbit.append(d)
+            p = partner[d]
+            d = p - 3 if p & 3 == 3 else p + 1
+        orbits.append(orbit)
+    return orbits
+
+
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """A validated one-component 4-valent diagram with rotation system."""
+    """A validated one-component 4-valent diagram with rotation system. Validation also
+    keeps the edge involution ``partner`` and the dart pairs of the degree-2 faces."""
 
     crossings: tuple[Crossing, ...]
+    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    degree_two_faces: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.crossings:
             raise EmptyDiagram("diagram has no crossings")
-        counts: dict[int, int] = {}
-        for x in self.crossings:
-            for label in x.slots:
-                counts[label] = counts.get(label, 0) + 1
-        bad = sorted(label for label, n in counts.items() if n != 2)
-        if bad:
-            raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
-        n_comp = self._component_count()
+        partner = _pair_darts([label for x in self.crossings for label in x.slots])
+        n_comp = _strand_component_count(partner)
         if n_comp != 1:
             raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
-        if len(self.faces) != self.c + 2:
+        orbits = _face_orbits(partner)
+        if len(orbits) != self.c + 2:
             raise NonPlanarDiagram(
-                f"face traversal gives {len(self.faces)} faces, expected c + 2 = {self.c + 2}"
+                f"face traversal gives {len(orbits)} faces, expected c + 2 = {self.c + 2}"
             )
+        object.__setattr__(self, "partner", tuple(partner))
+        object.__setattr__(self, "degree_two_faces", tuple(tuple(o) for o in orbits if len(o) == 2))
 
     # -- basic counts ------------------------------------------------------
 
@@ -104,72 +168,16 @@ class PlanarDiagram:
     def edge_count(self) -> int:
         return 2 * self.c
 
-    # -- dart structure ----------------------------------------------------
-
-    @cached_property
-    def edge_partner(self) -> dict[Dart, Dart]:
-        """The involution pairing the two occurrences of each edge label."""
-        open_end: dict[int, Dart] = {}
-        partner: dict[Dart, Dart] = {}
-        for ci, x in enumerate(self.crossings):
-            for si, label in enumerate(x.slots):
-                if label in open_end:
-                    other = open_end.pop(label)
-                    partner[other] = (ci, si)
-                    partner[(ci, si)] = other
-                else:
-                    open_end[label] = (ci, si)
-        return partner
-
-    def _component_count(self) -> int:
-        darts = [(ci, si) for ci in range(self.c) for si in range(4)]
-        partner = self.edge_partner
-        seen: set[Dart] = set()
-        components = 0
-        for start in darts:
-            if start in seen:
-                continue
-            components += 1
-            stack = [start]
-            while stack:
-                d = stack.pop()
-                if d in seen:
-                    continue
-                seen.add(d)
-                ci, si = d
-                stack.append((ci, (si + 2) % 4))
-                stack.append(partner[d])
-        return components
-
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        """Faces of the rotation system (turn-left orbits of the darts)."""
-        partner = self.edge_partner
-        seen: set[Dart] = set()
-        faces: list[Face] = []
-        for ci in range(self.c):
-            for si in range(4):
-                start = (ci, si)
-                if start in seen:
-                    continue
-                orbit: list[Dart] = []
-                d = start
-                while d not in seen:
-                    seen.add(d)
-                    orbit.append(d)
-                    pc, ps = partner[d]
-                    d = (pc, (ps + 1) % 4)
-                faces.append(Face(tuple(orbit), self._is_alternating_bigon(orbit)))
-        return tuple(faces)
-
-    @staticmethod
-    def _is_alternating_bigon(orbit: list[Dart]) -> bool:
-        # A bigon's two edges alternate over/under exactly when the two darts
-        # sit on equal-parity slots (slots 0/2 are under, 1/3 are over).
-        if len(orbit) != 2:
-            return False
-        (c1, s1), (c2, s2) = orbit
-        return c1 != c2 and s1 % 2 == s2 % 2
+        """Faces of the rotation system, darts as (crossing, slot) pairs."""
+        return tuple(
+            Face(
+                tuple(divmod(d, 4) for d in orbit),
+                len(orbit) == 2 and is_alternating_bigon(*orbit),
+            )
+            for orbit in _face_orbits(self.partner)
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -178,27 +186,21 @@ class PlanarDiagram:
         return " ".join("X[%d,%d,%d,%d]" % x.slots for x in self.crossings)
 
 
-def _normalized(raw: list[tuple[int, int, int, int]]) -> PlanarDiagram:
-    """Relabel edges 1..2c in order of first appearance and validate."""
-    relabel: dict[int, int] = {}
-    crossings = []
-    for tup in raw:
-        slots = []
-        for label in tup:
-            if label not in relabel:
-                relabel[label] = len(relabel) + 1
-            slots.append(relabel[label])
-        crossings.append(Crossing(tuple(slots)))
-    return PlanarDiagram(tuple(crossings))
+def _normalized(labels: list[int]) -> PlanarDiagram:
+    """Relabel the flat slot list (four per crossing) 1..2c by first appearance; validate."""
+    relabel = {label: i for i, label in enumerate(dict.fromkeys(labels), 1)}
+    slots = iter(list(map(relabel.__getitem__, labels)))
+    return PlanarDiagram(tuple(map(Crossing, zip(slots, slots, slots, slots))))
 
 
 # --------------------------------------------------------------------------
 # PD-code text
 # --------------------------------------------------------------------------
 
-_PD_TOKEN = re.compile(
-    r"[Xx]?\s*[\[\(]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\]\)]"
-)
+_PD_TOKEN = r"[Xx]?\s*[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*"
+_PD_TEXT = re.compile(f"(?:{_PD_TOKEN})+")
+_PD_TOKEN_AT = re.compile(_PD_TOKEN)
+_DIGITS = re.compile(r"\d+")
 
 
 def parse_pd(text: str) -> PlanarDiagram:
@@ -210,19 +212,16 @@ def parse_pd(text: str) -> PlanarDiagram:
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
-    raw: list[tuple[int, int, int, int]] = []
-    pos = 0
-    while pos < len(stripped):
-        m = _PD_TOKEN.match(stripped, pos)
-        if m is None:
-            raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
-        raw.append(tuple(int(g) for g in m.groups()))
-        pos = m.end()
-        while pos < len(stripped) and (stripped[pos].isspace() or stripped[pos] == ","):
-            pos += 1
-    if any(label < 1 for tup in raw for label in tup):
+    if _PD_TEXT.fullmatch(stripped) is None:
+        pos = 0
+        while (m := _PD_TOKEN_AT.match(stripped, pos)) is not None:
+            pos = m.end()
+        raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+    # The grammar puts digits only in edge labels, four per token.
+    labels = list(map(int, _DIGITS.findall(stripped)))
+    if min(labels) < 1:
         raise MalformedToken("edge labels must be positive")
-    return _normalized(raw)
+    return _normalized(labels)
 
 
 def serialize_pd(diagram: PlanarDiagram) -> str:
@@ -346,21 +345,20 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     top = list(range(1, n + 1))
     cur = list(top)
     fresh = n + 1
-    raw: list[tuple[int, int, int, int]] = []
+    labels: list[int] = []
     for i, r in word.syllables:
         a = i - 1
         for _ in range(abs(r)):
             out_l, out_r = fresh, fresh + 1
             fresh += 2
             if r > 0:
-                raw.append((cur[a + 1], cur[a], out_l, out_r))
+                labels += (cur[a + 1], cur[a], out_l, out_r)
             else:
-                raw.append((cur[a], out_l, out_r, cur[a + 1]))
+                labels += (cur[a], out_l, out_r, cur[a + 1])
             cur[a], cur[a + 1] = out_l, out_r
     # Closure arcs identify each strand's bottom label with its top label.
     closing = {cur[p]: top[p] for p in range(n)}
-    raw = [tuple(closing.get(label, label) for label in tup) for tup in raw]
-    return _normalized(raw)
+    return _normalized([closing.get(label, label) for label in labels])
 
 
 # --------------------------------------------------------------------------
@@ -373,5 +371,5 @@ def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
     The incoming under-strand stays at slot 0; reversing the rotation swaps
     the roles of the two smoothings, so downstream A/B quantities swap.
     """
-    raw = [(x.slots[0], x.slots[3], x.slots[2], x.slots[1]) for x in diagram.crossings]
-    return _normalized(raw)
+    slots = [x.slots for x in diagram.crossings]
+    return _normalized([label for s in slots for label in (s[0], s[3], s[2], s[1])])

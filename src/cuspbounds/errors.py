@@ -105,6 +105,10 @@ class NoApplicableBound(CuspBoundsError):
 
 # --------------------------------------------------------------- surgery
 
+class BadDiagramCounts(CuspBoundsError):
+    """Slope sweeps from (c, g) need c >= 1 crossings and genus g >= 0."""
+
+
 class DegenerateDenominator(CuspBoundsError):
     """3c + 6g - 6 must be positive for the slope-length bound."""
 
@@ -115,6 +119,10 @@ class SlopeTooSmall(CuspBoundsError):
 
 class NonPositiveVolume(CuspBoundsError):
     """Volumes must be positive."""
+
+
+class NonFiniteVolume(CuspBoundsError):
+    """Volumes must be finite numbers, not NaN or infinity."""
 
 
 # --------------------------------------------------------------- batch

@@ -8,7 +8,7 @@ rounded to 12 significant digits on the way out.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,7 +16,13 @@ from . import bounds as bd
 from . import states as st
 from . import surgery as sg
 from .diagram import PlanarDiagram, braid_closure, parse_braid, parse_pd
-from .errors import CuspBoundsError, FileUnreadable, MissingHeader, NonAlternatingBigon
+from .errors import (
+    BadDiagramCounts,
+    CuspBoundsError,
+    FileUnreadable,
+    MissingHeader,
+    NonAlternatingBigon,
+)
 
 STATUS_OK = "ok"
 STATUS_INAPPLICABLE = "inapplicable"
@@ -96,6 +102,11 @@ def _slope_verdicts(
     return out
 
 
+def _add_criterion(report: dict, pair: bd.SurfacePairData, budget: Fraction | None) -> None:
+    if budget is not None:
+        report["criterion"] = {"budget": float(budget), "satisfied": bd.criterion_check(pair, budget)}
+
+
 def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
     inv = st.invariants(diagram)
     report: dict = {
@@ -107,7 +118,7 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
     }
     twist = None
     try:
-        twist = st.twist_analysis(diagram, diagram.faces)
+        twist = st.twist_analysis(diagram, inv)
         report["invariants"].update(twist.to_dict())
     except NonAlternatingBigon as exc:
         report["diagnostics"].append(f"{exc.code}: {exc}")
@@ -133,29 +144,15 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
 
     reports = [bd.adequate_bounds(inv)]
     if twist is not None:
-        reports.append(
-            bd.BoundsReport(
-                meridian_upper=bd.BoundValue(
-                    bd.twist_bound(diagram.c, twist.t), bd.RULE_TWIST
-                ),
-            )
-        )
+        meridian = bd.BoundValue(bd.twist_bound(diagram.c, twist.t), bd.RULE_TWIST)
+        reports.append(bd.BoundsReport(meridian_upper=meridian))
         if twist.t >= 2:
-            reports.append(
-                bd.BoundsReport(
-                    cusp_area_upper=bd.BoundValue(
-                        bd.twist_area_bound(twist.t), bd.RULE_TWIST_AREA
-                    ),
-                )
-            )
+            area = bd.BoundValue(bd.twist_area_bound(twist.t), bd.RULE_TWIST_AREA)
+            reports.append(bd.BoundsReport(cusp_area_upper=area))
     report["bounds"] = bd.best_bounds(reports).to_dict()
 
     pair = bd.SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * diagram.c)
-    if request.budget is not None:
-        report["criterion"] = {
-            "budget": float(request.budget),
-            "satisfied": bd.criterion_check(pair, request.budget),
-        }
+    _add_criterion(report, pair, request.budget)
     if request.slopes:
         report["slopes"] = _slope_verdicts(
             inv.delta, request.slopes, request.volume, c=diagram.c, g_t=inv.g_t_diagram
@@ -163,49 +160,35 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
     return report
 
 
+def _surface_report(
+    request: AnalysisRequest, kind: str, value, pair: bd.SurfacePairData, bounds: bd.BoundsReport
+) -> dict:
+    """Report for an input given by its surface pair rather than a diagram."""
+    report = {
+        "status": STATUS_OK,
+        "diagnostics": ["slope analysis needs a diagram source"] if request.slopes else [],
+        "input": {"kind": kind, "value": list(value)},
+        "invariants": None,
+        "bounds": bounds.to_dict(),
+        "slopes": None,
+    }
+    _add_criterion(report, pair, request.budget)
+    return report
+
+
 def run_analyze(request: AnalysisRequest) -> dict:
     """Full analysis chain for one input; returns a JSON-shaped report."""
     if request.pair is not None:
         pair = bd.SurfacePairData(*request.pair)
-        report = {
-            "status": STATUS_OK,
-            "diagnostics": (
-                ["slope analysis needs a diagram source"] if request.slopes else []
-            ),
-            "input": {"kind": "pair", "value": list(request.pair)},
-            "invariants": None,
-            "bounds": bd.general_bounds(pair).to_dict(),
-            "slopes": None,
-        }
-        if request.budget is not None:
-            report["criterion"] = {
-                "budget": float(request.budget),
-                "satisfied": bd.criterion_check(pair, request.budget),
-            }
-        return report
+        return _surface_report(request, "pair", request.pair, pair, bd.general_bounds(pair))
     if request.pretzel is not None:
-        params = bd.PretzelParams(*request.pretzel)
-        pair, rep = bd.pretzel_bounds(params)
-        report = {
-            "status": STATUS_OK,
-            "diagnostics": (
-                ["slope analysis needs a diagram source"] if request.slopes else []
-            ),
-            "input": {"kind": "pretzel", "value": list(request.pretzel)},
-            "invariants": None,
-            "surfacePair": {
-                "absChi1": pair.abs_chi_1,
-                "absChi2": pair.abs_chi_2,
-                "intersection": pair.intersection,
-            },
-            "bounds": rep.to_dict(),
-            "slopes": None,
+        pair, rep = bd.pretzel_bounds(bd.PretzelParams(*request.pretzel))
+        report = _surface_report(request, "pretzel", request.pretzel, pair, rep)
+        report["surfacePair"] = {
+            "absChi1": pair.abs_chi_1,
+            "absChi2": pair.abs_chi_2,
+            "intersection": pair.intersection,
         }
-        if request.budget is not None:
-            report["criterion"] = {
-                "budget": float(request.budget),
-                "satisfied": bd.criterion_check(pair, request.budget),
-            }
         return report
     if request.braid is not None:
         word = parse_braid(request.braid)
@@ -251,6 +234,8 @@ def run_surgery(
     if delta is None:
         if c is None or g_t is None:
             raise ValueError("need delta, (c, g), or a Montesinos twist number")
+        if c < 1 or g_t < 0:
+            raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
         delta = Fraction(2 * g_t - 2, c)
     return _slope_verdicts(delta, slopes, volume, c=c, g_t=g_t)
 
@@ -308,14 +293,15 @@ def _check_row(row: dict) -> CrossCheckResult:
     name = (row.get("name") or "").strip() or "<unnamed>"
     try:
         reference = float(row["reference_meridian"])
-        if reference <= 0:
+        if not math.isfinite(reference) or reference <= 0:
             raise ValueError
     except (KeyError, TypeError, ValueError):
         return CrossCheckResult(name, "skip", note="bad reference_meridian value")
     volume_text = (row.get("reference_volume") or "").strip()
     if volume_text:
         try:
-            if float(volume_text) <= 0:
+            volume = float(volume_text)
+            if not math.isfinite(volume) or volume <= 0:
                 raise ValueError
         except ValueError:
             return CrossCheckResult(name, "skip", note="bad reference_volume value")
@@ -331,9 +317,10 @@ def _check_row(row: dict) -> CrossCheckResult:
     return CrossCheckResult(name, status, computed, reference, slack)
 
 
-def run_batch(path: str, max_workers: int = 8) -> BatchResult:
-    """Cross-check every CSV row; a computed bound below the tabulated
-    geodesic length is a theory violation and marks the row failed."""
+def run_batch(path: str) -> BatchResult:
+    """Cross-check every CSV row as it is read; a computed bound below the
+    tabulated geodesic length is a theory violation and marks the row failed."""
+    result = BatchResult()
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -342,13 +329,9 @@ def run_batch(path: str, max_workers: int = 8) -> BatchResult:
                 raise MissingHeader(
                     "CSV must have header columns name, pd, reference_meridian"
                 )
-            rows = list(reader)
+            result.rows = [_check_row(row) for row in reader]
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileUnreadable(f"cannot decode {path}: {exc}") from exc
-    result = BatchResult()
-    if rows:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(rows))) as pool:
-            result.rows = list(pool.map(_check_row, rows))
     return result

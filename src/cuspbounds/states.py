@@ -2,11 +2,14 @@
 
 Every crossing can be smoothed two ways. With slots listed counterclockwise
 from the incoming under-strand, the A-smoothing joins slots (0,1) and (2,3)
-and the B-smoothing joins slots (0,3) and (1,2). The resulting disjoint
-circles are counted with a union-find over edge labels; the state graph has
-one vertex per circle and one edge per crossing (connecting the circles its
-two smoothing arcs land on). A state graph with no edge from a circle to
-itself on both the all-A and all-B sides makes the diagram adequate.
+and the B-smoothing joins slots (0,3) and (1,2); on integer darts the arc
+is ``d ^ 1`` for A and ``d ^ 3`` for B. A state circle alternates the
+smoothing arc with the edge ``partner``, so the circles are counted by one
+orbit walk over the darts. The state graph has one vertex per circle and one
+edge per crossing (connecting the circles its two smoothing arcs land on);
+crossing ci is a loop exactly when darts 4ci and 4ci + 2 lie on one circle.
+A state graph with no edge from a circle to itself on both the all-A and
+all-B sides makes the diagram adequate.
 
 Derived quantities: vA and vB are the all-A/all-B circle counts, the
 checkerboard Euler characteristics are vA - c and vB - c, the diagram genus
@@ -17,7 +20,8 @@ downstream.
 
 Twist regions are maximal chains of alternating bigon faces (a lone crossing
 counts as a region of its own), so the twist number is t = c - (number of
-alternating bigons). When the bigons close into a single cycle through every
+alternating bigons), read off the degree-2 faces that diagram validation
+recorded. When the bigons close into a single cycle through every
 crossing the diagram belongs to a (2, p) torus knot; that degenerate case is
 flagged and t is reported as 1.
 """
@@ -27,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import eq
+from typing import Mapping, Sequence
 
-from .diagram import Face, PlanarDiagram
+from .diagram import Face, PlanarDiagram, is_alternating_bigon
 from .errors import NonAlternatingBigon, NonIntegerGenus, StateLengthMismatch
 
 
@@ -47,24 +52,6 @@ def uniform_state(c: int, choice: Smoothing) -> StateAssignment:
 
 def state_from_string(text: str) -> StateAssignment:
     return tuple(Smoothing(ch) for ch in text.upper())
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 @dataclass(frozen=True)
@@ -101,41 +88,54 @@ class StateSummary:
         }
 
 
-def _smoothing_arcs(slots: tuple[int, int, int, int], choice: Smoothing):
-    if choice is Smoothing.A:
-        return (slots[0], slots[1]), (slots[2], slots[3])
-    return (slots[0], slots[3]), (slots[1], slots[2])
+def _circles(diagram: PlanarDiagram, flips: Sequence[int]) -> tuple[int, list[int]]:
+    """Number the state circles and label every dart with its circle. ``d ^ flips[d >> 2]``
+    is the other end of ``d``'s smoothing arc (1 for A, 3 for B); marking both ends of
+    every arc crossed lets one walk cover a circle in both directions."""
+    partner = diagram.partner
+    circle = [-1] * len(partner)
+    count = 0
+    for start in range(len(partner)):
+        if circle[start] >= 0:
+            continue
+        d = start
+        while circle[d] < 0:
+            circle[d] = count
+            e = d ^ flips[d >> 2]
+            circle[e] = count
+            d = partner[e]
+        count += 1
+    return count, circle
+
+
+def _loop_free(circle: list[int]) -> bool:
+    """No crossing joins a circle to itself: darts 4ci and 4ci + 2 differ."""
+    return not any(map(eq, circle[0::4], circle[2::4]))
 
 
 def resolve(diagram: PlanarDiagram, state: StateAssignment) -> StateSummary:
-    """Smooth every crossing per ``state`` and collect circles and graph."""
+    """Smooth every crossing per ``state`` and collect circles and graph.
+
+    Circles are numbered in order of first appearance over the sorted edge
+    labels; graph edge ci joins the circles of slots 0 and 2 of crossing ci.
+    """
     if len(state) != diagram.c:
         raise StateLengthMismatch(f"state has {len(state)} choices for {diagram.c} crossings")
-    labels = sorted({label for x in diagram.crossings for label in x.slots})
-    uf = _UnionFind(labels)
-    for x, choice in zip(diagram.crossings, state):
-        for a, b in _smoothing_arcs(x.slots, choice):
-            uf.union(a, b)
-    circle_ids: dict[int, int] = {}
-    circle_of_strand: dict[int, int] = {}
-    for label in labels:
-        root = uf.find(label)
-        if root not in circle_ids:
-            circle_ids[root] = len(circle_ids)
-        circle_of_strand[label] = circle_ids[root]
-    edges = []
-    for x, choice in zip(diagram.crossings, state):
-        arc1, arc2 = _smoothing_arcs(x.slots, choice)
-        edges.append((circle_of_strand[arc1[0]], circle_of_strand[arc2[0]]))
-    graph = StateGraph(len(circle_ids), tuple(edges))
-    return StateSummary(len(circle_ids), circle_of_strand, graph)
+    count, circle = _circles(diagram, [1 if choice is Smoothing.A else 3 for choice in state])
+    slots = [label for x in diagram.crossings for label in x.slots]
+    dart_of = dict(zip(slots, range(len(slots))))
+    ids: dict[int, int] = {}
+    circle_of_strand = {
+        label: ids.setdefault(circle[dart_of[label]], len(ids)) for label in sorted(dart_of)
+    }
+    edges = tuple((ids[circle[d]], ids[circle[d + 2]]) for d in range(0, len(circle), 4))
+    return StateSummary(count, circle_of_strand, StateGraph(count, edges))
 
 
 def adequacy(diagram: PlanarDiagram) -> tuple[bool, bool]:
     """Loop-freeness of the all-A and all-B state graphs."""
-    all_a = resolve(diagram, uniform_state(diagram.c, Smoothing.A))
-    all_b = resolve(diagram, uniform_state(diagram.c, Smoothing.B))
-    return (not all_a.graph.has_loop, not all_b.graph.has_loop)
+    inv = invariants(diagram)
+    return inv.a_adequate, inv.b_adequate
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,12 @@ class DiagramInvariants:
 def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
     """Circle counts, Euler characteristics, diagram genus, adequacy."""
     c = diagram.c
-    all_a = resolve(diagram, uniform_state(c, Smoothing.A))
-    all_b = resolve(diagram, uniform_state(c, Smoothing.B))
-    v_a, v_b = all_a.circle_count, all_b.circle_count
+    v_a, circle_a = _circles(diagram, [1] * c)
+    v_b, circle_b = _circles(diagram, [3] * c)
     two_g = 2 - v_a - v_b + c
     if two_g % 2 != 0:
         raise NonIntegerGenus(f"2 - vA - vB + c = {two_g} is odd; diagram data corrupted")
     g_t = two_g // 2
-    a_ok, b_ok = (not all_a.graph.has_loop, not all_b.graph.has_loop)
     return DiagramInvariants(
         c=c,
         v_a=v_a,
@@ -198,8 +196,8 @@ def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
         chi_a=v_a - c,
         chi_b=v_b - c,
         g_t_diagram=g_t,
-        a_adequate=a_ok,
-        b_adequate=b_ok,
+        a_adequate=_loop_free(circle_a),
+        b_adequate=_loop_free(circle_b),
         delta=Fraction(2 * g_t - 2, c),
     )
 
@@ -220,27 +218,26 @@ class TwistSummary:
         }
 
 
-def twist_analysis(diagram: PlanarDiagram, faces: Iterable[Face]) -> TwistSummary:
+def twist_analysis(diagram: PlanarDiagram, inv: DiagramInvariants) -> TwistSummary:
     """Count alternating bigons and twist regions (t = c - bigons).
 
-    A degree-2 face between two distinct crossings whose strands do not
+    ``inv`` is the diagram's :func:`invariants`, which supply vA + vB. A
+    degree-2 face between two distinct crossings whose strands do not
     alternate is a reducible clasp; that aborts the analysis because the
     twist count of a non-reduced diagram is meaningless.
     """
     v_bi = 0
-    for face in faces:
-        if face.degree != 2:
-            continue
-        (c1, _), (c2, _) = face.boundary
+    for d1, d2 in diagram.degree_two_faces:
+        c1, c2 = d1 >> 2, d2 >> 2
         if c1 == c2:
             continue
-        if not face.is_alternating_bigon:
+        if not is_alternating_bigon(d1, d2):
             raise NonAlternatingBigon(
-                f"non-alternating bigon between crossings {c1} and {c2}", face=face
+                f"non-alternating bigon between crossings {c1} and {c2}",
+                face=Face((divmod(d1, 4), divmod(d2, 4)), False),
             )
         v_bi += 1
-    inv_counts = invariants(diagram)
-    v_nb = (inv_counts.v_a + inv_counts.v_b) - v_bi
+    v_nb = (inv.v_a + inv.v_b) - v_bi
     torus_degenerate = v_bi == diagram.c
     t = 1 if torus_degenerate else diagram.c - v_bi
     return TwistSummary(t=t, v_bi=v_bi, v_nb=v_nb, torus_degenerate=torus_degenerate)

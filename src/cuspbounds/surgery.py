@@ -34,6 +34,7 @@ from typing import Union
 
 from .errors import (
     DegenerateDenominator,
+    NonFiniteVolume,
     NonPositiveVolume,
     SlopeTooSmall,
     TooFewTwistRegions,
@@ -145,6 +146,8 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVer
     [vol * (1 - 36(1 + delta)^2 / q^2)^(3/2), vol), open above because
     volume strictly drops under filling.
     """
+    if not math.isfinite(vol):
+        raise NonFiniteVolume(f"volume must be finite, got {vol}")
     if vol <= 0:
         raise NonPositiveVolume(f"volume must be positive, got {vol}")
     d = Fraction(delta)

@@ -1,8 +1,10 @@
 """Shared test helpers: diagram generators and independent oracles.
 
-The circle-count oracle deliberately avoids the package's union-find: it
-rebuilds the arc pairing from the slot convention and counts circles by
-breadth-first traversal over slot endpoints.
+The package counts faces and state circles by orbit walks over integer
+darts. The oracles here share none of that code: they rebuild the edge
+pairing from the slot convention on (crossing, slot) pairs and count circles
+by breadth-first traversal or by a union-find over edge labels, and trace
+faces with a dict of tuple darts.
 """
 
 from __future__ import annotations
@@ -54,6 +56,60 @@ def path_following_circle_count(diagram: PlanarDiagram, state) -> int:
             queue.append(arc_next[node])
             queue.append(edge_next[node])
     return circles
+
+
+def union_find_circle_count(diagram: PlanarDiagram, state) -> tuple[int, tuple[bool, ...]]:
+    """Count state circles by merging edge labels along smoothing arcs.
+
+    Also returns one flag per crossing: whether its two smoothing arcs lie on
+    one circle, i.e. whether the crossing is a loop of the state graph.
+    """
+    parent = {label: label for crossing in diagram.crossings for label in crossing.slots}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    arcs = []
+    for crossing, choice in zip(diagram.crossings, state):
+        s = crossing.slots
+        pair = ((s[0], s[1]), (s[2], s[3])) if choice is Smoothing.A else ((s[0], s[3]), (s[1], s[2]))
+        arcs.append(pair)
+        for a, b in pair:
+            parent[find(a)] = find(b)
+    circles = len({find(label) for label in parent})
+    return circles, tuple(find(arc1[0]) == find(arc2[0]) for arc1, arc2 in arcs)
+
+
+def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
+    """Face boundaries as (crossing, slot) darts: cross the edge, then turn
+    to the next slot counterclockwise. Faces are listed by first dart."""
+    edge_next: dict[tuple[int, int], tuple[int, int]] = {}
+    open_end: dict[int, tuple[int, int]] = {}
+    for ci, crossing in enumerate(diagram.crossings):
+        for si, label in enumerate(crossing.slots):
+            if label in open_end:
+                other = open_end.pop(label)
+                edge_next[other] = (ci, si)
+                edge_next[(ci, si)] = other
+            else:
+                open_end[label] = (ci, si)
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for ci in range(diagram.c):
+        for si in range(4):
+            dart = (ci, si)
+            boundary = []
+            while dart not in seen:
+                seen.add(dart)
+                boundary.append(dart)
+                pc, ps = edge_next[dart]
+                dart = (pc, (ps + 1) % 4)
+            if boundary:
+                out.append(tuple(boundary))
+    return out
 
 
 def is_alternating_diagram(diagram: PlanarDiagram) -> bool:

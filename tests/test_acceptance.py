@@ -128,7 +128,7 @@ def test_criterion_4_alternating_calibration():
 
 def test_criterion_5a_twist_identity_figure_eight():
     started = time.monotonic()
-    tw = twist_analysis(FIG8, FIG8.faces)
+    tw = twist_analysis(FIG8, invariants(FIG8))
     assert tw.t == FIG8.c - tw.v_bi == 2
     _report("5a", "figure-eight t = c - bigons = 2", started, 1.0)
 
@@ -146,7 +146,7 @@ def test_criterion_5b_twist_identity_stated_braid():
     #   the bound is 3 + (3*4 - 6)/12 = 7/2 < 4.
     started = time.monotonic()
     d = braid_closure(parse_braid("3: s1^3 s2^3 s1^3 s2^3"))
-    tw = twist_analysis(d, d.faces)
+    tw = twist_analysis(d, invariants(d))
     assert (d.c, tw.v_bi, tw.t) == (12, 8, 4)
     assert tw.t == d.c - tw.v_bi
     assert twist_bound(d.c, tw.t) == Fraction(7, 2) < 4
@@ -156,7 +156,7 @@ def test_criterion_5b_twist_identity_stated_braid():
 def test_criterion_5c_twist_identity_knot_braid():
     started = time.monotonic()
     d = braid_closure(parse_braid("4: s1^3 s2^3 s3^3"))
-    tw = twist_analysis(d, d.faces)
+    tw = twist_analysis(d, invariants(d))
     assert (d.c, tw.v_bi, tw.t) == (9, 6, 3)
     assert tw.t == d.c - tw.v_bi
     assert twist_bound(d.c, tw.t) == Fraction(10, 3) < 4

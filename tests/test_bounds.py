@@ -180,7 +180,7 @@ class TestTwistBounds:
             d = random_adequate_knot_diagram(rng, 12)
             inv = invariants(d)
             try:
-                tw = twist_analysis(d, d.faces)
+                tw = twist_analysis(d, invariants(d))
             except NonAlternatingBigon:
                 continue
             if tw.torus_degenerate or 2 * inv.g_t_diagram - 2 > tw.t - 2:

@@ -2,19 +2,38 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cuspbounds import AnalysisRequest, Slope, run_analyze, run_batch, run_surgery
+from cuspbounds import (
+    AnalysisRequest,
+    Slope,
+    run_analyze,
+    run_batch,
+    run_surgery,
+    surgery_volume_window,
+)
 from cuspbounds.cli import main
-from cuspbounds.errors import FileUnreadable, MissingHeader
+from cuspbounds.errors import BadDiagramCounts, FileUnreadable, MissingHeader, NonFiniteVolume
 from cuspbounds.pipeline import parse_slope_list
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRunAnalyze:
@@ -119,6 +138,64 @@ class TestRunSurgery:
             run_surgery((Slope(1, 6),))
 
 
+class TestNonFiniteInput:
+    def test_volume_window_refuses_non_finite(self):
+        for vol in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteVolume):
+                surgery_volume_window(0, Slope(1, 7), vol)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_cli_rejects_non_finite_volume(self, capsys, value):
+        for argv in (
+            ["surgery", "--delta", "0", "--slopes", "1/7"],
+            ["analyze", FIG8, "--slopes", "1/7"],
+            ["braid", "4: s1^3 s2^3 s3^3", "--slopes", "1/7"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + [f"--volume={value}", "--format", "json"])
+            assert excinfo.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not a finite number" in captured.err
+
+    def test_non_finite_references_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "name,pd,reference_meridian,reference_volume\n"
+            f'good,"{FIG8}",1.0,2.0\n'
+            f'nan_meridian,"{FIG8}",nan,\n'
+            f'inf_meridian,"{FIG8}",inf,\n'
+            f'nan_volume,"{FIG8}",1.0,nan\n'
+            f'inf_volume,"{FIG8}",1.0,inf\n'
+        )
+        notes = {row.name: (row.status, row.note) for row in run_batch(os.fspath(path)).rows}
+        assert notes == {
+            "good": ("pass", ""),
+            "nan_meridian": ("skip", "bad reference_meridian value"),
+            "inf_meridian": ("skip", "bad reference_meridian value"),
+            "nan_volume": ("skip", "bad reference_volume value"),
+            "inf_volume": ("skip", "bad reference_volume value"),
+        }
+        assert main(["batch", os.fspath(path), "--format", "json"]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["summary"] == {"pass": 1, "fail": 0, "skip": 4}
+
+    def test_every_json_output_is_strict_json(self, capsys):
+        for argv in (
+            ["analyze", FIG8, "--slopes", "1/5,1/6,1/7", "--volume", "2.029883212819"],
+            ["analyze", TREFOIL],
+            ["analyze", "--pair", "11,1,24", "--budget", "4"],
+            ["braid", "4: s1^3 s2^3 s3^3", "--prime", "--slopes", "1/9", "--volume", "9.5"],
+            ["pretzel", "3,5,7", "--budget", "3"],
+            ["surgery", "--delta", "0", "--slopes", "1/5,1/6,x", "--volume", "5.5"],
+            ["surgery", "--crossings", "10", "--genus", "1", "--slopes", "1/6"],
+            ["surgery", "--montesinos", "10", "--slopes", "1/7,1/3"],
+            ["batch", os.fspath(DATA)],
+        ):
+            assert main(argv + ["--format", "json"]) in (0, 2)
+            strict_json(capsys.readouterr().out)
+
+
 class TestRunBatch:
     def test_vetted_table_all_pass(self):
         result = run_batch(os.fspath(DATA))
@@ -160,6 +237,15 @@ class TestRunBatch:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(FileUnreadable):
             run_batch(os.fspath(tmp_path / "nope.csv"))
+
+    def test_decode_error_after_first_rows(self, tmp_path):
+        # well past the reader's first buffered chunk, so some rows have
+        # already been checked when the bad bytes are decoded
+        rows = "".join(f'row{i},"{FIG8}",1.0\n' for i in range(400))
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"name,pd,reference_meridian\n" + rows.encode() + b"bad,\xff\xfe,1.0\n")
+        with pytest.raises(FileUnreadable, match="cannot decode"):
+            run_batch(os.fspath(path))
 
     def test_order_independence(self, tmp_path):
         base = DATA.read_text().strip().splitlines()
@@ -225,6 +311,40 @@ class TestCli:
         bad.write_text(f'name,pd,reference_meridian\nx,"{FIG8}",5.0\n')
         assert main(["batch", os.fspath(bad)]) == 1
         capsys.readouterr()
+
+    def test_surgery_zero_crossings_exits_one(self, capsys):
+        assert main(["surgery", "--crossings", "0", "--genus", "0", "--slopes", "1/5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[BadDiagramCounts]:")
+
+    def test_counts_are_checked_before_delta(self):
+        for c, g in ((0, 0), (-3, 1), (5, -1)):
+            with pytest.raises(BadDiagramCounts):
+                run_surgery(parse_slope_list("1/5"), c=c, g_t=g)
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # like `cuspbounds surgery ... --format json | head -1`: the reader
+        # goes away long before the output (hundreds of kB) is written
+        slopes = ",".join(f"1/{q}" for q in range(1, 2001))
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cuspbounds.cli", "surgery", "--delta=0",
+                 "--slopes", slopes, "--format", "json"],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env={**os.environ, "PYTHONPATH": os.fspath(SRC)},
+            )
+            try:
+                assert proc.stdout.readline() == b"{\n"
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 1
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=60)
+        assert err_path.read_bytes() == b""
 
     def test_usage_errors_exit_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

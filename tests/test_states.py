@@ -25,6 +25,8 @@ from genutil import (
     path_following_circle_count,
     pretzel_pd,
     random_knot_diagram,
+    traced_faces,
+    union_find_circle_count,
     weaving_braid,
 )
 
@@ -176,41 +178,41 @@ class TestInvariants:
 
 class TestTwistAnalysis:
     def test_fig8(self):
-        tw = twist_analysis(FIG8, FIG8.faces)
+        tw = twist_analysis(FIG8, invariants(FIG8))
         assert (tw.t, tw.v_bi, tw.v_nb, tw.torus_degenerate) == (2, 2, 4, False)
 
     def test_trefoil_degenerate(self):
-        tw = twist_analysis(TREFOIL, TREFOIL.faces)
+        tw = twist_analysis(TREFOIL, invariants(TREFOIL))
         assert tw.torus_degenerate
         assert tw.v_bi == TREFOIL.c
         assert tw.t == 1
 
     def test_kink(self):
-        tw = twist_analysis(KINK, KINK.faces)
+        tw = twist_analysis(KINK, invariants(KINK))
         assert (tw.t, tw.v_bi, tw.torus_degenerate) == (1, 0, False)
 
     def test_three_syllable_positive_braid(self):
         d = braid_closure(parse_braid("4: s1^3 s2^3 s3^3"))
-        tw = twist_analysis(d, d.faces)
+        tw = twist_analysis(d, invariants(d))
         assert (d.c, tw.v_bi, tw.t) == (9, 6, 3)
 
     def test_cyclically_adjacent_syllables_merge_through_closure(self):
         # first and last s1 syllables meet around the closure, forming one
         # twist region of five crossings
         d = braid_closure(parse_braid("3: s1^2 s2^3 s1^3"))
-        tw = twist_analysis(d, d.faces)
+        tw = twist_analysis(d, invariants(d))
         assert (d.c, tw.v_bi, tw.t) == (8, 6, 2)
 
     def test_pretzel_twist_regions(self):
         d = pretzel_pd(3, 5, 7)
-        tw = twist_analysis(d, d.faces)
+        tw = twist_analysis(d, invariants(d))
         assert (tw.t, tw.v_bi) == (3, 12)
 
     def test_non_alternating_bigon_aborts(self):
         # closure of s1^2 s1^-1 built by hand: a reducible clasp
         d = parse_pd("X[2,1,3,4] X[4,3,5,6] X[5,1,2,6]")
         with pytest.raises(NonAlternatingBigon) as excinfo:
-            twist_analysis(d, d.faces)
+            twist_analysis(d, invariants(d))
         assert excinfo.value.face is not None
 
     def test_counting_identities(self):
@@ -218,7 +220,7 @@ class TestTwistAnalysis:
         for _ in range(40):
             d = random_knot_diagram(rng, 12)
             try:
-                tw = twist_analysis(d, d.faces)
+                tw = twist_analysis(d, invariants(d))
             except NonAlternatingBigon:
                 continue
             inv = invariants(d)
@@ -226,6 +228,60 @@ class TestTwistAnalysis:
             if not tw.torus_degenerate:
                 assert 1 <= tw.t <= d.c
                 assert tw.t == d.c - tw.v_bi
+
+
+class TestKernelAgainstOracles:
+    """The orbit-walk kernel against the union-find, path-following and
+    tuple-dart face oracles of ``genutil``."""
+
+    @staticmethod
+    def check(d):
+        inv = invariants(d)
+        for choice, v, adequate in (
+            (Smoothing.A, inv.v_a, inv.a_adequate),
+            (Smoothing.B, inv.v_b, inv.b_adequate),
+        ):
+            state = uniform_state(d.c, choice)
+            circles, loops = union_find_circle_count(d, state)
+            assert v == circles == path_following_circle_count(d, state)
+            assert adequate == (not any(loops))
+        boundaries = traced_faces(d)
+        assert len(d.faces) == len(boundaries) == d.c + 2
+        assert [f.boundary for f in d.faces] == boundaries
+        bigons = [b for b in boundaries if len(b) == 2 and b[0][0] != b[1][0]]
+        if any(b[0][1] % 2 != b[1][1] % 2 for b in bigons):
+            with pytest.raises(NonAlternatingBigon):
+                twist_analysis(d, inv)
+            return
+        tw = twist_analysis(d, inv)
+        assert tw.v_bi == len(bigons)
+        assert tw.t == (1 if len(bigons) == d.c else d.c - len(bigons))
+
+    def test_random_diagrams(self):
+        rng = random.Random(4096)
+        for _ in range(300):
+            self.check(random_knot_diagram(rng, 12))
+
+    def test_large_braid_closures(self):
+        words = (
+            weaving_braid(1000),
+            parse_braid("4: " + "s1^3 s2^3 s3^3 " * 223),
+            parse_braid("4: " + "s3^-2 s2^-3 s1^-2 s2^-3 " * 200 + "s3^-3 s2^-3 s1^-3"),
+        )
+        for word in words:
+            d = braid_closure(word)
+            assert 1990 <= d.c <= 2010
+            self.check(d)
+
+    def test_resolve_matches_union_find_on_mixed_states(self):
+        rng = random.Random(8128)
+        for _ in range(100):
+            d = random_knot_diagram(rng, 12)
+            state = tuple(rng.choice((Smoothing.A, Smoothing.B)) for _ in range(d.c))
+            circles, loops = union_find_circle_count(d, state)
+            summary = resolve(d, state)
+            assert summary.circle_count == circles
+            assert summary.graph.loop_edges() == tuple(i for i, loop in enumerate(loops) if loop)
 
 
 class TestSerialization:
