@@ -209,14 +209,30 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command in ("analyze", "braid", "pretzel"):
-            if args.command == "analyze" and (args.pd is None) == (args.pair is None):
+        if args.command == "analyze":
+            if (args.pd is None) == (args.pair is None):
                 parser.error("analyze needs a PD code or --pair, not both")
             request = AnalysisRequest(
-                pd=getattr(args, "pd", None),
-                pair=getattr(args, "pair", None),
-                braid=getattr(args, "word", None),
-                pretzel=getattr(args, "params", None),
+                pd=args.pd,
+                pair=args.pair,
+                budget=args.budget,
+                volume=args.volume,
+                slopes=args.slopes,
+                prime_asserted=args.prime,
+            )
+            report = run_analyze(request)
+        elif args.command == "braid":
+            request = AnalysisRequest(
+                braid=args.word,
+                budget=args.budget,
+                volume=args.volume,
+                slopes=args.slopes,
+                prime_asserted=args.prime,
+            )
+            report = run_analyze(request)
+        elif args.command == "pretzel":
+            request = AnalysisRequest(
+                pretzel=args.params,
                 budget=args.budget,
                 volume=args.volume,
                 slopes=args.slopes,

@@ -84,36 +84,36 @@ def is_alternating_bigon(d1: int, d2: int) -> bool:
 
 def _pair_darts(slots: list[int]) -> list[int]:
     """The involution pairing the two darts that carry each edge label."""
-    n = len(slots)
-    partner = [-1] * n
+    bad = sorted(label for label, k in Counter(slots).items() if k != 2)
+    if bad:
+        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
+    partner = [0] * len(slots)
     first: dict[int, int] = {}
     for d, label in enumerate(slots):
         other = first.setdefault(label, d)
         if other != d:
-            partner[d] = other
-            partner[other] = d
-    # A label used once leaves its dart unpaired; with n/2 distinct labels,
-    # any label used other than twice forces another one used once.
-    if 2 * len(first) != n or -1 in partner:
-        counts = Counter(slots)
-        bad = sorted(label for label, k in counts.items() if k != 2)
-        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
+            partner[d], partner[other] = other, d
     return partner
 
 
-def _strand_component_count(partner: Sequence[int]) -> int:
-    """Orbits of ``partner(d ^ 2)``; each walk also marks the reverse darts."""
-    seen = bytearray(len(partner))
-    components = 0
+def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[int]]:
+    """Number and per-dart index of the orbits alternating ``partner`` with the arc
+    ``d ^ flips[d >> 2]`` inside each crossing: flip 2 (straight across) gives the strand
+    components, flips 1 and 3 (A and B smoothings) the state circles. Marking both ends
+    of every arc crossed lets one walk cover an orbit."""
+    orbit = [-1] * len(partner)
+    count = 0
     for start in range(len(partner)):
-        if seen[start]:
+        if orbit[start] >= 0:
             continue
-        components += 1
         d = start
-        while not seen[d]:
-            seen[d] = seen[d ^ 2] = 1
-            d = partner[d ^ 2]
-    return components
+        while orbit[d] < 0:
+            orbit[d] = count
+            e = d ^ flips[d >> 2]
+            orbit[e] = count
+            d = partner[e]
+        count += 1
+    return count, orbit
 
 
 def _face_orbits(partner: Sequence[int]) -> list[list[int]]:
@@ -147,7 +147,7 @@ class PlanarDiagram:
         if not self.crossings:
             raise EmptyDiagram("diagram has no crossings")
         partner = _pair_darts([label for x in self.crossings for label in x.slots])
-        n_comp = _strand_component_count(partner)
+        n_comp, _ = arc_orbits(partner, [2] * self.c)
         if n_comp != 1:
             raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
         orbits = _face_orbits(partner)
@@ -187,9 +187,11 @@ class PlanarDiagram:
 
 
 def _normalized(labels: list[int]) -> PlanarDiagram:
-    """Relabel the flat slot list (four per crossing) 1..2c by first appearance; validate."""
+    """Relabel a flat slot list (four labels per crossing) 1..2c in order of
+    first appearance and validate."""
     relabel = {label: i for i, label in enumerate(dict.fromkeys(labels), 1)}
-    slots = iter(list(map(relabel.__getitem__, labels)))
+    slots = iter([relabel[label] for label in labels])
+    # Zipping one iterator with itself groups consecutive labels in fours.
     return PlanarDiagram(tuple(map(Crossing, zip(slots, slots, slots, slots))))
 
 
@@ -197,9 +199,13 @@ def _normalized(labels: list[int]) -> PlanarDiagram:
 # PD-code text
 # --------------------------------------------------------------------------
 
-_PD_TOKEN = r"[Xx]?\s*[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*"
-_PD_TEXT = re.compile(f"(?:{_PD_TOKEN})+")
-_PD_TOKEN_AT = re.compile(_PD_TOKEN)
+# Whole tokens with their trailing separators. ``match`` takes the longest run of
+# them and stops at the first bad token without backtracking, so its end is the
+# error position; whitespace before a bracket is allowed only after an X, which
+# keeps every split of the text unambiguous.
+_PD_TOKENS = re.compile(
+    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
+)
 _DIGITS = re.compile(r"\d+")
 
 
@@ -212,10 +218,8 @@ def parse_pd(text: str) -> PlanarDiagram:
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
-    if _PD_TEXT.fullmatch(stripped) is None:
-        pos = 0
-        while (m := _PD_TOKEN_AT.match(stripped, pos)) is not None:
-            pos = m.end()
+    pos = _PD_TOKENS.match(stripped).end()
+    if pos < len(stripped):
         raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
     # The grammar puts digits only in edge labels, four per token.
     labels = list(map(int, _DIGITS.findall(stripped)))

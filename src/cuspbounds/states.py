@@ -5,7 +5,8 @@ from the incoming under-strand, the A-smoothing joins slots (0,1) and (2,3)
 and the B-smoothing joins slots (0,3) and (1,2); on integer darts the arc
 is ``d ^ 1`` for A and ``d ^ 3`` for B. A state circle alternates the
 smoothing arc with the edge ``partner``, so the circles are counted by one
-orbit walk over the darts. The state graph has one vertex per circle and one
+orbit walk over the darts (``diagram.arc_orbits``, which also counts the
+strand components). The state graph has one vertex per circle and one
 edge per crossing (connecting the circles its two smoothing arcs land on);
 crossing ci is a loop exactly when darts 4ci and 4ci + 2 lie on one circle.
 A state graph with no edge from a circle to itself on both the all-A and
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import eq
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .diagram import Face, PlanarDiagram, is_alternating_bigon
+from .diagram import Face, PlanarDiagram, arc_orbits, is_alternating_bigon
 from .errors import NonAlternatingBigon, NonIntegerGenus, StateLengthMismatch
 
 
@@ -88,26 +89,6 @@ class StateSummary:
         }
 
 
-def _circles(diagram: PlanarDiagram, flips: Sequence[int]) -> tuple[int, list[int]]:
-    """Number the state circles and label every dart with its circle. ``d ^ flips[d >> 2]``
-    is the other end of ``d``'s smoothing arc (1 for A, 3 for B); marking both ends of
-    every arc crossed lets one walk cover a circle in both directions."""
-    partner = diagram.partner
-    circle = [-1] * len(partner)
-    count = 0
-    for start in range(len(partner)):
-        if circle[start] >= 0:
-            continue
-        d = start
-        while circle[d] < 0:
-            circle[d] = count
-            e = d ^ flips[d >> 2]
-            circle[e] = count
-            d = partner[e]
-        count += 1
-    return count, circle
-
-
 def _loop_free(circle: list[int]) -> bool:
     """No crossing joins a circle to itself: darts 4ci and 4ci + 2 differ."""
     return not any(map(eq, circle[0::4], circle[2::4]))
@@ -121,7 +102,8 @@ def resolve(diagram: PlanarDiagram, state: StateAssignment) -> StateSummary:
     """
     if len(state) != diagram.c:
         raise StateLengthMismatch(f"state has {len(state)} choices for {diagram.c} crossings")
-    count, circle = _circles(diagram, [1 if choice is Smoothing.A else 3 for choice in state])
+    flips = [1 if choice is Smoothing.A else 3 for choice in state]
+    count, circle = arc_orbits(diagram.partner, flips)
     slots = [label for x in diagram.crossings for label in x.slots]
     dart_of = dict(zip(slots, range(len(slots))))
     ids: dict[int, int] = {}
@@ -183,8 +165,8 @@ class DiagramInvariants:
 def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
     """Circle counts, Euler characteristics, diagram genus, adequacy."""
     c = diagram.c
-    v_a, circle_a = _circles(diagram, [1] * c)
-    v_b, circle_b = _circles(diagram, [3] * c)
+    v_a, circle_a = arc_orbits(diagram.partner, [1] * c)
+    v_b, circle_b = arc_orbits(diagram.partner, [3] * c)
     two_g = 2 - v_a - v_b + c
     if two_g % 2 != 0:
         raise NonIntegerGenus(f"2 - vA - vB + c = {two_g} is odd; diagram data corrupted")

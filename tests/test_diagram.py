@@ -1,9 +1,14 @@
 """Parsing, validation, faces, braids, closures, mirrors."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuspbounds
 from cuspbounds import (
     BraidWord,
     braid_closure,
@@ -57,6 +62,41 @@ class TestParsePd:
     def test_malformed_token(self):
         with pytest.raises(MalformedToken):
             parse_pd("X[1,2,3] X[4,5,6,7]")
+
+    @pytest.mark.parametrize("token", ["(1,4,2,5)", "[1,4,2,5]"])
+    def test_malformed_tail_after_many_tokens_fails_fast(self, token):
+        # A bad token after 60 good ones, in the documented comma-separated
+        # form: the error must come in linear time, naming the bad token.
+        # The parse runs in a child process so that a backtracking
+        # regression fails on the timeout instead of hanging the suite.
+        text = ", ".join([token] * 60) + ", ( 7"
+        code = (
+            "import sys; from cuspbounds import parse_pd\n"
+            "from cuspbounds.errors import MalformedToken\n"
+            "try:\n    parse_pd(sys.argv[1])\n"
+            "except MalformedToken as exc:\n    print(exc)\n"
+        )
+        src = Path(cuspbounds.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, text],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": os.fspath(src)},
+        )
+        assert proc.stdout == "unrecognized PD token at: '( 7'\n", proc.stderr
+
+    def test_malformed_token_position(self):
+        cases = {
+            "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] X[": "'X['",
+            "X[1,4,2,5]  junk X[3,6,4,1]": "'junk X[3,6,4,1]'",
+            "(1,4,2,5), [3,6,4,1] , x (5,2,6": "'x (5,2,6'",
+            " ,X[1,4,2,5]": "',X[1,4,2,5]'",
+        }
+        for text, rest in cases.items():
+            with pytest.raises(MalformedToken) as excinfo:
+                parse_pd(text)
+            assert str(excinfo.value) == f"unrecognized PD token at: {rest}"
 
     def test_label_used_thrice(self):
         with pytest.raises(EdgeLabelUsedOtherThanTwice):
