@@ -1,12 +1,12 @@
 """Combinatorial planar knot diagrams: PD codes, braid closures, faces.
 
-A diagram is a sequence of 4-valent crossings. Each crossing lists its four
-incident edge labels counterclockwise starting from the incoming
-under-strand, so slots 0 and 2 carry the under-strand and slots 1 and 3 the
-over-strand. The slot order doubles as the rotation system: it is all the
-embedding data needed to trace strands and traverse faces, and planarity is
-enforced through the Euler count (a connected knot diagram on the sphere has
-exactly c + 2 faces).
+A diagram is one flat tuple of edge labels, four per 4-valent crossing.
+Each crossing lists its four incident edge labels counterclockwise starting
+from the incoming under-strand, so slots 0 and 2 carry the under-strand and
+slots 1 and 3 the over-strand. The slot order doubles as the rotation
+system: it is all the embedding data needed to trace strands and traverse
+faces, and planarity is enforced through the Euler count (a connected knot
+diagram on the sphere has exactly c + 2 faces).
 
 Darts are integers ``d = 4 * ci + si`` (crossing index, slot). Two
 involutions generate everything:
@@ -51,17 +51,10 @@ Dart = tuple[int, int]
 
 @dataclass(frozen=True)
 class Crossing:
-    """Four edge labels, counterclockwise from the incoming under-strand."""
+    """Four edge labels, counterclockwise from the incoming under-strand: a view
+    of one crossing of :attr:`PlanarDiagram.slots`, built on demand."""
 
     slots: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        slots = self.slots
-        if len(slots) != 4:
-            raise MalformedToken(f"crossing needs 4 edge labels, got {slots!r}")
-        for s in slots:
-            if not isinstance(s, int) or s < 1:
-                raise MalformedToken(f"edge labels must be positive integers: {slots!r}")
 
 
 @dataclass(frozen=True)
@@ -82,17 +75,25 @@ def is_alternating_bigon(d1: int, d2: int) -> bool:
     return d1 >> 2 != d2 >> 2 and not (d1 ^ d2) & 1
 
 
-def _pair_darts(slots: list[int]) -> list[int]:
-    """The involution pairing the two darts that carry each edge label."""
-    bad = sorted(label for label, k in Counter(slots).items() if k != 2)
-    if bad:
-        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
-    partner = [0] * len(slots)
+def _pair_darts(slots: tuple[int, ...]) -> list[int]:
+    """The involution pairing the two darts that carry each edge label, built in
+    one pass that also checks every label is a positive integer."""
+    if len(slots) % 4:
+        raise MalformedToken(f"crossing needs 4 edge labels, got {slots[len(slots) & ~3:]!r}")
+    partner = [-1] * len(slots)
     first: dict[int, int] = {}
     for d, label in enumerate(slots):
+        if not isinstance(label, int) or label < 1:
+            crossing = slots[d & ~3:(d | 3) + 1]
+            raise MalformedToken(f"edge labels must be positive integers: {crossing!r}")
         other = first.setdefault(label, d)
         if other != d:
             partner[d], partner[other] = other, d
+    # With every dart paired each label is used at least twice, and then exactly
+    # twice when there are half as many labels as darts.
+    if -1 in partner or 2 * len(first) != len(slots):
+        bad = sorted(label for label, k in Counter(slots).items() if k != 2)
+        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
     return partner
 
 
@@ -136,17 +137,19 @@ def _face_orbits(partner: Sequence[int]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """A validated one-component 4-valent diagram with rotation system. Validation also
-    keeps the edge involution ``partner`` and the dart pairs of the degree-2 faces."""
+    """A validated one-component 4-valent diagram with rotation system. ``slots``
+    holds four edge labels per crossing, so dart ``d`` carries ``slots[d]``.
+    Validation also keeps the edge involution ``partner`` and the dart pairs of
+    the degree-2 faces."""
 
-    crossings: tuple[Crossing, ...]
+    slots: tuple[int, ...]
     partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
     degree_two_faces: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.crossings:
+        if not self.slots:
             raise EmptyDiagram("diagram has no crossings")
-        partner = _pair_darts([label for x in self.crossings for label in x.slots])
+        partner = _pair_darts(self.slots)
         n_comp, _ = arc_orbits(partner, [2] * self.c)
         if n_comp != 1:
             raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
@@ -162,11 +165,18 @@ class PlanarDiagram:
 
     @property
     def c(self) -> int:
-        return len(self.crossings)
+        return len(self.slots) // 4
 
     @property
     def edge_count(self) -> int:
         return 2 * self.c
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The slots grouped into one :class:`Crossing` per crossing."""
+        # Zipping one iterator with itself groups consecutive labels in fours.
+        labels = iter(self.slots)
+        return tuple(map(Crossing, zip(labels, labels, labels, labels)))
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -183,16 +193,14 @@ class PlanarDiagram:
 
     def pd_string(self) -> str:
         """Canonical PD text; round-trips through :func:`parse_pd`."""
-        return " ".join("X[%d,%d,%d,%d]" % x.slots for x in self.crossings)
+        return " ".join(["X[%d,%d,%d,%d]"] * self.c) % self.slots
 
 
-def _normalized(labels: list[int]) -> PlanarDiagram:
+def _normalized(labels: Sequence[int]) -> PlanarDiagram:
     """Relabel a flat slot list (four labels per crossing) 1..2c in order of
     first appearance and validate."""
     relabel = {label: i for i, label in enumerate(dict.fromkeys(labels), 1)}
-    slots = iter([relabel[label] for label in labels])
-    # Zipping one iterator with itself groups consecutive labels in fours.
-    return PlanarDiagram(tuple(map(Crossing, zip(slots, slots, slots, slots))))
+    return PlanarDiagram(tuple(map(relabel.__getitem__, labels)))
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +214,7 @@ def _normalized(labels: list[int]) -> PlanarDiagram:
 _PD_TOKENS = re.compile(
     r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
 )
-_DIGITS = re.compile(r"\d+")
+_NOT_DIGITS = str.maketrans("Xx[](),", "       ")
 
 
 def parse_pd(text: str) -> PlanarDiagram:
@@ -221,8 +229,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     pos = _PD_TOKENS.match(stripped).end()
     if pos < len(stripped):
         raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
-    # The grammar puts digits only in edge labels, four per token.
-    labels = list(map(int, _DIGITS.findall(stripped)))
+    # The grammar leaves only edge labels, four per token, once its brackets,
+    # commas and X marks turn into whitespace.
+    labels = list(map(int, stripped.translate(_NOT_DIGITS).split()))
     if min(labels) < 1:
         raise MalformedToken("edge labels must be positive")
     return _normalized(labels)
@@ -375,5 +384,6 @@ def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
     The incoming under-strand stays at slot 0; reversing the rotation swaps
     the roles of the two smoothings, so downstream A/B quantities swap.
     """
-    slots = [x.slots for x in diagram.crossings]
-    return _normalized([label for s in slots for label in (s[0], s[3], s[2], s[1])])
+    slots = list(diagram.slots)
+    slots[1::4], slots[3::4] = slots[3::4], slots[1::4]
+    return _normalized(slots)

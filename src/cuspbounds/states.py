@@ -104,8 +104,7 @@ def resolve(diagram: PlanarDiagram, state: StateAssignment) -> StateSummary:
         raise StateLengthMismatch(f"state has {len(state)} choices for {diagram.c} crossings")
     flips = [1 if choice is Smoothing.A else 3 for choice in state]
     count, circle = arc_orbits(diagram.partner, flips)
-    slots = [label for x in diagram.crossings for label in x.slots]
-    dart_of = dict(zip(slots, range(len(slots))))
+    dart_of = dict(zip(diagram.slots, range(len(diagram.slots))))
     ids: dict[int, int] = {}
     circle_of_strand = {
         label: ids.setdefault(circle[dart_of[label]], len(ids)) for label in sorted(dart_of)

@@ -4,12 +4,14 @@ The package counts faces and state circles by orbit walks over integer
 darts. The oracles here share none of that code: they rebuild the edge
 pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
-faces with a dict of tuple darts.
+faces with a dict of tuple darts. ``findall_parse_pd`` reads PD labels with
+``re.findall`` where the package translates and splits the text.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 from cuspbounds import (
@@ -20,7 +22,7 @@ from cuspbounds import (
     parse_braid,
     parse_pd,
 )
-from cuspbounds.errors import ClosureIsLink
+from cuspbounds.errors import ClosureIsLink, EmptyDiagram, MalformedToken
 
 
 def path_following_circle_count(diagram: PlanarDiagram, state) -> int:
@@ -110,6 +112,29 @@ def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
             if boundary:
                 out.append(tuple(boundary))
     return out
+
+
+_PD_TOKENS = re.compile(
+    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
+)
+
+
+def findall_parse_pd(text: str) -> PlanarDiagram:
+    """PD text to a diagram with the labels read by ``re.findall``: the same
+    grammar and error messages as :func:`parse_pd`, another way to read labels."""
+    stripped = text.strip()
+    if not stripped:
+        raise EmptyDiagram("no crossings in input")
+    pos = _PD_TOKENS.match(stripped).end()
+    if pos < len(stripped):
+        raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+    labels = [int(digits) for digits in re.findall(r"\d+", stripped)]
+    if min(labels) < 1:
+        raise MalformedToken("edge labels must be positive")
+    relabel: dict[int, int] = {}
+    for label in labels:
+        relabel.setdefault(label, len(relabel) + 1)
+    return PlanarDiagram(tuple(relabel[label] for label in labels))
 
 
 def is_alternating_diagram(diagram: PlanarDiagram) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import cuspbounds
 from cuspbounds import (
     BraidWord,
+    PlanarDiagram,
     braid_closure,
     mirror,
     parse_braid,
@@ -28,7 +29,7 @@ from cuspbounds.errors import (
     NonPlanarDiagram,
     ZeroExponent,
 )
-from genutil import random_knot_diagram, weaving_braid
+from genutil import findall_parse_pd, random_knot_diagram, weaving_braid
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -116,6 +117,88 @@ class TestParsePd:
         for text in (TREFOIL, FIG8, KINK):
             d = parse_pd(text)
             assert parse_pd(serialize_pd(d)) == d
+
+
+class TestFlatLabels:
+    """The diagram is one flat label tuple; these pin its checks and views."""
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,7]", EdgeLabelUsedOtherThanTwice,
+             "edge labels not used exactly twice: [5, 7]"),
+            ("X[1,1,1,2] X[2,3,3,4]", EdgeLabelUsedOtherThanTwice,
+             "edge labels not used exactly twice: [1, 4]"),
+            ("X[1,1,1,1] X[2,2,3,3]", EdgeLabelUsedOtherThanTwice,
+             "edge labels not used exactly twice: [1]"),
+            ("X[0,1,1,0]", MalformedToken, "edge labels must be positive"),
+            ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 70), EdgeLabelUsedOtherThanTwice,
+             "edge labels not used exactly twice: [30, 70]"),
+            ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 30, 10, 20, 30, 40),
+             EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [10, 20, 30, 40]"),
+            ((1, 4, 2, 5, 3, 6, 4, 1, 5, 2, 6, 3, 7, 7, 7, 7), EdgeLabelUsedOtherThanTwice,
+             "edge labels not used exactly twice: [7]"),
+            ((1, 4, 2, 5, 3, 6, 0, 1), MalformedToken,
+             "edge labels must be positive integers: (3, 6, 0, 1)"),
+            ((1, 4, 2, 5, 3, "6", 4, 1), MalformedToken,
+             "edge labels must be positive integers: (3, '6', 4, 1)"),
+            ((1.0, 4, 2, 5), MalformedToken, "edge labels must be positive integers: (1.0, 4, 2, 5)"),
+            ((1, 4, 2, 5, 3, 6, 4), MalformedToken, "crossing needs 4 edge labels, got (3, 6, 4)"),
+            ((), EmptyDiagram, "diagram has no crossings"),
+        ],
+    )
+    def test_label_errors(self, source, error, message):
+        # PD text goes through parse_pd (labels renumbered 1..2c first);
+        # tuples are constructed directly, keeping sparse labels as given.
+        with pytest.raises(error) as excinfo:
+            parse_pd(source) if isinstance(source, str) else PlanarDiagram(source)
+        assert str(excinfo.value) == message
+
+    def test_views_and_serialization_on_random_diagrams(self):
+        rng = random.Random(31337)
+        for _ in range(300):
+            d = random_knot_diagram(rng, 16)
+            assert len(d.crossings) == d.c == len(d.slots) // 4
+            for i, x in enumerate(d.crossings):
+                assert x.slots == d.slots[4 * i:4 * i + 4]
+            text = d.pd_string()
+            assert text == " ".join("X[%d,%d,%d,%d]" % x.slots for x in d.crossings)
+            assert parse_pd(text) == d
+            assert mirror(mirror(d)) == d
+
+    def test_parse_matches_findall_oracle_on_mutated_text(self):
+        # Mutations splice in the grammar's characters, letters and signs, add
+        # Unicode whitespace, or write a digit in Arabic-Indic form (same
+        # value), so that both label readers see every character class.
+        rng = random.Random(8128)
+        alphabet = "Xx[](),0123456789 \t\n-+a.;\u0663"
+        spaces = " \t\n\u00a0\u2003\x1c"
+        seeds = [TREFOIL, FIG8, KINK, "(1,4,2,5), (3,6,4,1), (5,2,6,3)"]
+        seeds += [random_knot_diagram(rng, 10).pd_string() for _ in range(20)]
+        outcomes = set()
+        for _ in range(3000):
+            text = rng.choice(seeds)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    j = min(len(text), i + rng.randint(0, 3))
+                    text = text[:i] + "".join(rng.choices(alphabet, k=rng.randint(0, 2))) + text[j:]
+                elif kind == 1:
+                    text = text[:i] + rng.choice(spaces) + text[i:]
+                elif text[i:i + 1].isdigit():
+                    text = text[:i] + chr(0x660 + int(text[i])) + text[i + 1:]
+            try:
+                expected = findall_parse_pd(text)
+            except Exception as exc:  # noqa: BLE001 -- the oracle's error is the expectation
+                outcomes.add(type(exc).__name__)
+                with pytest.raises(type(exc)) as excinfo:
+                    parse_pd(text)
+                assert str(excinfo.value) == str(exc), text
+            else:
+                outcomes.add("ok")
+                assert parse_pd(text) == expected, text
+        assert outcomes >= {"ok", "MalformedToken", "EdgeLabelUsedOtherThanTwice"}
 
 
 class TestFaces:

@@ -196,6 +196,23 @@ class TestNonFiniteInput:
             strict_json(capsys.readouterr().out)
 
 
+class TestFlatDiagramPath:
+    def test_analyses_build_no_crossing_objects(self, monkeypatch):
+        # Diagrams are flat label tuples; Crossing objects are an on-demand
+        # view that no analysis may build.
+        from cuspbounds import diagram
+
+        def refuse(slots):
+            raise AssertionError(f"Crossing{slots!r} built on the analysis path")
+
+        monkeypatch.setattr(diagram, "Crossing", refuse)
+        assert run_analyze(AnalysisRequest(pd=FIG8, slopes=parse_slope_list("1/7")))["bounds"]
+        assert run_analyze(AnalysisRequest(braid="3: s1^3 s2^-3"))["bounds"]
+        assert run_batch(os.fspath(DATA)).passed == 5
+        with pytest.raises(AssertionError):
+            diagram.parse_pd(FIG8).crossings
+
+
 class TestRunBatch:
     def test_vetted_table_all_pass(self):
         result = run_batch(os.fspath(DATA))

@@ -69,11 +69,9 @@ class TestResolve:
         assert set(summary.circle_of_strand) == set(range(1, FIG8.edge_count + 1))
 
     def test_resolve_accepts_unnormalized_labels(self):
-        from cuspbounds.diagram import Crossing, PlanarDiagram
+        from cuspbounds.diagram import PlanarDiagram
 
-        sparse = PlanarDiagram(
-            (Crossing((10, 40, 20, 50)), Crossing((30, 60, 40, 10)), Crossing((50, 20, 60, 30)))
-        )
+        sparse = PlanarDiagram((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 30))
         inv = invariants(sparse)
         assert {inv.v_a, inv.v_b} == {2, 3}
 
