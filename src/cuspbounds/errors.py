@@ -109,6 +109,11 @@ class BadDiagramCounts(CuspBoundsError):
     """Slope sweeps from (c, g) need c >= 1 crossings and genus g >= 0."""
 
 
+class DeltaOutOfRange(CuspBoundsError):
+    """The slope thresholds scale with 1 + delta, which must be positive; real
+    knots have delta >= -2/3."""
+
+
 class DegenerateDenominator(CuspBoundsError):
     """3c + 6g - 6 must be positive for the slope-length bound."""
 

@@ -72,6 +72,7 @@ def _slope_verdicts(
     c: int | None = None,
     g_t: int | None = None,
 ) -> list[dict]:
+    delta = sg.checked_delta(delta)
     out = []
     for slope in slopes:
         if isinstance(slope, dict):

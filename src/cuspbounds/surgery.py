@@ -22,7 +22,8 @@ Consequences, each decided in exact rational arithmetic:
 
 Thresholds follow the printed forms: the 2-pi test is strict, the volume
 window's precondition is non-strict, and an exact hit |q| = 6(1 + delta) is
-flagged in the verdict.
+flagged in the verdict. All of them need 1 + delta > 0 (real knots have
+delta >= -2/3), so a smaller delta is refused with ``DeltaOutOfRange``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Union
 
 from .errors import (
     DegenerateDenominator,
+    DeltaOutOfRange,
     NonFiniteVolume,
     NonPositiveVolume,
     SlopeTooSmall,
@@ -125,12 +127,22 @@ def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:
     return float(exact)
 
 
+def checked_delta(delta: Rational) -> Fraction:
+    """``delta`` as an exact rational, refused unless 1 + delta > 0, which the
+    length floor 3.35 |q| / (3 (1 + delta)) needs."""
+    d = Fraction(delta)
+    if d <= -1:
+        raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
+    return d
+
+
 def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
     """(cannot be exceptional, length certainly exceeds 2 pi), exactly.
 
-    Accepts any rational delta; for adequate knots delta = (2g - 2)/c. Both
-    tests are strict inequalities on |q| against (360/67)(1 + delta) and
-    6(1 + delta) respectively.
+    The bare threshold tests for adequate knots, where delta = (2g - 2)/c:
+    strict inequalities on |q| against (360/67)(1 + delta) and 6(1 + delta).
+    They certify nothing unless 1 + delta > 0; callers check that with
+    :func:`checked_delta`.
     """
     d = Fraction(delta)
     q = slope.meridian_intersections
@@ -150,7 +162,7 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVer
         raise NonFiniteVolume(f"volume must be finite, got {vol}")
     if vol <= 0:
         raise NonPositiveVolume(f"volume must be positive, got {vol}")
-    d = Fraction(delta)
+    d = checked_delta(delta)
     q = slope.meridian_intersections
     threshold = CONSTANTS.six_threshold * (1 + d)
     if q < threshold:

@@ -18,7 +18,13 @@ from cuspbounds import (
     surgery_volume_window,
 )
 from cuspbounds.cli import main
-from cuspbounds.errors import BadDiagramCounts, FileUnreadable, MissingHeader, NonFiniteVolume
+from cuspbounds.errors import (
+    BadDiagramCounts,
+    DeltaOutOfRange,
+    FileUnreadable,
+    MissingHeader,
+    NonFiniteVolume,
+)
 from cuspbounds.pipeline import parse_slope_list
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
@@ -334,6 +340,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[BadDiagramCounts]:")
+
+    @pytest.mark.parametrize(
+        "source, delta",
+        [
+            (["--delta=-5"], "-5"),
+            (["--delta=-1"], "-1"),
+            (["--crossings", "1", "--genus", "0"], "-2"),
+            (["--crossings", "2", "--genus", "0"], "-1"),
+        ],
+    )
+    def test_surgery_refuses_one_plus_delta_not_positive(self, capsys, source, delta):
+        assert main(["surgery", *source, "--slopes", "1/1,1/2", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[DeltaOutOfRange]: the slope bounds need 1 + delta > 0, got delta = {delta}\n"
+        )
+
+    def test_delta_is_checked_before_any_slope(self):
+        # every slope is an error entry here, so no slope filter ever runs
+        with pytest.raises(DeltaOutOfRange):
+            run_surgery(parse_slope_list("1/0,2/4"), delta=Fraction(-1))
 
     def test_counts_are_checked_before_delta(self):
         for c, g in ((0, 0), (-3, 1), (5, -1)):

@@ -18,6 +18,7 @@ from cuspbounds import (
 )
 from cuspbounds.errors import (
     DegenerateDenominator,
+    DeltaOutOfRange,
     NonPositiveVolume,
     SlopeTooSmall,
     TooFewTwistRegions,
@@ -117,6 +118,13 @@ class TestVolumeWindow:
     def test_non_positive_volume(self):
         with pytest.raises(NonPositiveVolume):
             surgery_volume_window(0, Slope(1, 8), 0.0)
+
+    def test_refuses_delta_with_one_plus_delta_not_positive(self):
+        for delta in (-1, Fraction(-3, 2), -5):
+            with pytest.raises(DeltaOutOfRange):
+                surgery_volume_window(delta, Slope(1, 1), 1.0)
+        # delta = -2/3 is the smallest value a knot has; it stays allowed
+        assert surgery_volume_window(Fraction(-2, 3), Slope(1, 2), 1.0).boundary_hit
 
     def test_lower_bound_monotone_and_limits(self):
         lowers = [
