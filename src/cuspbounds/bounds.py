@@ -32,6 +32,7 @@ from typing import Iterable, Union
 from .diagram import BraidWord
 from .errors import (
     ClosureIsLink,
+    DegenerateSurfacePair,
     DegenerateTorusDiagram,
     MoebiusBand,
     NoApplicableBound,
@@ -74,9 +75,9 @@ class SurfacePairData:
 
     def __post_init__(self) -> None:
         if self.abs_chi_1 < 1 or self.abs_chi_2 < 1:
-            raise ValueError("surfaces with chi = 0 carry no length bound")
+            raise DegenerateSurfacePair("surfaces with chi = 0 carry no length bound")
         if self.intersection < 1:
-            raise ValueError("boundary intersection number must be positive")
+            raise DegenerateSurfacePair("boundary intersection number must be positive")
 
     @property
     def chi_sum(self) -> int:

@@ -78,6 +78,12 @@ class NonPositiveBudget(CuspBoundsError):
     """Length budgets must be positive."""
 
 
+class DegenerateSurfacePair(CuspBoundsError, ValueError):
+    """Surface pairs need |chi| >= 1 on both surfaces and a positive boundary
+    intersection number. Also a ``ValueError``, which it was before it had a
+    code."""
+
+
 class NotAdequate(CuspBoundsError):
     """Bounds requested for a diagram that is not adequate."""
 

@@ -302,6 +302,19 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["bounds"]["meridian"]["value"] == 3.0
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("0,1,4", "surfaces with chi = 0 carry no length bound"),
+            ("1,1,0", "boundary intersection number must be positive"),
+        ],
+    )
+    def test_degenerate_pair_has_a_code(self, capsys, pair, message):
+        assert main(["analyze", "--pair", pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[DegenerateSurfacePair]: {message}\n"
+
     def test_braid_subcommand(self, capsys):
         assert main(["braid", "4: s1^3 s2^3 s3^3", "--prime", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
