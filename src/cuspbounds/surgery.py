@@ -131,7 +131,9 @@ def checked_delta(delta: Rational) -> Fraction:
     """``delta`` as an exact rational, refused unless 1 + delta > 0, which the
     length floor 3.35 |q| / (3 (1 + delta)) needs."""
     d = Fraction(delta)
-    if d <= -1:
+    # 1 + d = (numerator + denominator) / denominator, and the denominator is
+    # positive; integer arithmetic keeps the per-slope check cheap.
+    if d.numerator + d.denominator <= 0:
         raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
     return d
 

@@ -35,12 +35,7 @@ def run_cli(argv: list[str]) -> dict:
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def load() -> list[dict]:
-    with open(CORPUS, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle]
-
-
-ENTRIES = load()
+ENTRIES = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
 
 
 @pytest.mark.parametrize(
