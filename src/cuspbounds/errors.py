@@ -80,8 +80,8 @@ class NonPositiveBudget(CuspBoundsError):
 
 class DegenerateSurfacePair(CuspBoundsError, ValueError):
     """Surface pairs need |chi| >= 1 on both surfaces and a positive boundary
-    intersection number. Also a ``ValueError``, which it was before it had a
-    code."""
+    intersection number. Also a ``ValueError``, so that callers catching
+    ``ValueError`` keep working."""
 
 
 class NotAdequate(CuspBoundsError):
