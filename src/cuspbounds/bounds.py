@@ -60,7 +60,7 @@ def _as_fraction(x: Numeric) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _sig12(x: Numeric) -> float:
+def sig12(x: Numeric) -> float:
     return float(f"{float(x):.12g}")
 
 
@@ -90,7 +90,7 @@ class BoundValue:
     rule: str
 
     def to_dict(self) -> dict:
-        return {"value": _sig12(self.value), "rule": self.rule}
+        return {"value": sig12(self.value), "rule": self.rule}
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class BoundCandidate:
     rule: str
 
     def to_dict(self) -> dict:
-        return {"quantity": self.quantity, "value": _sig12(self.value), "rule": self.rule}
+        return {"quantity": self.quantity, "value": sig12(self.value), "rule": self.rule}
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,16 @@ class NoApplicableBound(CuspBoundsError):
 
 # --------------------------------------------------------------- surgery
 
-class BadDiagramCounts(CuspBoundsError):
+class BadDiagramCounts(CuspBoundsError, ValueError):
     """Slope sweeps from (c, g) need c >= 1 crossings and genus g >= 0."""
+
+
+class InvalidSlope(CuspBoundsError, ValueError):
+    """A slope p/q needs q != 0 and p, q coprime."""
+
+
+class NoSlopeSource(CuspBoundsError, ValueError):
+    """A slope sweep needs delta, the counts (c, g), or a Montesinos twist number."""
 
 
 class DeltaOutOfRange(CuspBoundsError):

@@ -17,10 +17,10 @@ from . import states as st
 from . import surgery as sg
 from .diagram import PlanarDiagram, braid_closure, parse_braid, parse_pd
 from .errors import (
-    BadDiagramCounts,
     CuspBoundsError,
     FileUnreadable,
     MissingHeader,
+    NoSlopeSource,
     NonAlternatingBigon,
 )
 
@@ -38,11 +38,9 @@ def parse_slope_list(text: str) -> tuple:
             continue
         num, sep, den = part.partition("/")
         try:
-            slope = sg.Slope(int(num), int(den) if sep else 1)
+            out.append(sg.Slope(int(num), int(den) if sep else 1))
         except ValueError as exc:
             out.append({"slope": part, "error": {"code": "InvalidSlope", "message": str(exc)}})
-            continue
-        out.append(slope)
     return tuple(out)
 
 
@@ -65,40 +63,72 @@ class AnalysisRequest:
             raise ValueError("exactly one input source must be given")
 
 
+def _error(exc: CuspBoundsError) -> dict:
+    return {"code": exc.code, "message": str(exc)}
+
+
 def _slope_verdicts(
-    delta: Fraction,
-    slopes: tuple,
-    volume: float | None,
-    c: int | None = None,
-    g_t: int | None = None,
+    tests: sg.SlopeThresholds, slopes: tuple, volume: float | None, lengths: bool = False
 ) -> list[dict]:
-    delta = sg.checked_delta(delta)
+    """One entry per slope, with length floors if ``lengths``; the volume is checked once."""
+    volume_error = None
+    if volume is not None:
+        try:
+            volume = sg.checked_volume(volume)
+            upper = bd.sig12(volume)
+        except CuspBoundsError as exc:
+            volume_error = exc
     out = []
     for slope in slopes:
         if isinstance(slope, dict):
             out.append(slope)
             continue
-        non_exc, two_pi = sg.exceptional_filter(delta, slope)
-        verdict = sg.SlopeVerdict(
-            p=slope.p,
-            q=slope.q,
-            length_lower=(
-                sg.slope_length_lower(c, g_t, slope) if c is not None and g_t is not None else None
-            ),
-            non_exceptional=non_exc,
-            two_pi_exceeded=two_pi,
-            rule="filter",
-        )
-        entry = verdict.to_dict()
-        if volume is not None:
+        q = abs(slope.q)
+        non_exc, two_pi = tests.filter(q)
+        length = bd.sig12(tests.length(q)) if lengths else None
+        entry = {"p": slope.p, "q": slope.q, "lengthLower": length, "nonExceptional": non_exc,
+                 "twoPiExceeded": two_pi, "volumeWindow": None, "rule": "filter"}
+        if volume_error is not None:
+            entry["windowError"] = _error(volume_error)
+        elif volume is not None:
             try:
-                window = sg.surgery_volume_window(delta, slope, volume)
-                entry["volumeWindow"] = window.to_dict()["volumeWindow"]
-                entry["rule"] = window.rule
-                if window.boundary_hit:
-                    entry["boundaryHit"] = True
+                lower, hit = tests.window(q, volume)
             except CuspBoundsError as exc:
-                entry["windowError"] = {"code": exc.code, "message": str(exc)}
+                entry["windowError"] = _error(exc)
+            else:
+                entry["volumeWindow"] = {"lower": bd.sig12(lower), "upper": upper}
+                entry["rule"] = "surgery_window"
+                if hit:
+                    entry["boundaryHit"] = True
+        out.append(entry)
+    return out
+
+
+def _montesinos_verdicts(t: int, slopes: tuple) -> list[dict]:
+    """One entry per slope; the twist number is checked once."""
+    try:
+        scale, upper = sg.montesinos_scale(t)
+    except CuspBoundsError as exc:
+        return [s if isinstance(s, dict) else {"p": s.p, "q": s.q, "error": _error(exc)}
+                for s in slopes]
+    upper = bd.sig12(upper)
+    out = []
+    for slope in slopes:
+        if isinstance(slope, dict):
+            out.append(slope)
+            continue
+        q = abs(slope.q)
+        try:
+            lower, hit = sg.MONTESINOS.window(q, scale)
+        except CuspBoundsError as exc:
+            out.append({"p": slope.p, "q": slope.q, "error": _error(exc)})
+            continue
+        non_exc, two_pi = sg.MONTESINOS.filter(q)
+        window = {"lower": bd.sig12(lower), "upper": upper}
+        entry = {"p": slope.p, "q": slope.q, "lengthLower": None, "nonExceptional": non_exc,
+                 "twoPiExceeded": two_pi, "volumeWindow": window, "rule": "montesinos_window"}
+        if hit:
+            entry["boundaryHit"] = True
         out.append(entry)
     return out
 
@@ -155,9 +185,8 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
     pair = bd.SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * diagram.c)
     _add_criterion(report, pair, request.budget)
     if request.slopes:
-        report["slopes"] = _slope_verdicts(
-            inv.delta, request.slopes, request.volume, c=diagram.c, g_t=inv.g_t_diagram
-        )
+        tests = sg.SlopeThresholds(inv.delta)
+        report["slopes"] = _slope_verdicts(tests, request.slopes, request.volume, lengths=True)
     return report
 
 
@@ -216,29 +245,17 @@ def run_surgery(
     montesinos_t: int | None = None,
     volume: float | None = None,
 ) -> list[dict]:
-    """Per-slope verdicts from an explicit delta, (c, g) counts, or a
-    Montesinos twist number. ``slopes`` may mix parsed slopes with error
-    entries from :func:`parse_slope_list`, which pass through untouched."""
+    """Per-slope verdicts from a Montesinos twist number, else an explicit
+    delta, else (c, g) counts, which also give length floors. ``slopes`` may mix
+    parsed slopes with error entries from :func:`parse_slope_list`, which pass
+    through untouched."""
     if montesinos_t is not None:
-        out = []
-        for slope in slopes:
-            if isinstance(slope, dict):
-                out.append(slope)
-                continue
-            try:
-                out.append(sg.montesinos_window(montesinos_t, slope).to_dict())
-            except CuspBoundsError as exc:
-                out.append(
-                    {"p": slope.p, "q": slope.q, "error": {"code": exc.code, "message": str(exc)}}
-                )
-        return out
-    if delta is None:
-        if c is None or g_t is None:
-            raise ValueError("need delta, (c, g), or a Montesinos twist number")
-        if c < 1 or g_t < 0:
-            raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
-        delta = Fraction(2 * g_t - 2, c)
-    return _slope_verdicts(delta, slopes, volume, c=c, g_t=g_t)
+        return _montesinos_verdicts(montesinos_t, slopes)
+    if delta is not None:
+        return _slope_verdicts(sg.SlopeThresholds(delta), slopes, volume)
+    if c is None or g_t is None:
+        raise NoSlopeSource("need delta, (c, g), or a Montesinos twist number")
+    return _slope_verdicts(sg.counts_thresholds(c, g_t), slopes, volume, lengths=True)
 
 
 # --------------------------------------------------------------------------

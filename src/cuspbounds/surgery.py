@@ -24,6 +24,9 @@ Thresholds follow the printed forms: the 2-pi test is strict, the volume
 window's precondition is non-strict, and an exact hit |q| = 6(1 + delta) is
 flagged in the verdict. All of them need 1 + delta > 0 (real knots have
 delta >= -2/3), so a smaller delta is refused with ``DeltaOutOfRange``.
+A sweep writes 1 + delta = n/m once (``SlopeThresholds``) and decides each
+slope in integers, |q| > k(1 + delta) as |q| m > k n; floats appear only in
+the reported values, as correctly rounded quotients of exact integers.
 """
 
 from __future__ import annotations
@@ -31,18 +34,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
+    BadDiagramCounts,
     DegenerateDenominator,
     DeltaOutOfRange,
+    InvalidSlope,
     NonFiniteVolume,
     NonPositiveVolume,
     SlopeTooSmall,
     TooFewTwistRegions,
 )
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ class Slope:
 
     def __post_init__(self) -> None:
         if self.q == 0:
-            raise ValueError("meridional slope q = 0 is excluded")
+            raise InvalidSlope("meridional slope q = 0 is excluded")
         if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not in lowest terms")
+            raise InvalidSlope(f"slope {self.p}/{self.q} is not in lowest terms")
 
     @property
     def meridian_intersections(self) -> int:
@@ -95,62 +99,92 @@ class SlopeVerdict:
     rule: str = "filter"
     boundary_hit: bool = False
 
-    def to_dict(self) -> dict:
-        window = None
-        if self.volume_window is not None:
-            window = {
-                "lower": float(f"{self.volume_window[0]:.12g}"),
-                "upper": float(f"{self.volume_window[1]:.12g}"),
-            }
-        out = {
-            "p": self.p,
-            "q": self.q,
-            "lengthLower": None if self.length_lower is None else float(f"{self.length_lower:.12g}"),
-            "nonExceptional": self.non_exceptional,
-            "twoPiExceeded": self.two_pi_exceeded,
-            "volumeWindow": window,
-            "rule": self.rule,
-        }
-        if self.boundary_hit:
-            out["boundaryHit"] = True
-        return out
+
+def checked_volume(vol: float) -> float:
+    """``vol`` as a float, refused unless it is finite and positive."""
+    if not math.isfinite(vol):
+        raise NonFiniteVolume(f"volume must be finite, got {vol}")
+    if vol <= 0:
+        raise NonPositiveVolume(f"volume must be positive, got {vol}")
+    return float(vol)
+
+
+class SlopeThresholds:
+    """The slope tests for one 1 + delta = n/m (n, m > 0), decided on |q| in
+    integers: |q| > k (1 + delta) becomes |q| m > k n. Floats are int true
+    divisions, correctly rounded like ``float(Fraction)``."""
+
+    def __init__(self, delta: Rational, floor_text: str | None = None) -> None:
+        d = Fraction(delta)
+        n, m = d.numerator + d.denominator, d.denominator  # the denominator is positive
+        if n <= 0:
+            raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
+        self.m = m
+        self.six_n = CONSTANTS.six_threshold * n
+        self.n36 = self.six_n * self.six_n
+        # The length floor 3.35 |q| / (3 (1 + delta)) is 67 |q| m / (60 n); it
+        # exceeds six, so the slope is not exceptional, when 67 |q| m > 360 n.
+        self.m67 = CONSTANTS.cusp_area_floor.numerator * m
+        self.n60 = 3 * CONSTANTS.cusp_area_floor.denominator * n
+        self.n360 = CONSTANTS.six_threshold * self.n60
+        self.floor_text = floor_text
+
+    def filter(self, q: int) -> tuple[bool, bool]:
+        """(|q| > (360/67)(1 + delta): not exceptional, |q| > 6(1 + delta): length > 2 pi)."""
+        return q * self.m67 > self.n360, q * self.m > self.six_n
+
+    def length(self, q: int) -> float:
+        """The slope-length floor 3.35 |q| / (3 (1 + delta))."""
+        return q * self.m67 / self.n60
+
+    def window(self, q: int, vol: float) -> tuple[float, bool]:
+        """(vol (1 - 36 (1 + delta)^2 / q^2)^(3/2), whether |q| = 6(1 + delta));
+        ``SlopeTooSmall`` when |q| < 6(1 + delta)."""
+        qm = q * self.m
+        if qm < self.six_n:
+            floor = self.floor_text or f"6(1 + delta) = {Fraction(self.six_n, self.m)}"
+            raise SlopeTooSmall(f"|q| = {q} below {floor}")
+        qm2 = qm * qm
+        return vol * ((qm2 - self.n36) / qm2) ** 1.5, qm == self.six_n
+
+
+# The Montesinos window asks |q| >= 6: the thresholds at 1 + delta = 1.
+MONTESINOS = SlopeThresholds(0, floor_text="6")
+
+
+def counts_thresholds(c: int, g_t: int) -> SlopeThresholds:
+    """The thresholds of delta = (2g - 2)/c, for c >= 1 crossings and diagram genus g >= 0."""
+    if c < 1 or g_t < 0:
+        raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
+    return SlopeThresholds(Fraction(2 * g_t - 2, c))
 
 
 def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:
     """Lower bound 3.35 |q| c / (3c + 6g - 6) on the slope's length."""
-    if c < 1 or g_t < 0:
-        raise ValueError(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
-    denom = 3 * c + 6 * g_t - 6
-    if denom <= 0:
-        raise DegenerateDenominator(f"3c + 6g - 6 = {denom} must be positive")
-    exact = CONSTANTS.cusp_area_floor * slope.meridian_intersections * c / denom
-    return float(exact)
-
-
-def checked_delta(delta: Rational) -> Fraction:
-    """``delta`` as an exact rational, refused unless 1 + delta > 0, which the
-    length floor 3.35 |q| / (3 (1 + delta)) needs."""
-    d = Fraction(delta)
-    # 1 + d = (numerator + denominator) / denominator, and the denominator is
-    # positive; integer arithmetic keeps the per-slope check cheap.
-    if d.numerator + d.denominator <= 0:
-        raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
-    return d
+    try:
+        tests = counts_thresholds(c, g_t)
+    except DeltaOutOfRange:  # 1 + delta = (3c + 6g - 6) / 3c
+        denom = 3 * c + 6 * g_t - 6
+        raise DegenerateDenominator(f"3c + 6g - 6 = {denom} must be positive") from None
+    return tests.length(slope.meridian_intersections)
 
 
 def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
     """(cannot be exceptional, length certainly exceeds 2 pi), exactly.
 
-    The bare threshold tests for adequate knots, where delta = (2g - 2)/c:
+    The threshold tests for adequate knots, where delta = (2g - 2)/c:
     strict inequalities on |q| against (360/67)(1 + delta) and 6(1 + delta).
-    They certify nothing unless 1 + delta > 0; callers check that with
-    :func:`checked_delta`.
+    A delta with 1 + delta <= 0 is refused with ``DeltaOutOfRange``.
     """
-    d = Fraction(delta)
+    return SlopeThresholds(delta).filter(slope.meridian_intersections)
+
+
+def _window_verdict(
+    tests: SlopeThresholds, slope: Slope, vol: float, upper: float, rule: str
+) -> SlopeVerdict:
     q = slope.meridian_intersections
-    non_exceptional = q > CONSTANTS.exclusion_factor * (1 + d)
-    two_pi = q > CONSTANTS.six_threshold * (1 + d)
-    return non_exceptional, two_pi
+    lower, hit = tests.window(q, vol)
+    return SlopeVerdict(slope.p, slope.q, None, *tests.filter(q), (lower, upper), rule, hit)
 
 
 def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVerdict:
@@ -160,30 +194,18 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVer
     [vol * (1 - 36(1 + delta)^2 / q^2)^(3/2), vol), open above because
     volume strictly drops under filling.
     """
-    if not math.isfinite(vol):
-        raise NonFiniteVolume(f"volume must be finite, got {vol}")
-    if vol <= 0:
-        raise NonPositiveVolume(f"volume must be positive, got {vol}")
-    d = checked_delta(delta)
-    q = slope.meridian_intersections
-    threshold = CONSTANTS.six_threshold * (1 + d)
-    if q < threshold:
-        raise SlopeTooSmall(f"|q| = {q} below 6(1 + delta) = {threshold}")
-    factor = 1 - 36 * (1 + d) ** 2 / Fraction(q) ** 2
-    lower = float(vol) * float(factor) ** 1.5
+    vol = checked_volume(vol)
     # q >= 6(1+delta) > (360/67)(1+delta), so the filled manifold is
     # hyperbolic whenever the window applies at all.
-    non_exceptional, two_pi = exceptional_filter(d, slope)
-    return SlopeVerdict(
-        p=slope.p,
-        q=slope.q,
-        length_lower=None,
-        non_exceptional=non_exceptional,
-        two_pi_exceeded=two_pi,
-        volume_window=(lower, float(vol)),
-        rule="surgery_window",
-        boundary_hit=(q == threshold),
-    )
+    return _window_verdict(SlopeThresholds(delta), slope, vol, vol, "surgery_window")
+
+
+def montesinos_scale(t: int) -> tuple[float, float]:
+    """(scale, upper) of the window [scale (1 - 36/q^2)^(3/2), upper) for t twist regions."""
+    if t < 2:
+        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {t}")
+    v8 = CONSTANTS.v8
+    return max(0.0, (v8 / 4.0) * (t - 9)), 2.0 * v8 * t
 
 
 def montesinos_window(t: int, slope: Slope) -> SlopeVerdict:
@@ -193,25 +215,7 @@ def montesinos_window(t: int, slope: Slope) -> SlopeVerdict:
     tangles (hence delta <= 0) and |q| >= 6. The printed lower bound is
     negative for t <= 9 and is clamped to zero there.
     """
-    if t < 2:
-        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {t}")
-    q = slope.meridian_intersections
-    if q < CONSTANTS.six_threshold:
-        raise SlopeTooSmall(f"|q| = {q} below 6")
-    v8 = CONSTANTS.v8
-    factor = float(1 - Fraction(36, q * q)) ** 1.5
-    lower = max(0.0, (v8 / 4.0) * (t - 9) * factor)
-    upper = 2.0 * v8 * t
-    return SlopeVerdict(
-        p=slope.p,
-        q=slope.q,
-        length_lower=None,
-        non_exceptional=True,
-        two_pi_exceeded=q > CONSTANTS.six_threshold,
-        volume_window=(lower, upper),
-        rule="montesinos_window",
-        boundary_hit=(q == CONSTANTS.six_threshold),
-    )
+    return _window_verdict(MONTESINOS, slope, *montesinos_scale(t), "montesinos_window")
 
 
 def slope_product_floor(

@@ -5,14 +5,18 @@ darts. The oracles here share none of that code: they rebuild the edge
 pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
 faces with a dict of tuple darts. ``findall_parse_pd`` reads PD labels with
-``re.findall`` where the package translates and splits the text.
+``re.findall`` where the package translates and splits the text. The slope
+sweep oracles decide each threshold by a ``Fraction`` comparison in its
+printed form, where the package compares integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import deque
+from fractions import Fraction
 
 from cuspbounds import (
     BraidWord,
@@ -262,3 +266,92 @@ def random_adequate_knot_diagram(rng: random.Random, max_crossings: int = 12) ->
         inv = invariants(diagram)
         if inv.adequate and inv.chi_a < 0 and inv.chi_b < 0:
             return diagram
+
+
+# ------------------------------------------------------------ slope sweeps
+
+OCTAHEDRON_VOLUME = 3.663862376708876  # v8 = 4 x Catalan's constant
+
+
+def _sig(x) -> float:
+    return float(f"{x:.12g}")
+
+
+def _err(code: str, message: str) -> dict:
+    return {"code": code, "message": message}
+
+
+def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> list:
+    """Expected sweep entries from ``delta``, or from the counts (c, g), which
+    also give the length floor 3.35 |q| c / (3c + 6g - 6). ``slopes`` holds
+    objects with ``p`` and ``q``, and error dicts, which pass through."""
+    one = 1 + (Fraction(delta) if delta is not None else Fraction(2 * g - 2, c))
+    out = []
+    for slope in slopes:
+        if isinstance(slope, dict):
+            out.append(slope)
+            continue
+        aq = abs(slope.q)
+        length = None
+        if delta is None:
+            length = _sig(float(Fraction(67, 20) * aq * c / (3 * c + 6 * g - 6)))
+        entry = {
+            "p": slope.p,
+            "q": slope.q,
+            "lengthLower": length,
+            "nonExceptional": aq > Fraction(360, 67) * one,
+            "twoPiExceeded": aq > 6 * one,
+            "volumeWindow": None,
+            "rule": "filter",
+        }
+        if volume is None:
+            pass
+        elif not math.isfinite(volume):
+            entry["windowError"] = _err("NonFiniteVolume", f"volume must be finite, got {volume}")
+        elif volume <= 0:
+            entry["windowError"] = _err("NonPositiveVolume", f"volume must be positive, got {volume}")
+        elif aq < 6 * one:
+            message = f"|q| = {aq} below 6(1 + delta) = {6 * one}"
+            entry["windowError"] = _err("SlopeTooSmall", message)
+        else:
+            factor = 1 - 36 * one**2 / Fraction(aq) ** 2
+            lower = float(volume) * float(factor) ** 1.5
+            entry["volumeWindow"] = {"lower": _sig(lower), "upper": _sig(float(volume))}
+            entry["rule"] = "surgery_window"
+            if aq == 6 * one:
+                entry["boundaryHit"] = True
+        out.append(entry)
+    return out
+
+
+def fraction_montesinos_entries(slopes, t: int) -> list:
+    """Expected Montesinos sweep entries: the window
+    [(v8/4)(t - 9)(1 - 36/q^2)^(3/2) clamped at 0, 2 v8 t) for |q| >= 6."""
+    out = []
+    for slope in slopes:
+        if isinstance(slope, dict):
+            out.append(slope)
+            continue
+        aq = abs(slope.q)
+        if t < 2:
+            error = _err("TooFewTwistRegions", f"need t >= 2 twist regions, got {t}")
+        elif aq < 6:
+            error = _err("SlopeTooSmall", f"|q| = {aq} below 6")
+        else:
+            factor = float(1 - Fraction(36, aq * aq)) ** 1.5
+            lower = max(0.0, (OCTAHEDRON_VOLUME / 4.0) * (t - 9) * factor)
+            entry = {
+                "p": slope.p,
+                "q": slope.q,
+                "lengthLower": None,
+                "nonExceptional": True,
+                "twoPiExceeded": aq > 6,
+                "volumeWindow": {"lower": _sig(lower), "upper": _sig(2.0 * OCTAHEDRON_VOLUME * t)},
+                "rule": "montesinos_window",
+            }
+            if aq == 6:
+                entry["boundaryHit"] = True
+            out.append(entry)
+            continue
+        out.append({"p": slope.p, "q": slope.q, "error": error})
+    return out

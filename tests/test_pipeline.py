@@ -1,13 +1,17 @@
 """End-to-end pipelines, JSON round trips, batch cross-checks, CLI."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbounds import (
     AnalysisRequest,
@@ -24,8 +28,14 @@ from cuspbounds.errors import (
     FileUnreadable,
     MissingHeader,
     NonFiniteVolume,
+    NoSlopeSource,
 )
 from cuspbounds.pipeline import parse_slope_list
+from genutil import (
+    fraction_montesinos_entries,
+    fraction_slope_entries,
+    random_adequate_knot_diagram,
+)
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -142,6 +152,96 @@ class TestRunSurgery:
     def test_needs_a_delta_source(self):
         with pytest.raises(ValueError):
             run_surgery((Slope(1, 6),))
+
+    def test_missing_source_is_coded(self):
+        for kwargs in ({}, {"c": 10}, {"g_t": 1}):
+            with pytest.raises(NoSlopeSource):
+                run_surgery((Slope(1, 6),), **kwargs)
+
+    def test_explicit_delta_takes_precedence_over_counts(self):
+        verdicts = run_surgery(parse_slope_list("1/6"), delta=Fraction(1, 2), c=10, g_t=1)
+        assert verdicts[0]["nonExceptional"] is False  # 6 < (360/67)(3/2)
+        assert verdicts[0]["lengthLower"] is None
+
+
+# Slopes p/q in lowest terms, a few with huge |q|, mixed with an error entry
+# from the slope parser, which every sweep passes through untouched.
+PASSTHROUGH = {"slope": "2/4", "error": {"code": "InvalidSlope", "message": "not a slope"}}
+SLOPE_ITEMS = st.one_of(
+    st.tuples(
+        st.integers(-300, 300),
+        st.one_of(st.integers(-300, 300), st.sampled_from([1000003, -1000003, 10**15 + 37])),
+    )
+    .filter(lambda pq: pq[1] != 0 and math.gcd(*pq) == 1)
+    .map(lambda pq: Slope(*pq)),
+    st.just(PASSTHROUGH),
+)
+VOLUMES = st.one_of(
+    st.none(),
+    st.floats(1e-6, 1e6),
+    st.integers(-3, 40),
+    st.sampled_from([0.0, -1.0, -0.5, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def deltas_for(draw, slopes):
+    """delta with 1 + delta > 0; half of the draws put some slope exactly on
+    the exclusion threshold (360/67)(1 + delta) or on 6(1 + delta)."""
+    qs = [abs(s.q) for s in slopes if isinstance(s, Slope)]
+    kind = draw(st.sampled_from(["free", "exclusion", "six"] if qs else ["free"]))
+    if kind == "free":
+        den = draw(st.integers(1, 60))
+        return Fraction(draw(st.integers(1 - den, 10 * den)), den)
+    q = draw(st.sampled_from(qs))
+    return (Fraction(67 * q, 360) if kind == "exclusion" else Fraction(q, 6)) - 1
+
+
+class TestSweepsAgainstFractionOracle:
+    """``run_surgery`` and the analyze slope list against the ``Fraction``
+    oracles of ``genutil``, entry for entry and float for float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), slopes=st.lists(SLOPE_ITEMS, max_size=12), volume=VOLUMES)
+    def test_delta_sweep(self, data, slopes, volume):
+        delta = data.draw(deltas_for(slopes))
+        expected = fraction_slope_entries(slopes, delta=delta, volume=volume)
+        assert run_surgery(tuple(slopes), delta=delta, volume=volume) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.tuples(st.integers(1, 80), st.integers(0, 12)).filter(
+            lambda cg: cg[0] + 2 * cg[1] > 2  # 1 + delta = (c + 2g - 2)/c > 0
+        ),
+        slopes=st.lists(SLOPE_ITEMS, max_size=12),
+        volume=VOLUMES,
+    )
+    def test_counts_sweep(self, counts, slopes, volume):
+        c, g = counts
+        expected = fraction_slope_entries(slopes, volume=volume, c=c, g=g)
+        assert run_surgery(tuple(slopes), c=c, g_t=g, volume=volume) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.integers(-2, 40), slopes=st.lists(SLOPE_ITEMS, max_size=12))
+    def test_montesinos_sweep(self, t, slopes):
+        expected = fraction_montesinos_entries(slopes, t)
+        assert run_surgery(tuple(slopes), montesinos_t=t) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        slopes=st.lists(SLOPE_ITEMS, min_size=1, max_size=12),
+        volume=VOLUMES,
+    )
+    def test_analyze_slope_list(self, seed, slopes, volume):
+        diagram = random_adequate_knot_diagram(random.Random(seed))
+        request = AnalysisRequest(pd=diagram.pd_string(), slopes=tuple(slopes), volume=volume)
+        report = run_analyze(request)
+        if report["slopes"] is None:  # torus-degenerate: no slope analysis
+            assert report["status"] == "inapplicable"
+            return
+        c, g = report["invariants"]["c"], report["invariants"]["gT"]
+        assert report["slopes"] == fraction_slope_entries(slopes, volume=volume, c=c, g=g)
 
 
 class TestNonFiniteInput:

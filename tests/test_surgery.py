@@ -17,8 +17,10 @@ from cuspbounds import (
     surgery_volume_window,
 )
 from cuspbounds.errors import (
+    BadDiagramCounts,
     DegenerateDenominator,
     DeltaOutOfRange,
+    InvalidSlope,
     NonPositiveVolume,
     SlopeTooSmall,
     TooFewTwistRegions,
@@ -27,6 +29,12 @@ from cuspbounds.errors import (
 mpmath.mp.dps = 50
 
 FIG8_VOLUME = 2.029883212819  # caller-supplied data, not computed here
+
+
+def deltas(den: int, max_num: int):
+    """delta = num/den with 1 + delta > 0, the domain of the slope thresholds:
+    num runs from max(-2, 1 - den) to max_num."""
+    return st.builds(Fraction, st.integers(max(-2, 1 - den), max_num), st.just(den))
 
 
 class TestSlope:
@@ -40,6 +48,13 @@ class TestSlope:
 
     def test_meridian_intersections(self):
         assert Slope(3, -7).meridian_intersections == 7
+
+    def test_coded_error(self):
+        for p, q in ((1, 0), (2, 14)):
+            with pytest.raises(InvalidSlope) as info:
+                Slope(p, q)
+            assert info.value.code == "InvalidSlope"
+            assert isinstance(info.value, ValueError)
 
 
 class TestConstants:
@@ -67,6 +82,12 @@ class TestSlopeLengthLower:
         with pytest.raises(DegenerateDenominator):
             slope_length_lower(2, 0, Slope(1, 5))
 
+    def test_bad_counts(self):
+        for c, g in ((0, 1), (-3, 2), (5, -1)):
+            with pytest.raises(BadDiagramCounts):
+                slope_length_lower(c, g, Slope(1, 5))
+        assert issubclass(BadDiagramCounts, ValueError)
+
 
 class TestExceptionalFilter:
     def test_threshold_examples(self):
@@ -79,24 +100,27 @@ class TestExceptionalFilter:
             non_exc, _ = exceptional_filter(0, Slope(1, q))
             assert non_exc == (q >= 6)
 
-    @given(q=st.integers(1, 400), num=st.integers(-2, 40), den=st.integers(1, 20))
-    def test_monotone_in_q(self, q, num, den):
-        delta = Fraction(num, den)
+    @given(q=st.integers(1, 400), delta=st.integers(1, 20).flatmap(lambda d: deltas(d, 40)))
+    def test_monotone_in_q(self, q, delta):
         first, _ = exceptional_filter(delta, Slope(1, q))
         second, _ = exceptional_filter(delta, Slope(1, q + 1))
         assert second or not first
 
     @given(
         q=st.integers(1, 400),
-        num1=st.integers(-2, 30),
-        num2=st.integers(-2, 30),
-        den=st.integers(1, 15),
+        pair=st.integers(1, 15).flatmap(lambda d: st.tuples(deltas(d, 30), deltas(d, 30))),
     )
-    def test_anti_monotone_in_delta(self, q, num1, num2, den):
-        low, high = sorted((Fraction(num1, den), Fraction(num2, den)))
+    def test_anti_monotone_in_delta(self, q, pair):
+        low, high = sorted(pair)
         permissive, _ = exceptional_filter(low, Slope(1, q))
         strict_result, _ = exceptional_filter(high, Slope(1, q))
         assert permissive or not strict_result
+
+    def test_refuses_delta_with_one_plus_delta_not_positive(self):
+        for delta in (-1, Fraction(-5, 4), -2):
+            with pytest.raises(DeltaOutOfRange):
+                exceptional_filter(delta, Slope(1, 1))
+        assert exceptional_filter(Fraction(-2, 3), Slope(1, 2)) == (True, False)
 
 
 class TestVolumeWindow:
