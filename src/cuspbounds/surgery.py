@@ -201,7 +201,7 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVer
 
 
 def montesinos_scale(t: int) -> tuple[float, float]:
-    """(scale, upper) of the window [scale (1 - 36/q^2)^(3/2), upper) for t twist regions."""
+    """(max(0, (v8/4)(t - 9)), 2 v8 t): the window is [scale (1 - 36/q^2)^(3/2), upper)."""
     if t < 2:
         raise TooFewTwistRegions(f"need t >= 2 twist regions, got {t}")
     v8 = CONSTANTS.v8
