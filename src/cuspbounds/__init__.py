@@ -8,9 +8,6 @@ threshold-like runs in exact rational arithmetic.
 """
 
 from .bounds import (
-    BoundCandidate,
-    BoundsReport,
-    BoundValue,
     BraidVerdict,
     PretzelParams,
     SurfacePairData,
@@ -30,11 +27,9 @@ from .diagram import (
     Face,
     PlanarDiagram,
     braid_closure,
-    faces,
     mirror,
     parse_braid,
     parse_pd,
-    serialize_pd,
 )
 from .pipeline import AnalysisRequest, run_analyze, run_batch, run_surgery
 from .states import (
@@ -43,10 +38,8 @@ from .states import (
     StateGraph,
     StateSummary,
     TwistSummary,
-    adequacy,
     invariants,
     resolve,
-    state_from_string,
     twist_analysis,
     uniform_state,
 )
@@ -58,15 +51,11 @@ from .surgery import (
     exceptional_filter,
     montesinos_window,
     slope_length_lower,
-    slope_product_floor,
     surgery_volume_window,
 )
 
 __all__ = [
     "AnalysisRequest",
-    "BoundCandidate",
-    "BoundValue",
-    "BoundsReport",
     "BraidVerdict",
     "BraidWord",
     "CONSTANTS",
@@ -83,7 +72,6 @@ __all__ = [
     "SurfacePairData",
     "SurgeryConstants",
     "TwistSummary",
-    "adequacy",
     "adequate_bounds",
     "adequate_bounds_from_counts",
     "best_bounds",
@@ -91,7 +79,6 @@ __all__ = [
     "braid_criterion",
     "criterion_check",
     "exceptional_filter",
-    "faces",
     "general_bounds",
     "invariants",
     "mirror",
@@ -103,10 +90,7 @@ __all__ = [
     "run_analyze",
     "run_batch",
     "run_surgery",
-    "serialize_pd",
     "slope_length_lower",
-    "slope_product_floor",
-    "state_from_string",
     "surgery_volume_window",
     "twist_analysis",
     "twist_area_bound",

@@ -171,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_analyze)
 
     p_braid = sub.add_parser("braid", help="analyze a braid closure, e.g. '3: s1^3 s2^-3'")
-    p_braid.add_argument("word")
+    p_braid.add_argument("braid", metavar="word")
     _add_common(p_braid)
 
     p_pretzel = sub.add_parser("pretzel", help="bounds for the pretzel P(a,-b,-c), a,b,c odd > 1")
-    p_pretzel.add_argument("params", type=_parse_triple, help="a,b,c")
+    p_pretzel.add_argument("pretzel", metavar="params", type=_parse_triple, help="a,b,c")
     _add_common(p_pretzel)
 
     p_surgery = sub.add_parser("surgery", help="per-slope exclusion and volume windows")
@@ -209,30 +209,13 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "analyze":
-            if (args.pd is None) == (args.pair is None):
+        if args.command in ("analyze", "braid", "pretzel"):
+            if args.command == "analyze" and (args.pd is None) == (args.pair is None):
                 parser.error("analyze needs a PD code or --pair, not both")
+            # Each subcommand stores its input under the request field it sets.
+            sources = {k: getattr(args, k, None) for k in ("pd", "braid", "pretzel", "pair")}
             request = AnalysisRequest(
-                pd=args.pd,
-                pair=args.pair,
-                budget=args.budget,
-                volume=args.volume,
-                slopes=args.slopes,
-                prime_asserted=args.prime,
-            )
-            report = run_analyze(request)
-        elif args.command == "braid":
-            request = AnalysisRequest(
-                braid=args.word,
-                budget=args.budget,
-                volume=args.volume,
-                slopes=args.slopes,
-                prime_asserted=args.prime,
-            )
-            report = run_analyze(request)
-        elif args.command == "pretzel":
-            request = AnalysisRequest(
-                pretzel=args.params,
+                **sources,
                 budget=args.budget,
                 volume=args.volume,
                 slopes=args.slopes,

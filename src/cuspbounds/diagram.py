@@ -43,10 +43,13 @@ from .errors import (
     MalformedToken,
     MultiComponentLink,
     NonPlanarDiagram,
+    TooManyCrossings,
     ZeroExponent,
 )
 
-Dart = tuple[int, int]
+# Crossings a braid word may ask for, counted as the sum of |r| over its
+# syllables as written; about 1 KB of memory per crossing.
+MAX_CROSSINGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,8 @@ class Crossing:
 class Face:
     """One complementary region, as the cyclic list of darts along it."""
 
-    boundary: tuple[Dart, ...]
+    boundary: tuple[tuple[int, int], ...]
     is_alternating_bigon: bool
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
 
 
 def is_alternating_bigon(d1: int, d2: int) -> bool:
@@ -167,10 +166,6 @@ class PlanarDiagram:
     def c(self) -> int:
         return len(self.slots) // 4
 
-    @property
-    def edge_count(self) -> int:
-        return 2 * self.c
-
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
         """The slots grouped into one :class:`Crossing` per crossing."""
@@ -237,15 +232,6 @@ def parse_pd(text: str) -> PlanarDiagram:
     return _normalized(labels)
 
 
-def serialize_pd(diagram: PlanarDiagram) -> str:
-    return diagram.pd_string()
-
-
-def faces(diagram: PlanarDiagram) -> tuple[Face, ...]:
-    """The diagram's faces; function form of :attr:`PlanarDiagram.faces`."""
-    return diagram.faces
-
-
 # --------------------------------------------------------------------------
 # Braid words
 # --------------------------------------------------------------------------
@@ -268,10 +254,6 @@ class BraidWord:
         for (i, _), (j, _) in zip(self.syllables, self.syllables[1:]):
             if i == j:
                 raise MalformedToken("adjacent syllables share a generator; merge them first")
-
-    @property
-    def crossing_count(self) -> int:
-        return sum(abs(r) for _, r in self.syllables)
 
     def permutation(self) -> list[int]:
         """Where each starting position ends up (0-based positions)."""
@@ -296,12 +278,6 @@ class BraidWord:
                 s = perm[s]
         return cycles
 
-    def mirrored(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple((i, -r) for i, r in self.syllables))
-
-    def text(self) -> str:
-        return f"{self.strands}: " + " ".join(f"s{i}^{r}" for i, r in self.syllables)
-
 
 _BRAID_SYLLABLE = re.compile(r"s(\d+)\^(-?\d+)$")
 
@@ -310,7 +286,10 @@ def parse_braid(text: str) -> BraidWord:
     """Parse braid text like ``3: s1^3 s2^-3`` (strand count, then syllables).
 
     Adjacent syllables on the same generator are merged; a merge that cancels
-    to exponent zero drops the syllable and merging continues.
+    to exponent zero drops the syllable and merging continues. Words asking for
+    more than ``MAX_CROSSINGS`` crossings, or more strands than a knot closure
+    with that many crossings has, raise ``TooManyCrossings`` before any
+    diagram is built.
     """
     head, sep, body = text.partition(":")
     if not sep:
@@ -319,10 +298,14 @@ def parse_braid(text: str) -> BraidWord:
         strands = int(head.strip())
     except ValueError:
         raise MalformedToken(f"bad strand count {head.strip()!r}") from None
+    # A knot closure on n strands has at least n - 1 crossings.
+    if strands > MAX_CROSSINGS + 1:
+        raise TooManyCrossings(f"{strands} strands exceed the limit of {MAX_CROSSINGS + 1}")
     tokens = body.split()
     if not tokens:
         raise MalformedToken("braid word has no syllables")
     merged: list[list[int]] = []
+    crossings = 0
     for tok in tokens:
         m = _BRAID_SYLLABLE.match(tok)
         if m is None:
@@ -330,6 +313,9 @@ def parse_braid(text: str) -> BraidWord:
         i, r = int(m.group(1)), int(m.group(2))
         if r == 0:
             raise ZeroExponent(f"syllable {tok!r} has exponent zero")
+        crossings += abs(r)
+        if crossings > MAX_CROSSINGS:
+            raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
         if merged and merged[-1][0] == i:
             merged[-1][1] += r
             if merged[-1][1] == 0:

@@ -53,6 +53,10 @@ class ClosureIsLink(CuspBoundsError):
     """Braid closure has more than one component."""
 
 
+class TooManyCrossings(CuspBoundsError):
+    """A braid word asks for more crossings or strands than ``diagram.MAX_CROSSINGS`` allows."""
+
+
 # ------------------------------------------------------------ state machinery
 
 class StateLengthMismatch(CuspBoundsError):
@@ -93,10 +97,6 @@ class MoebiusBand(CuspBoundsError):
     belongs to a (2, p) torus knot and the hyperbolic bounds do not apply."""
 
 
-class DegenerateTorusDiagram(CuspBoundsError):
-    """Twist machinery invoked on an all-bigon-cycle diagram."""
-
-
 class TooFewTwistRegions(CuspBoundsError):
     """Twist-count bound is vacuous for this few twist regions."""
 
@@ -112,11 +112,18 @@ class NoApplicableBound(CuspBoundsError):
 # --------------------------------------------------------------- surgery
 
 class BadDiagramCounts(CuspBoundsError, ValueError):
-    """Slope sweeps from (c, g) need c >= 1 crossings and genus g >= 0."""
+    """Counts out of range: bounds and slope sweeps from (c, g) need c >= 1
+    crossings and genus g >= 0, and a twist number t needs 1 <= t <= c. Also
+    a ``ValueError``, so that callers catching ``ValueError`` keep working."""
 
 
 class InvalidSlope(CuspBoundsError, ValueError):
     """A slope p/q needs q != 0 and p, q coprime."""
+
+
+class NotOneInputSource(CuspBoundsError, ValueError):
+    """An analysis request needs exactly one of a PD code, a braid word, a
+    pretzel triple and a surface pair."""
 
 
 class NoSlopeSource(CuspBoundsError, ValueError):

@@ -22,6 +22,7 @@ from .errors import (
     MissingHeader,
     NoSlopeSource,
     NonAlternatingBigon,
+    NotOneInputSource,
 )
 
 STATUS_OK = "ok"
@@ -60,7 +61,7 @@ class AnalysisRequest:
     def __post_init__(self) -> None:
         sources = [s for s in (self.pd, self.braid, self.pretzel, self.pair) if s is not None]
         if len(sources) != 1:
-            raise ValueError("exactly one input source must be given")
+            raise NotOneInputSource("exactly one input source must be given")
 
 
 def _error(exc: CuspBoundsError) -> dict:
@@ -173,14 +174,12 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
         )
         return report
 
-    reports = [bd.adequate_bounds(inv)]
+    rules = [("adequate", bd.adequate_bounds(inv))]
     if twist is not None:
-        meridian = bd.BoundValue(bd.twist_bound(diagram.c, twist.t), bd.RULE_TWIST)
-        reports.append(bd.BoundsReport(meridian_upper=meridian))
+        rules.append(("twist", bd.twist_bound(diagram.c, twist.t)))
         if twist.t >= 2:
-            area = bd.BoundValue(bd.twist_area_bound(twist.t), bd.RULE_TWIST_AREA)
-            reports.append(bd.BoundsReport(cusp_area_upper=area))
-    report["bounds"] = bd.best_bounds(reports).to_dict()
+            rules.append(("twist_area", bd.twist_area_bound(twist.t)))
+    report["bounds"] = bd.best_bounds(rules)
 
     pair = bd.SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * diagram.c)
     _add_criterion(report, pair, request.budget)
@@ -191,15 +190,16 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
 
 
 def _surface_report(
-    request: AnalysisRequest, kind: str, value, pair: bd.SurfacePairData, bounds: bd.BoundsReport
+    request: AnalysisRequest, kind: str, value, pair: bd.SurfacePairData, rule: tuple[str, dict]
 ) -> dict:
-    """Report for an input given by its surface pair rather than a diagram."""
+    """Report for an input given by its surface pair rather than a diagram,
+    bounded by the one ``(rule id, values)`` pair ``rule``."""
     report = {
         "status": STATUS_OK,
         "diagnostics": ["slope analysis needs a diagram source"] if request.slopes else [],
         "input": {"kind": kind, "value": list(value)},
         "invariants": None,
-        "bounds": bounds.to_dict(),
+        "bounds": bd.best_bounds([rule]),
         "slopes": None,
     }
     _add_criterion(report, pair, request.budget)
@@ -210,10 +210,11 @@ def run_analyze(request: AnalysisRequest) -> dict:
     """Full analysis chain for one input; returns a JSON-shaped report."""
     if request.pair is not None:
         pair = bd.SurfacePairData(*request.pair)
-        return _surface_report(request, "pair", request.pair, pair, bd.general_bounds(pair))
+        rule = ("general", bd.general_bounds(pair))
+        return _surface_report(request, "pair", request.pair, pair, rule)
     if request.pretzel is not None:
-        pair, rep = bd.pretzel_bounds(bd.PretzelParams(*request.pretzel))
-        report = _surface_report(request, "pretzel", request.pretzel, pair, rep)
+        pair, values = bd.pretzel_bounds(bd.PretzelParams(*request.pretzel))
+        report = _surface_report(request, "pretzel", request.pretzel, pair, ("pretzel", values))
         report["surfacePair"] = {
             "absChi1": pair.abs_chi_1,
             "absChi2": pair.abs_chi_2,

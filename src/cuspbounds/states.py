@@ -51,23 +51,12 @@ def uniform_state(c: int, choice: Smoothing) -> StateAssignment:
     return (choice,) * c
 
 
-def state_from_string(text: str) -> StateAssignment:
-    return tuple(Smoothing(ch) for ch in text.upper())
-
-
 @dataclass(frozen=True)
 class StateGraph:
     """Vertices are state circles; one edge per crossing."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.edges)
-
-    def loop_edges(self) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges) if u == v)
 
 
 @dataclass(frozen=True)
@@ -113,19 +102,12 @@ def resolve(diagram: PlanarDiagram, state: StateAssignment) -> StateSummary:
     return StateSummary(count, circle_of_strand, StateGraph(count, edges))
 
 
-def adequacy(diagram: PlanarDiagram) -> tuple[bool, bool]:
-    """Loop-freeness of the all-A and all-B state graphs."""
-    inv = invariants(diagram)
-    return inv.a_adequate, inv.b_adequate
-
-
 @dataclass(frozen=True)
 class DiagramInvariants:
     """Counts and ratios read off the two extreme states of one diagram.
 
     For adequate diagrams these are invariants of the underlying knot: the
-    crossing number is realized and the diagram genus equals the knot's
-    (``invariants_are_knot_invariants`` records that).
+    crossing number is realized and the diagram genus equals the knot's.
     """
 
     c: int
@@ -141,10 +123,6 @@ class DiagramInvariants:
     @property
     def adequate(self) -> bool:
         return self.a_adequate and self.b_adequate
-
-    @property
-    def invariants_are_knot_invariants(self) -> bool:
-        return self.adequate
 
     def to_dict(self) -> dict:
         return {

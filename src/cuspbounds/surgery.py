@@ -83,10 +83,6 @@ class Slope:
         if math.gcd(self.p, self.q) != 1:
             raise InvalidSlope(f"slope {self.p}/{self.q} is not in lowest terms")
 
-    @property
-    def meridian_intersections(self) -> int:
-        return abs(self.q)
-
 
 @dataclass(frozen=True)
 class SlopeVerdict:
@@ -166,7 +162,7 @@ def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:
     except DeltaOutOfRange:  # 1 + delta = (3c + 6g - 6) / 3c
         denom = 3 * c + 6 * g_t - 6
         raise DegenerateDenominator(f"3c + 6g - 6 = {denom} must be positive") from None
-    return tests.length(slope.meridian_intersections)
+    return tests.length(abs(slope.q))
 
 
 def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
@@ -176,13 +172,13 @@ def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
     strict inequalities on |q| against (360/67)(1 + delta) and 6(1 + delta).
     A delta with 1 + delta <= 0 is refused with ``DeltaOutOfRange``.
     """
-    return SlopeThresholds(delta).filter(slope.meridian_intersections)
+    return SlopeThresholds(delta).filter(abs(slope.q))
 
 
 def _window_verdict(
     tests: SlopeThresholds, slope: Slope, vol: float, upper: float, rule: str
 ) -> SlopeVerdict:
-    q = slope.meridian_intersections
+    q = abs(slope.q)
     lower, hit = tests.window(q, vol)
     return SlopeVerdict(slope.p, slope.q, None, *tests.filter(q), (lower, upper), rule, hit)
 
@@ -216,16 +212,3 @@ def montesinos_window(t: int, slope: Slope) -> SlopeVerdict:
     negative for t <= 9 and is clamped to zero there.
     """
     return _window_verdict(MONTESINOS, slope, *montesinos_scale(t), "montesinos_window")
-
-
-def slope_product_floor(
-    area_lower: float, length_1: float, length_2: float, intersection: int
-) -> bool:
-    """Check length_1 * length_2 >= area_lower * intersection.
-
-    Consistency test for asserted slope lengths against a cusp-area floor;
-    vacuously true for disjoint slopes (intersection 0).
-    """
-    if length_1 <= 0 or length_2 <= 0 or area_lower <= 0 or intersection < 0:
-        raise ValueError("lengths and area floor must be positive, intersection >= 0")
-    return length_1 * length_2 >= area_lower * intersection

@@ -70,7 +70,7 @@ def test_criterion_1_pretzel_reproduction():
     for _ in range(50):
         a, b, c = (2 * rng.randint(1, 100) + 1 for _ in range(3))
         _, report = pretzel_bounds(PretzelParams(a, b, c))
-        assert report.meridian_upper.value == Fraction(3)
+        assert report["meridian"] == Fraction(3)
     _report("1", "pretzel meridian == 3 exactly", started, 1.0)
 
 
@@ -82,8 +82,8 @@ def test_criterion_2_adequate_bound_identities():
         assert d.c <= 12
         inv = invariants(d)
         pair = SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * d.c)
-        lhs = general_bounds(pair).meridian_upper.value
-        rhs = adequate_bounds_from_counts(d.c, inv.g_t_diagram).meridian_upper.value
+        lhs = general_bounds(pair)["meridian"]
+        rhs = adequate_bounds_from_counts(d.c, inv.g_t_diagram)["meridian"]
         assert lhs == rhs  # exact Fractions
         assert abs(inv.chi_a) + abs(inv.chi_b) == d.c + 2 * inv.g_t_diagram - 2
     _report("2", "adequate == general on checkerboard pair", started, 5.0)
@@ -120,7 +120,7 @@ def test_criterion_4_alternating_calibration():
     for d in diagrams:
         inv = invariants(d)
         assert inv.g_t_diagram == 0
-        bound = adequate_bounds(inv).meridian_upper.value
+        bound = adequate_bounds(inv)["meridian"]
         assert bound == 3 - Fraction(6, d.c)
         assert bound < 3
     _report("4", "alternating: genus 0 and meridian < 3", started, 1.0)
@@ -149,7 +149,7 @@ def test_criterion_5b_twist_identity_stated_braid():
     tw = twist_analysis(d, invariants(d))
     assert (d.c, tw.v_bi, tw.t) == (12, 8, 4)
     assert tw.t == d.c - tw.v_bi
-    assert twist_bound(d.c, tw.t) == Fraction(7, 2) < 4
+    assert twist_bound(d.c, tw.t)["meridian"] == Fraction(7, 2) < 4
     _report("5b", "stated braid twist identities", started, 1.0)
 
 
@@ -159,7 +159,7 @@ def test_criterion_5c_twist_identity_knot_braid():
     tw = twist_analysis(d, invariants(d))
     assert (d.c, tw.v_bi, tw.t) == (9, 6, 3)
     assert tw.t == d.c - tw.v_bi
-    assert twist_bound(d.c, tw.t) == Fraction(10, 3) < 4
+    assert twist_bound(d.c, tw.t)["meridian"] == Fraction(10, 3) < 4
     _report("5c", "knot braid: c = 9, t = 3, bound 10/3", started, 1.0)
 
 
@@ -167,7 +167,7 @@ def test_criterion_6_finiteness_grid():
     started = time.monotonic()
     for g in range(0, 11):
         for c in range(1, 201):
-            bound = adequate_bounds_from_counts(c, g).meridian_upper.value
+            bound = adequate_bounds_from_counts(c, g)["meridian"]
             if g >= 2:
                 assert (bound <= 4) == (c >= 6 * g - 6)
             if g <= 3 and c > 12:

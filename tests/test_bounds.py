@@ -9,8 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspbounds import (
-    BoundsReport,
-    BoundValue,
+    AnalysisRequest,
     BraidVerdict,
     PretzelParams,
     SurfacePairData,
@@ -24,14 +23,14 @@ from cuspbounds import (
     parse_braid,
     parse_pd,
     pretzel_bounds,
+    run_analyze,
     twist_analysis,
     twist_area_bound,
     twist_bound,
 )
-from cuspbounds.bounds import RULE_ADEQUATE, RULE_TWIST
 from cuspbounds.errors import (
+    BadDiagramCounts,
     ClosureIsLink,
-    DegenerateTorusDiagram,
     MoebiusBand,
     NoApplicableBound,
     NonAlternatingBigon,
@@ -48,17 +47,17 @@ FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
 class TestGeneralBounds:
     def test_pretzel_sized_pair(self):
         rep = general_bounds(SurfacePairData(11, 1, 24))
-        assert rep.meridian_upper.value == 3
+        assert rep["meridian"] == 3
 
     def test_small_pairs(self):
         rep = general_bounds(SurfacePairData(1, 1, 4))
         assert (
-            rep.meridian_upper.value,
-            rep.lambda_upper.value,
-            rep.cusp_area_upper.value,
+            rep["meridian"],
+            rep["lambda"],
+            rep["cuspArea"],
         ) == (3, 6, 18)
         rep = general_bounds(SurfacePairData(1, 1, 12))
-        assert (rep.meridian_upper.value, rep.cusp_area_upper.value) == (1, 6)
+        assert (rep["meridian"], rep["cuspArea"]) == (1, 6)
 
     def test_rejects_degenerate_pairs(self):
         with pytest.raises(ValueError):
@@ -91,24 +90,32 @@ class TestCriterionCheck:
     def test_equivalent_to_meridian_bound(self, chi1, chi2, i, num, den):
         pair = SurfacePairData(chi1, chi2, i)
         budget = Fraction(num, den)
-        meridian = general_bounds(pair).meridian_upper.value
+        meridian = general_bounds(pair)["meridian"]
         assert criterion_check(pair, budget) == (meridian <= budget)
 
 
 class TestAdequateBounds:
     def test_fig8_values(self):
         rep = adequate_bounds(invariants(FIG8))
-        assert rep.meridian_upper.value == Fraction(3, 2)
-        assert rep.lambda_upper.value == 6
-        assert rep.cusp_area_upper.value == 9
-        assert rep.meridian_upper.rule == RULE_ADEQUATE
+        assert rep["meridian"] == Fraction(3, 2)
+        assert rep["lambda"] == 6
+        assert rep["cuspArea"] == 9
+        report = run_analyze(AnalysisRequest(pd=FIG8.pd_string()))
+        assert report["bounds"]["meridian"]["rule"] == "adequate"
 
     def test_genus_one_meridian_is_three(self):
         for c in range(3, 40):
-            assert adequate_bounds_from_counts(c, 1).meridian_upper.value == 3
+            assert adequate_bounds_from_counts(c, 1)["meridian"] == 3
 
     def test_twelve_crossings_genus_three_hits_four(self):
-        assert adequate_bounds_from_counts(12, 3).meridian_upper.value == 4
+        assert adequate_bounds_from_counts(12, 3)["meridian"] == 4
+
+    def test_bad_counts_are_coded(self):
+        for c, g in ((0, 1), (5, -1)):
+            with pytest.raises(BadDiagramCounts) as info:
+                adequate_bounds_from_counts(c, g)
+            assert info.value.code == "BadDiagramCounts"
+            assert isinstance(info.value, ValueError)
 
     def test_not_adequate_rejected(self):
         kink = parse_pd("X[1,1,2,2]")
@@ -127,14 +134,14 @@ class TestAdequateBounds:
             inv = invariants(d)
             pair = SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * d.c)
             assert (
-                general_bounds(pair).meridian_upper.value
-                == adequate_bounds(inv).meridian_upper.value
+                general_bounds(pair)["meridian"]
+                == adequate_bounds(inv)["meridian"]
             )
             assert abs(inv.chi_a) + abs(inv.chi_b) == d.c + 2 * inv.g_t_diagram - 2
 
     def test_meridian_monotonicity_in_c(self):
         for g, direction in ((0, "up"), (1, "flat"), (2, "down"), (5, "down")):
-            values = [adequate_bounds_from_counts(c, g).meridian_upper.value for c in range(2, 60)]
+            values = [adequate_bounds_from_counts(c, g)["meridian"] for c in range(2, 60)]
             diffs = [b - a for a, b in zip(values, values[1:])]
             if direction == "up":
                 assert all(diff > 0 for diff in diffs)
@@ -146,28 +153,30 @@ class TestAdequateBounds:
     def test_finiteness_grid(self):
         for g in range(2, 11):
             for c in range(1, 201):
-                under_four = adequate_bounds_from_counts(c, g).meridian_upper.value <= 4
+                under_four = adequate_bounds_from_counts(c, g)["meridian"] <= 4
                 assert under_four == (c >= 6 * g - 6)
 
 
 class TestTwistBounds:
     def test_reference_values(self):
-        assert twist_bound(9, 3) == Fraction(10, 3)
-        assert twist_bound(4, 2) == 3
+        assert twist_bound(9, 3)["meridian"] == Fraction(10, 3)
+        assert twist_bound(4, 2)["meridian"] == 3
         for t in range(1, 8):
-            assert twist_bound(3 * t, t) == 4 - Fraction(6, 3 * t)
-
-    def test_degenerate_flag(self):
-        with pytest.raises(DegenerateTorusDiagram):
-            twist_bound(3, 1, torus_degenerate=True)
+            assert twist_bound(3 * t, t)["meridian"] == 4 - Fraction(6, 3 * t)
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             twist_bound(4, 5)
 
+    def test_bad_counts_are_coded(self):
+        for c, t in ((4, 5), (4, 0), (0, 0)):
+            with pytest.raises(BadDiagramCounts) as info:
+                twist_bound(c, t)
+            assert info.value.code == "BadDiagramCounts"
+
     def test_area_bound_values(self):
-        assert twist_area_bound(2) == pytest.approx(10 * math.sqrt(3), abs=1e-12)
-        assert twist_area_bound(3) == pytest.approx(20 * math.sqrt(3), abs=1e-12)
+        assert twist_area_bound(2)["cuspArea"] == pytest.approx(10 * math.sqrt(3), abs=1e-12)
+        assert twist_area_bound(3)["cuspArea"] == pytest.approx(20 * math.sqrt(3), abs=1e-12)
 
     def test_area_bound_needs_two_regions(self):
         with pytest.raises(TooFewTwistRegions):
@@ -186,7 +195,7 @@ class TestTwistBounds:
             if tw.torus_degenerate or 2 * inv.g_t_diagram - 2 > tw.t - 2:
                 continue
             checked += 1
-            assert twist_bound(d.c, tw.t) >= adequate_bounds(inv).meridian_upper.value
+            assert twist_bound(d.c, tw.t)["meridian"] >= adequate_bounds(inv)["meridian"]
         assert checked > 20
 
 
@@ -194,13 +203,14 @@ class TestPretzelBounds:
     def test_three_five_seven(self):
         pair, rep = pretzel_bounds(PretzelParams(3, 5, 7))
         assert (pair.abs_chi_1, pair.abs_chi_2, pair.intersection) == (11, 1, 24)
-        assert rep.meridian_upper.value == 3
-        assert rep.meridian_upper.rule == "pretzel"
+        assert rep["meridian"] == 3
+        report = run_analyze(AnalysisRequest(pretzel=(3, 5, 7)))
+        assert report["bounds"]["meridian"]["rule"] == "pretzel"
 
     def test_all_threes(self):
         pair, rep = pretzel_bounds(PretzelParams(3, 3, 3))
         assert (pair.abs_chi_1, pair.abs_chi_2, pair.intersection) == (5, 1, 12)
-        assert rep.meridian_upper.value == 3
+        assert rep["meridian"] == 3
 
     def test_even_parameter_rejected(self):
         with pytest.raises(NotOddOrTooSmall):
@@ -213,7 +223,7 @@ class TestPretzelBounds:
         for _ in range(100):
             a, b, c = (2 * rng.randint(1, 60) + 1 for _ in range(3))
             _, rep = pretzel_bounds(PretzelParams(a, b, c))
-            assert rep.meridian_upper.value == Fraction(3)
+            assert rep["meridian"] == Fraction(3)
 
 
 class TestBraidCriterion:
@@ -251,16 +261,16 @@ class TestBraidCriterion:
 class TestBestBounds:
     def test_minimum_with_provenance(self):
         adequate = adequate_bounds(invariants(FIG8))
-        twist = BoundsReport(meridian_upper=BoundValue(Fraction(3), RULE_TWIST))
-        combined = best_bounds([adequate, twist])
-        assert combined.meridian_upper.value == Fraction(3, 2)
-        assert combined.meridian_upper.rule == RULE_ADEQUATE
-        assert len(combined.candidates) == 4
+        twist = {"meridian": Fraction(3)}
+        combined = best_bounds([("adequate", adequate), ("twist", twist)])
+        assert combined["meridian"]["value"] == Fraction(3, 2)
+        assert combined["meridian"]["rule"] == "adequate"
+        assert len(combined["candidates"]) == 4
 
     def test_single_report(self):
         rep = general_bounds(SurfacePairData(1, 1, 4))
-        combined = best_bounds([rep])
-        assert combined.meridian_upper.value == 3
+        combined = best_bounds([("general", rep)])
+        assert combined["meridian"]["value"] == 3
 
     def test_empty_raises(self):
         with pytest.raises(NoApplicableBound):
@@ -268,12 +278,27 @@ class TestBestBounds:
 
     def test_weak_meridian_flagged(self):
         rep = general_bounds(SurfacePairData(5, 5, 6))  # meridian bound 10
-        combined = best_bounds([rep])
-        assert not combined.consistent_with_six_theorem
-        assert combined.notes
+        combined = best_bounds([("general", rep)])
+        assert not combined["sixTheoremConsistent"]
+
+    def test_earlier_rule_wins_a_tie(self):
+        tied = best_bounds([("adequate", {"meridian": Fraction(3)}), ("twist", {"meridian": 3})])
+        assert tied["meridian"] == {"value": 3.0, "rule": "adequate"}
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 10, 1001])
+    def test_twist_area_compared_exactly(self, t):
+        # A rational equal to the float of 10 sqrt(3) (t - 1) ties with it when
+        # compared as floats; exactly, one of the two is smaller.
+        area = twist_area_bound(t)
+        rational = {"cuspArea": Fraction(float(area["cuspArea"]))}
+        rational_smaller = rational["cuspArea"] ** 2 < 300 * (t - 1) ** 2
+        for rules in ([("adequate", rational), ("twist_area", area)],
+                      [("twist_area", area), ("adequate", rational)]):
+            winner = best_bounds(rules)["cuspArea"]["rule"]
+            assert winner == ("adequate" if rational_smaller else "twist_area")
 
     def test_json_shape(self):
-        d = adequate_bounds(invariants(FIG8)).to_dict()
+        d = best_bounds([("adequate", adequate_bounds(invariants(FIG8)))])
         assert set(d) == {"meridian", "lambda", "cuspArea", "candidates", "sixTheoremConsistent"}
         assert d["meridian"] == {"value": 1.5, "rule": "adequate"}
         assert d["sixTheoremConsistent"] is True

@@ -29,6 +29,8 @@ from cuspbounds.errors import (
     MissingHeader,
     NonFiniteVolume,
     NoSlopeSource,
+    NotOneInputSource,
+    TooManyCrossings,
 )
 from cuspbounds.pipeline import parse_slope_list
 from genutil import (
@@ -117,6 +119,12 @@ class TestRunAnalyze:
             AnalysisRequest(pd=FIG8, braid="2: s1^3")
         with pytest.raises(ValueError):
             AnalysisRequest()
+
+    def test_source_count_is_coded(self):
+        for kwargs in ({"pd": FIG8, "braid": "2: s1^3"}, {}):
+            with pytest.raises(NotOneInputSource) as info:
+                AnalysisRequest(**kwargs)
+            assert info.value.code == "NotOneInputSource"
 
     def test_json_round_trip(self):
         for request in (
@@ -423,6 +431,18 @@ class TestCli:
     def test_braid_link_closure_errors(self, capsys):
         assert main(["braid", "3: s1^3 s2^3 s1^3"]) == 1
         assert "ClosureIsLink" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["2: s1^999999999999", "2: s1^-60000 s1^-60000",
+                                      "999999999999: s1^3"])
+    def test_braid_crossing_cap(self, capsys, monkeypatch, word):
+        def never(word):
+            raise AssertionError("closure built for a word over the cap")
+
+        monkeypatch.setattr("cuspbounds.pipeline.braid_closure", never)
+        assert main(["braid", word]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[TooManyCrossings]: ")
 
     def test_pretzel_subcommand(self, capsys):
         assert main(["pretzel", "3,5,7", "--format", "json"]) == 0

@@ -8,14 +8,12 @@ import pytest
 
 from cuspbounds import (
     Smoothing,
-    adequacy,
     braid_closure,
     invariants,
     mirror,
     parse_braid,
     parse_pd,
     resolve,
-    state_from_string,
     twist_analysis,
     uniform_state,
 )
@@ -63,10 +61,10 @@ class TestResolve:
             resolve(TREFOIL, uniform_state(2, Smoothing.A))
 
     def test_graph_edge_per_crossing(self):
-        summary = resolve(FIG8, state_from_string("ABAB"))
+        summary = resolve(FIG8, tuple(map(Smoothing, "ABAB")))
         assert len(summary.graph.edges) == FIG8.c
         assert summary.graph.vertex_count == summary.circle_count
-        assert set(summary.circle_of_strand) == set(range(1, FIG8.edge_count + 1))
+        assert set(summary.circle_of_strand) == set(range(1, 2 * FIG8.c + 1))
 
     def test_resolve_accepts_unnormalized_labels(self):
         from cuspbounds.diagram import PlanarDiagram
@@ -98,17 +96,20 @@ class TestResolve:
 
 class TestAdequacy:
     def test_trefoil_adequate_both(self):
-        assert adequacy(TREFOIL) == (True, True)
+        inv = invariants(TREFOIL)
+        assert (inv.a_adequate, inv.b_adequate) == (True, True)
 
     def test_kink_has_loop_side(self):
-        flags = adequacy(KINK)
+        inv = invariants(KINK)
+        flags = (inv.a_adequate, inv.b_adequate)
         assert not all(flags)
 
     def test_same_sign_braid_closures_adequate(self):
         # exponents of magnitude >= 2 with one sign give adequate closures
         for text in ("2: s1^3", "3: s1^2 s2^3 s1^3", "4: s1^3 s2^3 s3^3", "3: s1^-2 s2^-3 s1^-3"):
             d = braid_closure(parse_braid(text))
-            assert adequacy(d) == (True, True), text
+            inv = invariants(d)
+            assert (inv.a_adequate, inv.b_adequate) == (True, True), text
 
     def test_identity_permutation_word_is_link(self):
         with pytest.raises(ClosureIsLink):
@@ -123,7 +124,7 @@ class TestInvariants:
         assert inv.g_t_diagram == 0
         assert {inv.chi_a, inv.chi_b} == {-1, 0}
         assert inv.delta == Fraction(-2, 3)
-        assert inv.adequate and inv.invariants_are_knot_invariants
+        assert inv.adequate
 
     def test_fig8(self):
         inv = invariants(FIG8)
@@ -279,7 +280,8 @@ class TestKernelAgainstOracles:
             circles, loops = union_find_circle_count(d, state)
             summary = resolve(d, state)
             assert summary.circle_count == circles
-            assert summary.graph.loop_edges() == tuple(i for i, loop in enumerate(loops) if loop)
+            loop_edges = tuple(i for i, (u, v) in enumerate(summary.graph.edges) if u == v)
+            assert loop_edges == tuple(i for i, loop in enumerate(loops) if loop)
 
 
 class TestSerialization:
@@ -305,8 +307,3 @@ class TestSerialization:
             "bAdequate": True,
             "adequate": True,
         }
-
-    def test_faces_function_matches_property(self):
-        from cuspbounds import faces
-
-        assert faces(FIG8) == FIG8.faces

@@ -13,7 +13,6 @@ from cuspbounds import (
     exceptional_filter,
     montesinos_window,
     slope_length_lower,
-    slope_product_floor,
     surgery_volume_window,
 )
 from cuspbounds.errors import (
@@ -45,9 +44,6 @@ class TestSlope:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
             Slope(2, 14)
-
-    def test_meridian_intersections(self):
-        assert Slope(3, -7).meridian_intersections == 7
 
     def test_coded_error(self):
         for p, q in ((1, 0), (2, 14)):
@@ -188,14 +184,3 @@ class TestMontesinosWindow:
     def test_too_few_regions(self):
         with pytest.raises(TooFewTwistRegions):
             montesinos_window(1, Slope(1, 7))
-
-
-class TestSlopeProductFloor:
-    def test_examples(self):
-        assert slope_product_floor(3.35, 2.0, 2.0, 1)
-        assert not slope_product_floor(3.35, 1.0, 1.0, 1)
-        assert slope_product_floor(3.35, 1.0, 1.0, 0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            slope_product_floor(0.0, 1.0, 1.0, 1)
