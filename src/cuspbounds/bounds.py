@@ -75,7 +75,7 @@ class Sqrt(float):
         return root
 
 
-def _signed_square(x) -> Fraction:
+def _signed_square(x) -> Numeric:
     """x |x| exactly, which orders values as x does."""
     return x.square if isinstance(x, Sqrt) else x * abs(x)
 
