@@ -30,7 +30,6 @@ from cuspbounds.errors import (
     NonFiniteVolume,
     NoSlopeSource,
     NotOneInputSource,
-    TooManyCrossings,
 )
 from cuspbounds.pipeline import parse_slope_list
 from genutil import (
