@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .diagram import (
     BraidWord,
-    Crossing,
     Face,
     PlanarDiagram,
     braid_closure,
@@ -34,19 +33,14 @@ from .diagram import (
 from .pipeline import AnalysisRequest, run_analyze, run_batch, run_surgery
 from .states import (
     DiagramInvariants,
-    Smoothing,
-    StateGraph,
-    StateSummary,
     TwistSummary,
     invariants,
     resolve,
     twist_analysis,
-    uniform_state,
 )
 from .surgery import (
     CONSTANTS,
     Slope,
-    SlopeVerdict,
     SurgeryConstants,
     exceptional_filter,
     montesinos_window,
@@ -59,16 +53,11 @@ __all__ = [
     "BraidVerdict",
     "BraidWord",
     "CONSTANTS",
-    "Crossing",
     "DiagramInvariants",
     "Face",
     "PlanarDiagram",
     "PretzelParams",
     "Slope",
-    "SlopeVerdict",
-    "Smoothing",
-    "StateGraph",
-    "StateSummary",
     "SurfacePairData",
     "SurgeryConstants",
     "TwistSummary",
@@ -95,5 +84,4 @@ __all__ = [
     "twist_analysis",
     "twist_area_bound",
     "twist_bound",
-    "uniform_state",
 ]

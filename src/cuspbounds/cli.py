@@ -147,12 +147,8 @@ def _print_batch_text(report: dict, out) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--budget", type=Fraction, help="length budget for the criterion check")
     parser.add_argument("--volume", type=_finite_float, help="complement volume for surgery windows")
     parser.add_argument("--slopes", type=parse_slope_list, default=(), help="p/q[,p/q...]")
-    parser.add_argument(
-        "--prime", action="store_true", help="assert the diagram is prime (caller's responsibility)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,15 +164,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--pair", type=_parse_triple, help="raw |chi1|,|chi2|,intersection triple"
     )
-    _add_common(p_analyze)
 
     p_braid = sub.add_parser("braid", help="analyze a braid closure, e.g. '3: s1^3 s2^-3'")
     p_braid.add_argument("braid", metavar="word")
-    _add_common(p_braid)
+    p_braid.add_argument(
+        "--prime", action="store_true", help="assert the diagram is prime (caller's responsibility)"
+    )
 
     p_pretzel = sub.add_parser("pretzel", help="bounds for the pretzel P(a,-b,-c), a,b,c odd > 1")
     p_pretzel.add_argument("pretzel", metavar="params", type=_parse_triple, help="a,b,c")
-    _add_common(p_pretzel)
+
+    for p_diagram in (p_analyze, p_braid, p_pretzel):
+        p_diagram.add_argument(
+            "--budget", type=Fraction, help="length budget for the criterion check"
+        )
+        _add_common(p_diagram)
 
     p_surgery = sub.add_parser("surgery", help="per-slope exclusion and volume windows")
     group = p_surgery.add_mutually_exclusive_group(required=True)
@@ -219,7 +221,7 @@ def _run(argv: list[str] | None) -> int:
                 budget=args.budget,
                 volume=args.volume,
                 slopes=args.slopes,
-                prime_asserted=args.prime,
+                prime_asserted=getattr(args, "prime", False),
             )
             report = run_analyze(request)
         elif args.command == "surgery":

@@ -53,14 +53,6 @@ MAX_CROSSINGS = 100_000
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """Four edge labels, counterclockwise from the incoming under-strand: a view
-    of one crossing of :attr:`PlanarDiagram.slots`, built on demand."""
-
-    slots: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class Face:
     """One complementary region, as the cyclic list of darts along it."""
 
@@ -165,13 +157,6 @@ class PlanarDiagram:
     @property
     def c(self) -> int:
         return len(self.slots) // 4
-
-    @cached_property
-    def crossings(self) -> tuple[Crossing, ...]:
-        """The slots grouped into one :class:`Crossing` per crossing."""
-        # Zipping one iterator with itself groups consecutive labels in fours.
-        labels = iter(self.slots)
-        return tuple(map(Crossing, zip(labels, labels, labels, labels)))
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:

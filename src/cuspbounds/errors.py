@@ -60,7 +60,8 @@ class TooManyCrossings(CuspBoundsError):
 # ------------------------------------------------------------ state machinery
 
 class StateLengthMismatch(CuspBoundsError):
-    """A resolution choice must pick one smoothing per crossing."""
+    """A state must be a string of exactly c letters A or B, one smoothing per
+    crossing: a wrong length or any other character is refused."""
 
 
 class NonIntegerGenus(CuspBoundsError):
@@ -133,10 +134,6 @@ class NoSlopeSource(CuspBoundsError, ValueError):
 class DeltaOutOfRange(CuspBoundsError):
     """The slope thresholds scale with 1 + delta, which must be positive; real
     knots have delta >= -2/3."""
-
-
-class DegenerateDenominator(CuspBoundsError):
-    """3c + 6g - 6 must be positive for the slope-length bound."""
 
 
 class SlopeTooSmall(CuspBoundsError):

@@ -1,16 +1,16 @@
-"""Smoothing states, state circles, state graphs, adequacy, twist regions.
+"""Kauffman states, state circles, adequacy, twist regions.
 
 Every crossing can be smoothed two ways. With slots listed counterclockwise
 from the incoming under-strand, the A-smoothing joins slots (0,1) and (2,3)
 and the B-smoothing joins slots (0,3) and (1,2); on integer darts the arc
-is ``d ^ 1`` for A and ``d ^ 3`` for B. A state circle alternates the
-smoothing arc with the edge ``partner``, so the circles are counted by one
-orbit walk over the darts (``diagram.arc_orbits``, which also counts the
-strand components). The state graph has one vertex per circle and one
-edge per crossing (connecting the circles its two smoothing arcs land on);
-crossing ci is a loop exactly when darts 4ci and 4ci + 2 lie on one circle.
-A state graph with no edge from a circle to itself on both the all-A and
-all-B sides makes the diagram adequate.
+is ``d ^ 1`` for A and ``d ^ 3`` for B. A state is a string of c letters
+A/B, one per crossing. A state circle alternates the smoothing arc with the
+edge ``partner``, so :func:`resolve` counts the circles by one orbit walk
+over the darts (``diagram.arc_orbits``, which also counts the strand
+components) and returns the circle of every dart. The state joins a circle
+to itself at crossing ci exactly when darts 4ci and 4ci + 2 lie on one
+circle; a diagram with no such crossing in both the all-A and the all-B
+state is adequate.
 
 Derived quantities: vA and vB are the all-A/all-B circle counts, the
 checkerboard Euler characteristics are vA - c and vB - c, the diagram genus
@@ -30,52 +30,14 @@ flagged and t is reported as 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import eq
-from typing import Mapping
 
 from .diagram import Face, PlanarDiagram, arc_orbits, is_alternating_bigon
 from .errors import NonAlternatingBigon, NonIntegerGenus, StateLengthMismatch
 
-
-class Smoothing(str, Enum):
-    A = "A"
-    B = "B"
-
-
-StateAssignment = tuple[Smoothing, ...]
-
-
-def uniform_state(c: int, choice: Smoothing) -> StateAssignment:
-    return (choice,) * c
-
-
-@dataclass(frozen=True)
-class StateGraph:
-    """Vertices are state circles; one edge per crossing."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class StateSummary:
-    """Result of resolving every crossing of a diagram in one state."""
-
-    circle_count: int
-    circle_of_strand: Mapping[int, int]
-    graph: StateGraph
-
-    def to_dict(self) -> dict:
-        return {
-            "circleCount": self.circle_count,
-            "circleOfStrand": {str(k): v for k, v in sorted(self.circle_of_strand.items())},
-            "graph": {
-                "vertexCount": self.graph.vertex_count,
-                "edges": [list(edge) for edge in self.graph.edges],
-            },
-        }
+# The smoothing arc of dart d is d ^ 1 in an A crossing and d ^ 3 in a B crossing.
+_FLIP = bytes.maketrans(b"AB", b"\x01\x03")
 
 
 def _loop_free(circle: list[int]) -> bool:
@@ -83,23 +45,12 @@ def _loop_free(circle: list[int]) -> bool:
     return not any(map(eq, circle[0::4], circle[2::4]))
 
 
-def resolve(diagram: PlanarDiagram, state: StateAssignment) -> StateSummary:
-    """Smooth every crossing per ``state`` and collect circles and graph.
-
-    Circles are numbered in order of first appearance over the sorted edge
-    labels; graph edge ci joins the circles of slots 0 and 2 of crossing ci.
-    """
-    if len(state) != diagram.c:
-        raise StateLengthMismatch(f"state has {len(state)} choices for {diagram.c} crossings")
-    flips = [1 if choice is Smoothing.A else 3 for choice in state]
-    count, circle = arc_orbits(diagram.partner, flips)
-    dart_of = dict(zip(diagram.slots, range(len(diagram.slots))))
-    ids: dict[int, int] = {}
-    circle_of_strand = {
-        label: ids.setdefault(circle[dart_of[label]], len(ids)) for label in sorted(dart_of)
-    }
-    edges = tuple((ids[circle[d]], ids[circle[d + 2]]) for d in range(0, len(circle), 4))
-    return StateSummary(count, circle_of_strand, StateGraph(count, edges))
+def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
+    """Smooth crossing ci by letter ``state[ci]`` (A or B): the number of state
+    circles and the circle index of every dart, as ``arc_orbits`` numbers them."""
+    if not isinstance(state, str) or len(state) != diagram.c or state.strip("AB"):
+        raise StateLengthMismatch(f"a state is {diagram.c} letters A or B, got {state!r:.40}")
+    return arc_orbits(diagram.partner, state.encode().translate(_FLIP))
 
 
 @dataclass(frozen=True)
@@ -142,8 +93,8 @@ class DiagramInvariants:
 def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
     """Circle counts, Euler characteristics, diagram genus, adequacy."""
     c = diagram.c
-    v_a, circle_a = arc_orbits(diagram.partner, [1] * c)
-    v_b, circle_b = arc_orbits(diagram.partner, [3] * c)
+    v_a, circle_a = resolve(diagram, "A" * c)
+    v_b, circle_b = resolve(diagram, "B" * c)
     two_g = 2 - v_a - v_b + c
     if two_g % 2 != 0:
         raise NonIntegerGenus(f"2 - vA - vB + c = {two_g} is odd; diagram data corrupted")

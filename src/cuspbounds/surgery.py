@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .errors import (
     BadDiagramCounts,
-    DegenerateDenominator,
     DeltaOutOfRange,
     InvalidSlope,
     NonFiniteVolume,
@@ -82,18 +81,6 @@ class Slope:
             raise InvalidSlope("meridional slope q = 0 is excluded")
         if math.gcd(self.p, self.q) != 1:
             raise InvalidSlope(f"slope {self.p}/{self.q} is not in lowest terms")
-
-
-@dataclass(frozen=True)
-class SlopeVerdict:
-    p: int
-    q: int
-    length_lower: float | None = None
-    non_exceptional: bool | None = None
-    two_pi_exceeded: bool | None = None
-    volume_window: tuple[float, float] | None = None
-    rule: str = "filter"
-    boundary_hit: bool = False
 
 
 def checked_volume(vol: float) -> float:
@@ -156,13 +143,9 @@ def counts_thresholds(c: int, g_t: int) -> SlopeThresholds:
 
 
 def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:
-    """Lower bound 3.35 |q| c / (3c + 6g - 6) on the slope's length."""
-    try:
-        tests = counts_thresholds(c, g_t)
-    except DeltaOutOfRange:  # 1 + delta = (3c + 6g - 6) / 3c
-        denom = 3 * c + 6 * g_t - 6
-        raise DegenerateDenominator(f"3c + 6g - 6 = {denom} must be positive") from None
-    return tests.length(abs(slope.q))
+    """Lower bound 3.35 |q| c / (3c + 6g - 6) on the slope's length; 1 + delta =
+    (3c + 6g - 6) / 3c, so a denominator 3c + 6g - 6 <= 0 raises ``DeltaOutOfRange``."""
+    return counts_thresholds(c, g_t).length(abs(slope.q))
 
 
 def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
@@ -175,25 +158,16 @@ def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
     return SlopeThresholds(delta).filter(abs(slope.q))
 
 
-def _window_verdict(
-    tests: SlopeThresholds, slope: Slope, vol: float, upper: float, rule: str
-) -> SlopeVerdict:
-    q = abs(slope.q)
-    lower, hit = tests.window(q, vol)
-    return SlopeVerdict(slope.p, slope.q, None, *tests.filter(q), (lower, upper), rule, hit)
-
-
-def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> SlopeVerdict:
-    """Volume window for p/q filling when |q| >= 6(1 + delta).
+def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> tuple[float, float, bool]:
+    """Volume window (lower, upper, boundary_hit) for p/q filling when |q| >= 6(1 + delta).
 
     The filled manifold is hyperbolic and its volume lies in
     [vol * (1 - 36(1 + delta)^2 / q^2)^(3/2), vol), open above because
-    volume strictly drops under filling.
+    volume strictly drops under filling; ``boundary_hit`` flags |q| = 6(1 + delta).
     """
     vol = checked_volume(vol)
-    # q >= 6(1+delta) > (360/67)(1+delta), so the filled manifold is
-    # hyperbolic whenever the window applies at all.
-    return _window_verdict(SlopeThresholds(delta), slope, vol, vol, "surgery_window")
+    lower, hit = SlopeThresholds(delta).window(abs(slope.q), vol)
+    return lower, vol, hit
 
 
 def montesinos_scale(t: int) -> tuple[float, float]:
@@ -204,11 +178,14 @@ def montesinos_scale(t: int) -> tuple[float, float]:
     return max(0.0, (v8 / 4.0) * (t - 9)), 2.0 * v8 * t
 
 
-def montesinos_window(t: int, slope: Slope) -> SlopeVerdict:
-    """Volume window for Montesinos knots from the twist number alone.
+def montesinos_window(t: int, slope: Slope) -> tuple[float, float, bool]:
+    """Volume window (lower, upper, boundary_hit) for Montesinos knots from the
+    twist number alone.
 
     Needs a reduced diagram with at least two positive and two negative
     tangles (hence delta <= 0) and |q| >= 6. The printed lower bound is
     negative for t <= 9 and is clamped to zero there.
     """
-    return _window_verdict(MONTESINOS, slope, *montesinos_scale(t), "montesinos_window")
+    scale, upper = montesinos_scale(t)
+    lower, hit = MONTESINOS.window(abs(slope.q), scale)
+    return lower, upper, hit

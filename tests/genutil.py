@@ -21,7 +21,6 @@ from fractions import Fraction
 from cuspbounds import (
     BraidWord,
     PlanarDiagram,
-    Smoothing,
     braid_closure,
     parse_braid,
     parse_pd,
@@ -29,18 +28,24 @@ from cuspbounds import (
 from cuspbounds.errors import ClosureIsLink, EmptyDiagram, MalformedToken
 
 
-def path_following_circle_count(diagram: PlanarDiagram, state) -> int:
-    """Count state circles by walking arcs and edges (no union-find)."""
+def crossing_labels(diagram: PlanarDiagram) -> list[tuple[int, ...]]:
+    """The four edge labels of each crossing, cut from the flat slot tuple."""
+    return [diagram.slots[i:i + 4] for i in range(0, len(diagram.slots), 4)]
+
+
+def path_following_circle_count(diagram: PlanarDiagram, state: str) -> int:
+    """Count state circles by walking arcs and edges (no union-find); ``state``
+    has one letter A or B per crossing."""
     arc_next: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci, (crossing, choice) in enumerate(zip(diagram.crossings, state)):
-        pairs = ((0, 1), (2, 3)) if choice is Smoothing.A else ((0, 3), (1, 2))
+    for ci, choice in enumerate(state):
+        pairs = ((0, 1), (2, 3)) if choice == "A" else ((0, 3), (1, 2))
         for s, t in pairs:
             arc_next[(ci, s)] = (ci, t)
             arc_next[(ci, t)] = (ci, s)
     edge_next: dict[tuple[int, int], tuple[int, int]] = {}
     open_end: dict[int, tuple[int, int]] = {}
-    for ci, crossing in enumerate(diagram.crossings):
-        for si, label in enumerate(crossing.slots):
+    for ci, labels in enumerate(crossing_labels(diagram)):
+        for si, label in enumerate(labels):
             if label in open_end:
                 other = open_end.pop(label)
                 edge_next[other] = (ci, si)
@@ -64,13 +69,13 @@ def path_following_circle_count(diagram: PlanarDiagram, state) -> int:
     return circles
 
 
-def union_find_circle_count(diagram: PlanarDiagram, state) -> tuple[int, tuple[bool, ...]]:
+def union_find_circle_count(diagram: PlanarDiagram, state: str) -> tuple[int, tuple[bool, ...]]:
     """Count state circles by merging edge labels along smoothing arcs.
 
     Also returns one flag per crossing: whether its two smoothing arcs lie on
     one circle, i.e. whether the crossing is a loop of the state graph.
     """
-    parent = {label: label for crossing in diagram.crossings for label in crossing.slots}
+    parent = {label: label for label in diagram.slots}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -79,9 +84,8 @@ def union_find_circle_count(diagram: PlanarDiagram, state) -> tuple[int, tuple[b
         return x
 
     arcs = []
-    for crossing, choice in zip(diagram.crossings, state):
-        s = crossing.slots
-        pair = ((s[0], s[1]), (s[2], s[3])) if choice is Smoothing.A else ((s[0], s[3]), (s[1], s[2]))
+    for s, choice in zip(crossing_labels(diagram), state):
+        pair = ((s[0], s[1]), (s[2], s[3])) if choice == "A" else ((s[0], s[3]), (s[1], s[2]))
         arcs.append(pair)
         for a, b in pair:
             parent[find(a)] = find(b)
@@ -94,8 +98,8 @@ def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
     to the next slot counterclockwise. Faces are listed by first dart."""
     edge_next: dict[tuple[int, int], tuple[int, int]] = {}
     open_end: dict[int, tuple[int, int]] = {}
-    for ci, crossing in enumerate(diagram.crossings):
-        for si, label in enumerate(crossing.slots):
+    for ci, labels in enumerate(crossing_labels(diagram)):
+        for si, label in enumerate(labels):
             if label in open_end:
                 other = open_end.pop(label)
                 edge_next[other] = (ci, si)
@@ -149,8 +153,8 @@ def is_alternating_diagram(diagram: PlanarDiagram) -> bool:
     """
     edge_next: dict[tuple[int, int], tuple[int, int]] = {}
     open_end: dict[int, tuple[int, int]] = {}
-    for ci, crossing in enumerate(diagram.crossings):
-        for si, label in enumerate(crossing.slots):
+    for ci, labels in enumerate(crossing_labels(diagram)):
+        for si, label in enumerate(labels):
             if label in open_end:
                 other = open_end.pop(label)
                 edge_next[other] = (ci, si)

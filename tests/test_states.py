@@ -1,4 +1,4 @@
-"""Resolutions, state graphs, adequacy, invariants, twist analysis."""
+"""Resolutions, adequacy, invariants, twist analysis."""
 
 import itertools
 import random
@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cuspbounds import (
-    Smoothing,
     braid_closure,
     invariants,
     mirror,
@@ -15,7 +14,6 @@ from cuspbounds import (
     parse_pd,
     resolve,
     twist_analysis,
-    uniform_state,
 )
 from cuspbounds.errors import ClosureIsLink, NonAlternatingBigon, StateLengthMismatch
 from genutil import (
@@ -34,37 +32,43 @@ KINK = parse_pd("X[1,1,2,2]")
 
 
 def all_states(c):
-    return [tuple(map(Smoothing, bits)) for bits in itertools.product("AB", repeat=c)]
+    return ["".join(bits) for bits in itertools.product("AB", repeat=c)]
 
 
 class TestResolve:
     def test_trefoil_extreme_states(self):
-        counts = {
-            resolve(TREFOIL, uniform_state(3, Smoothing.A)).circle_count,
-            resolve(TREFOIL, uniform_state(3, Smoothing.B)).circle_count,
-        }
+        counts = {resolve(TREFOIL, "AAA")[0], resolve(TREFOIL, "BBB")[0]}
         assert counts == {2, 3}
 
     def test_fig8_extreme_states(self):
-        assert resolve(FIG8, uniform_state(4, Smoothing.A)).circle_count == 3
-        assert resolve(FIG8, uniform_state(4, Smoothing.B)).circle_count == 3
+        assert resolve(FIG8, "AAAA")[0] == 3
+        assert resolve(FIG8, "BBBB")[0] == 3
 
     def test_kink_states(self):
-        counts = {
-            resolve(KINK, uniform_state(1, Smoothing.A)).circle_count,
-            resolve(KINK, uniform_state(1, Smoothing.B)).circle_count,
-        }
+        counts = {resolve(KINK, "A")[0], resolve(KINK, "B")[0]}
         assert counts == {1, 2}
 
     def test_state_length_mismatch(self):
         with pytest.raises(StateLengthMismatch):
-            resolve(TREFOIL, uniform_state(2, Smoothing.A))
+            resolve(TREFOIL, "AA")
+
+    def test_letter_states_only(self):
+        # The letters are the smoothings: "AAA" is the all-A state of the
+        # trefoil, whose 3 circles differ from the 2 of all-B.
+        assert resolve(TREFOIL, "AAA")[0] == 3 == invariants(TREFOIL).v_a
+        for state in ("AxA", "xyz", "aaa", "A", "AAAA", ("A", "A", "A"), None):
+            with pytest.raises(StateLengthMismatch):
+                resolve(TREFOIL, state)
 
     def test_graph_edge_per_crossing(self):
-        summary = resolve(FIG8, tuple(map(Smoothing, "ABAB")))
-        assert len(summary.graph.edges) == FIG8.c
-        assert summary.graph.vertex_count == summary.circle_count
-        assert set(summary.circle_of_strand) == set(range(1, 2 * FIG8.c + 1))
+        # Each crossing's two smoothing arcs join darts on one circle each:
+        # (0,1) and (2,3) when smoothed A, (0,3) and (1,2) when smoothed B.
+        count, circle = resolve(FIG8, "ABAB")
+        assert len(circle) == 4 * FIG8.c
+        assert set(circle) == set(range(count))
+        for ci, choice in enumerate("ABAB"):
+            a, b, c, d = circle[4 * ci:4 * ci + 4]
+            assert (a, c) == ((b, d) if choice == "A" else (d, b))
 
     def test_resolve_accepts_unnormalized_labels(self):
         from cuspbounds.diagram import PlanarDiagram
@@ -79,19 +83,18 @@ class TestResolve:
             d = random_knot_diagram(rng, 8)
             for state in all_states(d.c):
                 assert (
-                    resolve(d, state).circle_count == path_following_circle_count(d, state)
+                    resolve(d, state)[0] == path_following_circle_count(d, state)
                 )
 
     def test_single_flip_changes_count_by_one(self):
         rng = random.Random(4242)
         for _ in range(25):
             d = random_knot_diagram(rng, 12)
-            state = [rng.choice((Smoothing.A, Smoothing.B)) for _ in range(d.c)]
-            base = resolve(d, tuple(state)).circle_count
+            state = "".join(rng.choice("AB") for _ in range(d.c))
+            base = resolve(d, state)[0]
             for i in range(d.c):
-                flipped = list(state)
-                flipped[i] = Smoothing.B if state[i] is Smoothing.A else Smoothing.A
-                assert abs(resolve(d, tuple(flipped)).circle_count - base) == 1
+                flipped = state[:i] + ("B" if state[i] == "A" else "A") + state[i + 1:]
+                assert abs(resolve(d, flipped)[0] - base) == 1
 
 
 class TestAdequacy:
@@ -237,10 +240,10 @@ class TestKernelAgainstOracles:
     def check(d):
         inv = invariants(d)
         for choice, v, adequate in (
-            (Smoothing.A, inv.v_a, inv.a_adequate),
-            (Smoothing.B, inv.v_b, inv.b_adequate),
+            ("A", inv.v_a, inv.a_adequate),
+            ("B", inv.v_b, inv.b_adequate),
         ):
-            state = uniform_state(d.c, choice)
+            state = choice * d.c
             circles, loops = union_find_circle_count(d, state)
             assert v == circles == path_following_circle_count(d, state)
             assert adequate == (not any(loops))
@@ -276,23 +279,14 @@ class TestKernelAgainstOracles:
         rng = random.Random(8128)
         for _ in range(100):
             d = random_knot_diagram(rng, 12)
-            state = tuple(rng.choice((Smoothing.A, Smoothing.B)) for _ in range(d.c))
+            state = "".join(rng.choice("AB") for _ in range(d.c))
             circles, loops = union_find_circle_count(d, state)
-            summary = resolve(d, state)
-            assert summary.circle_count == circles
-            loop_edges = tuple(i for i, (u, v) in enumerate(summary.graph.edges) if u == v)
-            assert loop_edges == tuple(i for i, loop in enumerate(loops) if loop)
+            count, circle = resolve(d, state)
+            assert count == circles
+            assert loops == tuple(circle[4 * ci] == circle[4 * ci + 2] for ci in range(d.c))
 
 
 class TestSerialization:
-    def test_state_summary_json_shape(self):
-        summary = resolve(FIG8, uniform_state(4, Smoothing.A))
-        blob = summary.to_dict()
-        assert blob["circleCount"] == 3
-        assert blob["graph"]["vertexCount"] == 3
-        assert len(blob["graph"]["edges"]) == FIG8.c
-        assert set(blob["circleOfStrand"]) == {str(i) for i in range(1, 9)}
-
     def test_invariants_json_shape(self):
         blob = invariants(FIG8).to_dict()
         assert blob == {

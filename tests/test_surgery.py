@@ -17,7 +17,6 @@ from cuspbounds import (
 )
 from cuspbounds.errors import (
     BadDiagramCounts,
-    DegenerateDenominator,
     DeltaOutOfRange,
     InvalidSlope,
     NonPositiveVolume,
@@ -75,7 +74,8 @@ class TestSlopeLengthLower:
         assert 6.7 > 2 * math.pi
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
+        # 3c + 6g - 6 = 0: 1 + delta = 0, refused with the code the CLI reports
+        with pytest.raises(DeltaOutOfRange):
             slope_length_lower(2, 0, Slope(1, 5))
 
     def test_bad_counts(self):
@@ -121,15 +121,13 @@ class TestExceptionalFilter:
 
 class TestVolumeWindow:
     def test_boundary_slope_gives_zero_lower(self):
-        verdict = surgery_volume_window(0, Slope(1, 6), FIG8_VOLUME)
-        assert verdict.volume_window == (0.0, FIG8_VOLUME)
-        assert verdict.boundary_hit
+        assert surgery_volume_window(0, Slope(1, 6), FIG8_VOLUME) == (0.0, FIG8_VOLUME, True)
 
     def test_q_twelve_factor(self):
-        verdict = surgery_volume_window(0, Slope(1, 12), 2.02988)
-        assert verdict.volume_window[0] == pytest.approx(2.02988 * 0.75**1.5, abs=1e-12)
+        lower, _, _ = surgery_volume_window(0, Slope(1, 12), 2.02988)
+        assert lower == pytest.approx(2.02988 * 0.75**1.5, abs=1e-12)
         # frozen: 2.02988 * (3/4)^(3/2) evaluated at 50 digits
-        assert verdict.volume_window[0] == pytest.approx(1.3184457349754672, abs=1e-12)
+        assert lower == pytest.approx(1.3184457349754672, abs=1e-12)
 
     def test_slope_too_small(self):
         with pytest.raises(SlopeTooSmall):
@@ -144,15 +142,15 @@ class TestVolumeWindow:
             with pytest.raises(DeltaOutOfRange):
                 surgery_volume_window(delta, Slope(1, 1), 1.0)
         # delta = -2/3 is the smallest value a knot has; it stays allowed
-        assert surgery_volume_window(Fraction(-2, 3), Slope(1, 2), 1.0).boundary_hit
+        assert surgery_volume_window(Fraction(-2, 3), Slope(1, 2), 1.0)[2]
 
     def test_lower_bound_monotone_and_limits(self):
         lowers = [
-            surgery_volume_window(0, Slope(1, q), FIG8_VOLUME).volume_window[0]
+            surgery_volume_window(0, Slope(1, q), FIG8_VOLUME)[0]
             for q in range(6, 80)
         ]
         assert all(a <= b for a, b in zip(lowers, lowers[1:]))
-        far = surgery_volume_window(0, Slope(1, 10**6), FIG8_VOLUME).volume_window[0]
+        far = surgery_volume_window(0, Slope(1, 10**6), FIG8_VOLUME)[0]
         assert FIG8_VOLUME - far < 1e-6 * FIG8_VOLUME
 
     def test_two_pi_implies_window_applicable(self):
@@ -165,17 +163,17 @@ class TestVolumeWindow:
 
 class TestMontesinosWindow:
     def test_reference_values_high_precision(self):
-        verdict = montesinos_window(10, Slope(1, 7))
+        lower, upper, _ = montesinos_window(10, Slope(1, 7))
         v8 = 4 * mpmath.catalan
-        upper = 2 * v8 * 10
-        lower = (v8 / 4) * (10 - 9) * (mpmath.mpf(13) / 49) ** mpmath.mpf(1.5)
-        assert abs(verdict.volume_window[1] - float(upper)) < 1e-9
-        assert abs(verdict.volume_window[0] - float(lower)) < 1e-9
+        upper_ref = 2 * v8 * 10
+        lower_ref = (v8 / 4) * (10 - 9) * (mpmath.mpf(13) / 49) ** mpmath.mpf(1.5)
+        assert abs(upper - float(upper_ref)) < 1e-9
+        assert abs(lower - float(lower_ref)) < 1e-9
 
     def test_lower_clamped_at_nine_regions(self):
-        verdict = montesinos_window(9, Slope(1, 100))
-        assert verdict.volume_window[0] == 0.0
-        assert verdict.volume_window[1] == pytest.approx(2 * CONSTANTS.v8 * 9, abs=1e-12)
+        lower, upper, _ = montesinos_window(9, Slope(1, 100))
+        assert lower == 0.0
+        assert upper == pytest.approx(2 * CONSTANTS.v8 * 9, abs=1e-12)
 
     def test_slope_too_small(self):
         with pytest.raises(SlopeTooSmall):

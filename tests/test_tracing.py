@@ -41,3 +41,8 @@ def test_tracer_installs_on_the_implementations(monkeypatch):
     assert report["bounds"]["meridian"] == {"value": 1.5, "rule": "adequate"}
     traced = {span[1] for span in tracer.spans}
     assert {"pipeline.run_analyze", "diagram.parse_pd", "bounds.best_bounds"} <= traced
+    # One state path: the all-A and all-B circles both come from resolve,
+    # called by invariants. A span is (id, name, parent id, ...).
+    [inv_id] = [span[0] for span in tracer.spans if span[1] == "states.invariants"]
+    resolve_parents = [span[2] for span in tracer.spans if span[1] == "states.resolve"]
+    assert resolve_parents == [inv_id, inv_id]
