@@ -31,17 +31,9 @@ from .diagram import (
     parse_pd,
 )
 from .pipeline import AnalysisRequest, run_analyze, run_batch, run_surgery
-from .states import (
-    DiagramInvariants,
-    TwistSummary,
-    invariants,
-    resolve,
-    twist_analysis,
-)
+from .states import invariants, resolve, twist_analysis
 from .surgery import (
-    CONSTANTS,
     Slope,
-    SurgeryConstants,
     exceptional_filter,
     montesinos_window,
     slope_length_lower,
@@ -52,15 +44,11 @@ __all__ = [
     "AnalysisRequest",
     "BraidVerdict",
     "BraidWord",
-    "CONSTANTS",
-    "DiagramInvariants",
     "Face",
     "PlanarDiagram",
     "PretzelParams",
     "Slope",
     "SurfacePairData",
-    "SurgeryConstants",
-    "TwistSummary",
     "adequate_bounds",
     "adequate_bounds_from_counts",
     "best_bounds",

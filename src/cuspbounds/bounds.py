@@ -51,14 +51,10 @@ from .errors import (
     NotOddOrTooSmall,
     TooFewTwistRegions,
 )
-from .states import DiagramInvariants
+from .surgery import SIX
 
 Numeric = Union[int, float, Fraction]
 QUANTITIES = ("meridian", "lambda", "cuspArea")
-
-# Ceiling against which meridian bounds are sanity-checked: exceptional
-# slopes have length at most six, and meridians strictly less.
-SIX_THEOREM_CEILING = 6
 
 
 def sig12(x: Numeric) -> float:
@@ -133,15 +129,16 @@ def adequate_bounds_from_counts(c: int, g_t: int) -> dict[str, Fraction]:
     }
 
 
-def adequate_bounds(inv: DiagramInvariants) -> dict[str, Fraction]:
-    """Bounds for an adequate diagram's checkerboard surface pair."""
-    if not inv.adequate:
+def adequate_bounds(inv: dict) -> dict[str, Fraction]:
+    """Bounds for an adequate diagram's checkerboard surface pair, from its
+    :func:`states.invariants`."""
+    if not inv["adequate"]:
         raise NotAdequate("diagram is not adequate on both sides")
-    if inv.chi_a == 0 or inv.chi_b == 0:
+    if inv["chiA"] == 0 or inv["chiB"] == 0:
         raise MoebiusBand(
             "a checkerboard surface is a Moebius band; (2, p) torus diagram, not hyperbolic"
         )
-    return adequate_bounds_from_counts(inv.c, inv.g_t_diagram)
+    return adequate_bounds_from_counts(inv["c"], inv["gT"])
 
 
 def twist_bound(c: int, t: int) -> dict[str, Fraction]:
@@ -231,5 +228,5 @@ def best_bounds(rules: Iterable[tuple[str, dict]]) -> dict:
     }
     report["candidates"] = [{"quantity": q, "value": sig12(v), "rule": r} for q, v, r in candidates]
     meridian = best["meridian"]
-    report["sixTheoremConsistent"] = meridian is not None and meridian[0] < SIX_THEOREM_CEILING
+    report["sixTheoremConsistent"] = meridian is not None and meridian[0] < SIX
     return report

@@ -30,7 +30,14 @@ EXIT_INAPPLICABLE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage mistakes exit 1; status 2 is reserved for "bounds inapplicable"
+    """Usage mistakes exit 1, since status 2 is reserved for "bounds
+    inapplicable". Usage and help lines are not wrapped, so that an error reads
+    the same at any terminal width and on every Python version."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=1 << 16),
+                         **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
@@ -50,6 +57,27 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_fraction(text: str) -> Fraction:
+    """``text`` as an exact Fraction (``7/2``, ``0.25``, ``1e3``), refused unless its
+    float is finite, and non-zero for a non-zero number. A decimal is read as a
+    float first, so that ``1e-999999999`` never builds the power of ten that
+    Fraction would."""
+    try:
+        if "/" not in text:
+            approx = float(text)
+            if not math.isfinite(approx):
+                raise OverflowError
+            if approx == 0:
+                if text.lower().partition("e")[0].strip(" +-0."):
+                    raise OverflowError  # a non-zero number whose float underflows
+                return Fraction(0)
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a number with a finite float: {text!r}") from None
     return value
 
 
@@ -176,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p_diagram in (p_analyze, p_braid, p_pretzel):
         p_diagram.add_argument(
-            "--budget", type=Fraction, help="length budget for the criterion check"
+            "--budget", type=_finite_fraction, help="length budget for the criterion check"
         )
         _add_common(p_diagram)
 
     p_surgery = sub.add_parser("surgery", help="per-slope exclusion and volume windows")
     group = p_surgery.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=Fraction, help="the rational (2g-2)/c")
+    group.add_argument("--delta", type=_finite_fraction, help="the rational (2g-2)/c")
     group.add_argument("--crossings", type=int, help="crossing count (with --genus)")
     group.add_argument("--montesinos", type=int, help="Montesinos twist number t")
     p_surgery.add_argument("--genus", type=int, help="diagram genus (with --crossings)")
@@ -191,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="cross-check a CSV of tabulated meridian lengths")
     p_batch.add_argument("csv_path")
     p_batch.add_argument("--format", choices=("json", "text"), default="text")
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -208,7 +238,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # with the usage of the subcommand that refused them
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     out = sys.stdout
     try:
         if args.command in ("analyze", "braid", "pretzel"):

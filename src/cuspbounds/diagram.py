@@ -211,7 +211,10 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
     # The grammar leaves only edge labels, four per token, once its brackets,
     # commas and X marks turn into whitespace.
-    labels = list(map(int, stripped.translate(_NOT_DIGITS).split()))
+    try:
+        labels = list(map(int, stripped.translate(_NOT_DIGITS).split()))
+    except ValueError:  # a label with more digits than int() converts
+        raise MalformedToken("an edge label has more digits than int() converts") from None
     if min(labels) < 1:
         raise MalformedToken("edge labels must be positive")
     return _normalized(labels)
@@ -295,7 +298,16 @@ def parse_braid(text: str) -> BraidWord:
         m = _BRAID_SYLLABLE.match(tok)
         if m is None:
             raise MalformedToken(f"unrecognized braid syllable {tok!r}")
-        i, r = int(m.group(1)), int(m.group(2))
+        index, power = m.groups()
+        # int() refuses more than 4,300 digits, far past both limits.
+        try:
+            i = int(index)
+        except ValueError:
+            raise BadGeneratorIndex(f"generator index of {len(index)} digits") from None
+        try:
+            r = int(power)
+        except ValueError:
+            raise TooManyCrossings(f"exponent of {len(power)} digits exceeds {MAX_CROSSINGS}") from None
         if r == 0:
             raise ZeroExponent(f"syllable {tok!r} has exponent zero")
         crossings += abs(r)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,67 +70,41 @@ def _error(exc: CuspBoundsError) -> dict:
 
 
 def _slope_verdicts(
-    tests: sg.SlopeThresholds, slopes: tuple, volume: float | None, lengths: bool = False
+    tests: sg.SlopeThresholds, slopes: tuple, lengths: bool, window=None, rule="surgery_window"
 ) -> list[dict]:
-    """One entry per slope, with length floors if ``lengths``; the volume is checked once."""
-    volume_error = None
-    if volume is not None:
-        try:
-            volume = sg.checked_volume(volume)
-            upper = bd.sig12(volume)
-        except CuspBoundsError as exc:
-            volume_error = exc
+    """One entry per slope: the filter verdicts of ``tests``, the length floor
+    if ``lengths``, and the volume window for ``window`` = (scale, upper), or
+    the ``CuspBoundsError`` that refused its volume or twist number once for
+    every slope. A Montesinos entry rests on its window, so a refused window
+    leaves only the error there; elsewhere it becomes ``windowError``."""
+    refused = window if isinstance(window, CuspBoundsError) else None
     out = []
     for slope in slopes:
         if isinstance(slope, dict):
             out.append(slope)
             continue
         q = abs(slope.q)
-        non_exc, two_pi = tests.filter(q)
-        length = bd.sig12(tests.length(q)) if lengths else None
-        entry = {"p": slope.p, "q": slope.q, "lengthLower": length, "nonExceptional": non_exc,
-                 "twoPiExceeded": two_pi, "volumeWindow": None, "rule": "filter"}
-        if volume_error is not None:
-            entry["windowError"] = _error(volume_error)
-        elif volume is not None:
+        entry = {"p": slope.p, "q": slope.q}
+        error = refused
+        if window is not None and error is None:
             try:
-                lower, hit = tests.window(q, volume)
+                lower, hit = tests.window(q, window[0])
             except CuspBoundsError as exc:
-                entry["windowError"] = _error(exc)
-            else:
-                entry["volumeWindow"] = {"lower": bd.sig12(lower), "upper": upper}
-                entry["rule"] = "surgery_window"
-                if hit:
-                    entry["boundaryHit"] = True
-        out.append(entry)
-    return out
-
-
-def _montesinos_verdicts(t: int, slopes: tuple) -> list[dict]:
-    """One entry per slope; the twist number is checked once."""
-    try:
-        scale, upper = sg.montesinos_scale(t)
-    except CuspBoundsError as exc:
-        return [s if isinstance(s, dict) else {"p": s.p, "q": s.q, "error": _error(exc)}
-                for s in slopes]
-    upper = bd.sig12(upper)
-    out = []
-    for slope in slopes:
-        if isinstance(slope, dict):
-            out.append(slope)
+                error = exc
+        if error is not None and rule == "montesinos_window":
+            entry["error"] = _error(error)
+            out.append(entry)
             continue
-        q = abs(slope.q)
-        try:
-            lower, hit = sg.MONTESINOS.window(q, scale)
-        except CuspBoundsError as exc:
-            out.append({"p": slope.p, "q": slope.q, "error": _error(exc)})
-            continue
-        non_exc, two_pi = sg.MONTESINOS.filter(q)
-        window = {"lower": bd.sig12(lower), "upper": upper}
-        entry = {"p": slope.p, "q": slope.q, "lengthLower": None, "nonExceptional": non_exc,
-                 "twoPiExceeded": two_pi, "volumeWindow": window, "rule": "montesinos_window"}
-        if hit:
-            entry["boundaryHit"] = True
+        non_exc, two_pi = tests.filter(q)
+        entry.update(lengthLower=bd.sig12(tests.length(q)) if lengths else None,
+                     nonExceptional=non_exc, twoPiExceeded=two_pi, volumeWindow=None, rule="filter")
+        if error is not None:
+            entry["windowError"] = _error(error)
+        elif window is not None:
+            entry["volumeWindow"] = {"lower": bd.sig12(lower), "upper": window[1]}
+            entry["rule"] = rule
+            if hit:
+                entry["boundaryHit"] = True
         out.append(entry)
     return out
 
@@ -144,30 +119,28 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
     report: dict = {
         "status": STATUS_OK,
         "diagnostics": [],
-        "invariants": inv.to_dict(),
+        "invariants": inv,
         "bounds": None,
         "slopes": None,
     }
-    twist = None
     try:
-        twist = st.twist_analysis(diagram, inv)
-        report["invariants"].update(twist.to_dict())
+        inv.update(st.twist_analysis(diagram, inv))
     except NonAlternatingBigon as exc:
         report["diagnostics"].append(f"{exc.code}: {exc}")
-        report["invariants"].update({"t": None, "vBi": None, "vNb": None, "torusDegenerate": None})
+        inv.update(dict.fromkeys(st.TWIST_KEYS))
 
-    if twist is not None and twist.torus_degenerate:
+    if inv["torusDegenerate"]:
         report["status"] = STATUS_INAPPLICABLE
         report["diagnostics"].append(
             "torus-degenerate / non-hyperbolic: bigons form a cycle through every crossing"
         )
         return report
-    if not inv.adequate:
+    if not inv["adequate"]:
         report["diagnostics"].append("diagram is not adequate; no diagrammatic bound applies")
         if request.budget is not None or request.slopes:
             report["diagnostics"].append("budget and slope analysis need an adequate diagram")
         return report
-    if inv.chi_a == 0 or inv.chi_b == 0:
+    if inv["chiA"] == 0 or inv["chiB"] == 0:
         report["status"] = STATUS_INAPPLICABLE
         report["diagnostics"].append(
             "a checkerboard surface is a Moebius band; (2, p) torus knot, not hyperbolic"
@@ -175,17 +148,17 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
         return report
 
     rules = [("adequate", bd.adequate_bounds(inv))]
-    if twist is not None:
-        rules.append(("twist", bd.twist_bound(diagram.c, twist.t)))
-        if twist.t >= 2:
-            rules.append(("twist_area", bd.twist_area_bound(twist.t)))
+    t = inv["t"]
+    if t is not None:
+        rules.append(("twist", bd.twist_bound(diagram.c, t)))
+        if t >= 2:
+            rules.append(("twist_area", bd.twist_area_bound(t)))
     report["bounds"] = bd.best_bounds(rules)
 
-    pair = bd.SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * diagram.c)
+    pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
     _add_criterion(report, pair, request.budget)
     if request.slopes:
-        tests = sg.SlopeThresholds(inv.delta)
-        report["slopes"] = _slope_verdicts(tests, request.slopes, request.volume, lengths=True)
+        report["slopes"] = run_surgery(request.slopes, c=inv["c"], g_t=inv["gT"], volume=request.volume)
     return report
 
 
@@ -250,72 +223,57 @@ def run_surgery(
     delta, else (c, g) counts, which also give length floors. ``slopes`` may mix
     parsed slopes with error entries from :func:`parse_slope_list`, which pass
     through untouched."""
+    window = None
+    try:
+        if montesinos_t is not None:
+            scale, upper = sg.montesinos_scale(montesinos_t)
+            window = (scale, bd.sig12(upper))
+        elif volume is not None:
+            volume = sg.checked_volume(volume)
+            window = (volume, bd.sig12(volume))
+    except CuspBoundsError as exc:
+        window = exc
     if montesinos_t is not None:
-        return _montesinos_verdicts(montesinos_t, slopes)
+        return _slope_verdicts(sg.MONTESINOS, slopes, False, window, "montesinos_window")
     if delta is not None:
-        return _slope_verdicts(sg.SlopeThresholds(delta), slopes, volume)
+        return _slope_verdicts(sg.SlopeThresholds(delta), slopes, False, window)
     if c is None or g_t is None:
         raise NoSlopeSource("need delta, (c, g), or a Montesinos twist number")
-    return _slope_verdicts(sg.counts_thresholds(c, g_t), slopes, volume, lengths=True)
+    return _slope_verdicts(sg.counts_thresholds(c, g_t), slopes, True, window)
 
 
 # --------------------------------------------------------------------------
 # Batch CSV cross-checks
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossCheckResult:
-    """Computed meridian bound vs a tabulated reference length for one row."""
-
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    computed_bound: float | None = None
-    reference_meridian: float | None = None
-    slack: float | None = None
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "computedBound": self.computed_bound,
-            "referenceMeridian": self.reference_meridian,
-            "slack": self.slack,
-            "note": self.note,
-        }
-
-
 @dataclass
 class BatchResult:
-    rows: list[CrossCheckResult] = field(default_factory=list)
+    """The report rows of a batch run, one dict per CSV row."""
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for r in self.rows if r.status == "pass")
+    rows: list[dict] = field(default_factory=list)
 
     @property
     def failed(self) -> int:
-        return sum(1 for r in self.rows if r.status == "fail")
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for r in self.rows if r.status == "skip")
+        return sum(row["status"] == "fail" for row in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "summary": {"pass": self.passed, "fail": self.failed, "skip": self.skipped},
-        }
+        counts = Counter(row["status"] for row in self.rows)
+        return {"rows": self.rows, "summary": {s: counts[s] for s in ("pass", "fail", "skip")}}
 
 
-def _check_row(row: dict) -> CrossCheckResult:
+def _check_row(row: dict) -> dict:
+    """The batch report row of one CSV row: ``pass`` or ``fail`` with the
+    computed meridian bound against the reference, or ``skip`` with a note."""
     name = (row.get("name") or "").strip() or "<unnamed>"
+    result = {"name": name, "status": "skip", "computedBound": None,
+              "referenceMeridian": None, "slack": None, "note": ""}
     try:
         reference = float(row["reference_meridian"])
         if not math.isfinite(reference) or reference <= 0:
             raise ValueError
     except (KeyError, TypeError, ValueError):
-        return CrossCheckResult(name, "skip", note="bad reference_meridian value")
+        result["note"] = "bad reference_meridian value"
+        return result
     volume_text = (row.get("reference_volume") or "").strip()
     if volume_text:
         try:
@@ -323,22 +281,27 @@ def _check_row(row: dict) -> CrossCheckResult:
             if not math.isfinite(volume) or volume <= 0:
                 raise ValueError
         except ValueError:
-            return CrossCheckResult(name, "skip", note="bad reference_volume value")
+            result["note"] = "bad reference_volume value"
+            return result
     try:
         report = run_analyze(AnalysisRequest(pd=row.get("pd") or ""))
     except CuspBoundsError as exc:
-        return CrossCheckResult(name, "skip", note=f"{exc.code}: {exc}")
+        result["note"] = f"{exc.code}: {exc}"
+        return result
     if report["status"] != STATUS_OK or report["bounds"] is None:
-        return CrossCheckResult(name, "skip", note="; ".join(report["diagnostics"]) or "no bounds")
+        result["note"] = "; ".join(report["diagnostics"]) or "no bounds"
+        return result
     computed = report["bounds"]["meridian"]["value"]
-    slack = computed - reference
-    status = "pass" if computed >= reference else "fail"
-    return CrossCheckResult(name, status, computed, reference, slack)
+    result.update(status="pass" if computed >= reference else "fail", computedBound=computed,
+                  referenceMeridian=reference, slack=computed - reference)
+    return result
 
 
 def run_batch(path: str) -> BatchResult:
     """Cross-check every CSV row as it is read; a computed bound below the
-    tabulated geodesic length is a theory violation and marks the row failed."""
+    tabulated geodesic length is a theory violation and marks the row failed.
+    A file that cannot be opened, decoded or parsed as CSV (a field longer
+    than the ``csv`` module's limit, say) raises ``FileUnreadable``."""
     result = BatchResult()
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -351,6 +314,6 @@ def run_batch(path: str) -> BatchResult:
             result.rows = [_check_row(row) for row in reader]
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot decode {path}: {exc}") from exc
     return result

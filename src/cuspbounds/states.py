@@ -16,8 +16,8 @@ Derived quantities: vA and vB are the all-A/all-B circle counts, the
 checkerboard Euler characteristics are vA - c and vB - c, the diagram genus
 is (2 - vA - vB + c)/2 (zero for alternating diagrams, and only for them
 once nugatory kinks are untwisted), and the ratio delta = (2g - 2)/c is
-kept as an exact rational because it feeds threshold comparisons
-downstream.
+reported exactly, as numerator and denominator in lowest terms. Each result
+is the JSON-shaped dict that a report prints.
 
 Twist regions are maximal chains of alternating bigon faces (a lone crossing
 counts as a region of its own), so the twist number is t = c - (number of
@@ -29,7 +29,6 @@ flagged and t is reported as 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 
@@ -53,45 +52,11 @@ def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
     return arc_orbits(diagram.partner, state.encode().translate(_FLIP))
 
 
-@dataclass(frozen=True)
-class DiagramInvariants:
-    """Counts and ratios read off the two extreme states of one diagram.
-
-    For adequate diagrams these are invariants of the underlying knot: the
-    crossing number is realized and the diagram genus equals the knot's.
-    """
-
-    c: int
-    v_a: int
-    v_b: int
-    chi_a: int
-    chi_b: int
-    g_t_diagram: int
-    a_adequate: bool
-    b_adequate: bool
-    delta: Fraction
-
-    @property
-    def adequate(self) -> bool:
-        return self.a_adequate and self.b_adequate
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "vA": self.v_a,
-            "vB": self.v_b,
-            "chiA": self.chi_a,
-            "chiB": self.chi_b,
-            "gT": self.g_t_diagram,
-            "delta": {"num": self.delta.numerator, "den": self.delta.denominator},
-            "aAdequate": self.a_adequate,
-            "bAdequate": self.b_adequate,
-            "adequate": self.adequate,
-        }
-
-
-def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
-    """Circle counts, Euler characteristics, diagram genus, adequacy."""
+def invariants(diagram: PlanarDiagram) -> dict:
+    """The report's ``invariants`` block: circle counts, Euler characteristics,
+    diagram genus, delta as ``{num, den}`` and adequacy. For adequate diagrams
+    these are invariants of the knot: the crossing number is realized and the
+    diagram genus equals the knot's."""
     c = diagram.c
     v_a, circle_a = resolve(diagram, "A" * c)
     v_b, circle_b = resolve(diagram, "B" * c)
@@ -99,37 +64,23 @@ def invariants(diagram: PlanarDiagram) -> DiagramInvariants:
     if two_g % 2 != 0:
         raise NonIntegerGenus(f"2 - vA - vB + c = {two_g} is odd; diagram data corrupted")
     g_t = two_g // 2
-    return DiagramInvariants(
-        c=c,
-        v_a=v_a,
-        v_b=v_b,
-        chi_a=v_a - c,
-        chi_b=v_b - c,
-        g_t_diagram=g_t,
-        a_adequate=_loop_free(circle_a),
-        b_adequate=_loop_free(circle_b),
-        delta=Fraction(2 * g_t - 2, c),
-    )
+    delta = Fraction(2 * g_t - 2, c)
+    a_adequate, b_adequate = _loop_free(circle_a), _loop_free(circle_b)
+    return {
+        "c": c, "vA": v_a, "vB": v_b, "chiA": v_a - c, "chiB": v_b - c, "gT": g_t,
+        "delta": {"num": delta.numerator, "den": delta.denominator},
+        "aAdequate": a_adequate, "bAdequate": b_adequate, "adequate": a_adequate and b_adequate,
+    }
 
 
-@dataclass(frozen=True)
-class TwistSummary:
-    t: int
-    v_bi: int
-    v_nb: int
-    torus_degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "vBi": self.v_bi,
-            "vNb": self.v_nb,
-            "torusDegenerate": self.torus_degenerate,
-        }
+# The keys of :func:`twist_analysis`, which a report sets to None when the
+# twist count is refused.
+TWIST_KEYS = ("t", "vBi", "vNb", "torusDegenerate")
 
 
-def twist_analysis(diagram: PlanarDiagram, inv: DiagramInvariants) -> TwistSummary:
-    """Count alternating bigons and twist regions (t = c - bigons).
+def twist_analysis(diagram: PlanarDiagram, inv: dict) -> dict:
+    """Count alternating bigons and twist regions (t = c - bigons), as the
+    ``TWIST_KEYS`` entries of the report's invariants.
 
     ``inv`` is the diagram's :func:`invariants`, which supply vA + vB. A
     degree-2 face between two distinct crossings whose strands do not
@@ -147,7 +98,6 @@ def twist_analysis(diagram: PlanarDiagram, inv: DiagramInvariants) -> TwistSumma
                 face=Face((divmod(d1, 4), divmod(d2, 4)), False),
             )
         v_bi += 1
-    v_nb = (inv.v_a + inv.v_b) - v_bi
     torus_degenerate = v_bi == diagram.c
     t = 1 if torus_degenerate else diagram.c - v_bi
-    return TwistSummary(t=t, v_bi=v_bi, v_nb=v_nb, torus_degenerate=torus_degenerate)
+    return dict(zip(TWIST_KEYS, (t, v_bi, inv["vA"] + inv["vB"] - v_bi, torus_degenerate)))

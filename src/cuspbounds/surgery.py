@@ -48,25 +48,16 @@ from .errors import (
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class SurgeryConstants:
-    """Numeric constants used by every threshold, with provenance.
-
-    * ``cusp_area_floor``: every knot cusp has area at least 3.35
-      (Cao-Meyerhoff).
-    * ``exclusion_factor``: 18/3.35 as the exact rational 360/67.
-    * ``six_threshold``: slopes longer than six are never exceptional.
-    * ``v8``: volume of the regular ideal octahedron, 4 x Catalan's
-      constant = 3.663862376708876 (stored to double precision).
-    """
-
-    cusp_area_floor: Fraction = Fraction(67, 20)
-    exclusion_factor: Fraction = Fraction(360, 67)
-    six_threshold: int = 6
-    v8: float = 3.663862376708876
-
-
-CONSTANTS = SurgeryConstants()
+# The constants of every threshold, with provenance.
+# The 6-theorem: slopes longer than six are never exceptional, and a
+# meridian, which is never exceptional, is shorter than six.
+SIX = 6
+# Every knot cusp has area at least 3.35 (Cao-Meyerhoff).
+CUSP_AREA_FLOOR = Fraction(67, 20)
+# A slope is not exceptional when |q| > 18/3.35 (1 + delta) = (360/67)(1 + delta).
+EXCLUSION_FACTOR = 3 * SIX / CUSP_AREA_FLOOR
+# Volume of the regular ideal octahedron, 4 x Catalan's constant (double precision).
+V8 = 3.663862376708876
 
 
 @dataclass(frozen=True)
@@ -103,13 +94,13 @@ class SlopeThresholds:
         if n <= 0:
             raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
         self.m = m
-        self.six_n = CONSTANTS.six_threshold * n
+        self.six_n = SIX * n
         self.n36 = self.six_n * self.six_n
         # The length floor 3.35 |q| / (3 (1 + delta)) is 67 |q| m / (60 n); it
         # exceeds six, so the slope is not exceptional, when 67 |q| m > 360 n.
-        self.m67 = CONSTANTS.cusp_area_floor.numerator * m
-        self.n60 = 3 * CONSTANTS.cusp_area_floor.denominator * n
-        self.n360 = CONSTANTS.six_threshold * self.n60
+        self.m67 = CUSP_AREA_FLOOR.numerator * m
+        self.n60 = 3 * CUSP_AREA_FLOOR.denominator * n
+        self.n360 = SIX * self.n60
         self.floor_text = floor_text
 
     def filter(self, q: int) -> tuple[bool, bool]:
@@ -174,8 +165,7 @@ def montesinos_scale(t: int) -> tuple[float, float]:
     """(max(0, (v8/4)(t - 9)), 2 v8 t): the window is [scale (1 - 36/q^2)^(3/2), upper)."""
     if t < 2:
         raise TooFewTwistRegions(f"need t >= 2 twist regions, got {t}")
-    v8 = CONSTANTS.v8
-    return max(0.0, (v8 / 4.0) * (t - 9)), 2.0 * v8 * t
+    return max(0.0, (V8 / 4.0) * (t - 9)), 2.0 * V8 * t
 
 
 def montesinos_window(t: int, slope: Slope) -> tuple[float, float, bool]:

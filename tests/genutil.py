@@ -268,7 +268,7 @@ def random_adequate_knot_diagram(rng: random.Random, max_crossings: int = 12) ->
         except ClosureIsLink:
             continue
         inv = invariants(diagram)
-        if inv.adequate and inv.chi_a < 0 and inv.chi_b < 0:
+        if inv["adequate"] and inv["chiA"] < 0 and inv["chiB"] < 0:
             return diagram
 
 

@@ -80,11 +80,11 @@ def test_criterion_2_adequate_bound_identities():
         d = random_adequate_knot_diagram(rng, 12)
         assert d.c <= 12
         inv = invariants(d)
-        pair = SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * d.c)
+        pair = SurfacePairData(abs(inv["chiA"]), abs(inv["chiB"]), 2 * d.c)
         lhs = general_bounds(pair)["meridian"]
-        rhs = adequate_bounds_from_counts(d.c, inv.g_t_diagram)["meridian"]
+        rhs = adequate_bounds_from_counts(d.c, inv["gT"])["meridian"]
         assert lhs == rhs  # exact Fractions
-        assert abs(inv.chi_a) + abs(inv.chi_b) == d.c + 2 * inv.g_t_diagram - 2
+        assert abs(inv["chiA"]) + abs(inv["chiB"]) == d.c + 2 * inv["gT"] - 2
     _report("2", "adequate == general on checkerboard pair", started, 5.0)
 
 
@@ -118,7 +118,7 @@ def test_criterion_4_alternating_calibration():
     assert len(diagrams) == 20
     for d in diagrams:
         inv = invariants(d)
-        assert inv.g_t_diagram == 0
+        assert inv["gT"] == 0
         bound = adequate_bounds(inv)["meridian"]
         assert bound == 3 - Fraction(6, d.c)
         assert bound < 3
@@ -128,7 +128,7 @@ def test_criterion_4_alternating_calibration():
 def test_criterion_5a_twist_identity_figure_eight():
     started = time.monotonic()
     tw = twist_analysis(FIG8, invariants(FIG8))
-    assert tw.t == FIG8.c - tw.v_bi == 2
+    assert tw["t"] == FIG8.c - tw["vBi"] == 2
     _report("5a", "figure-eight t = c - bigons = 2", started, 1.0)
 
 
@@ -146,9 +146,9 @@ def test_criterion_5b_twist_identity_stated_braid():
     started = time.monotonic()
     d = braid_closure(parse_braid("3: s1^3 s2^3 s1^3 s2^3"))
     tw = twist_analysis(d, invariants(d))
-    assert (d.c, tw.v_bi, tw.t) == (12, 8, 4)
-    assert tw.t == d.c - tw.v_bi
-    assert twist_bound(d.c, tw.t)["meridian"] == Fraction(7, 2) < 4
+    assert (d.c, tw["vBi"], tw["t"]) == (12, 8, 4)
+    assert tw["t"] == d.c - tw["vBi"]
+    assert twist_bound(d.c, tw["t"])["meridian"] == Fraction(7, 2) < 4
     _report("5b", "stated braid twist identities", started, 1.0)
 
 
@@ -156,9 +156,9 @@ def test_criterion_5c_twist_identity_knot_braid():
     started = time.monotonic()
     d = braid_closure(parse_braid("4: s1^3 s2^3 s3^3"))
     tw = twist_analysis(d, invariants(d))
-    assert (d.c, tw.v_bi, tw.t) == (9, 6, 3)
-    assert tw.t == d.c - tw.v_bi
-    assert twist_bound(d.c, tw.t)["meridian"] == Fraction(10, 3) < 4
+    assert (d.c, tw["vBi"], tw["t"]) == (9, 6, 3)
+    assert tw["t"] == d.c - tw["vBi"]
+    assert twist_bound(d.c, tw["t"])["meridian"] == Fraction(10, 3) < 4
     _report("5c", "knot braid: c = 9, t = 3, bound 10/3", started, 1.0)
 
 
@@ -207,9 +207,9 @@ def test_criterion_9_mirror_parity():
     for _ in range(100):
         d = random_knot_diagram(rng, 12)
         inv, inv_m = invariants(d), invariants(mirror(d))
-        assert (inv_m.v_a, inv_m.v_b) == (inv.v_b, inv.v_a)
-        assert (inv_m.a_adequate, inv_m.b_adequate) == (inv.b_adequate, inv.a_adequate)
-        assert inv_m.g_t_diagram == inv.g_t_diagram
+        assert (inv_m["vA"], inv_m["vB"]) == (inv["vB"], inv["vA"])
+        assert (inv_m["aAdequate"], inv_m["bAdequate"]) == (inv["bAdequate"], inv["aAdequate"])
+        assert inv_m["gT"] == inv["gT"]
     _report("9", "mirror swaps sides, fixes genus", started, 5.0)
 
 
@@ -218,5 +218,6 @@ def test_supplementary_reference_table_domination():
     started = time.monotonic()
     table = Path(__file__).parent / "data" / "reference_meridians.csv"
     result = run_batch(os.fspath(table))
-    assert result.failed == 0 and result.skipped == 0 and result.passed >= 5
+    summary = result.to_dict()["summary"]
+    assert summary["fail"] == 0 and summary["skip"] == 0 and summary["pass"] >= 5
     _report("supplementary", "vetted reference CSV dominated", started, 5.0)

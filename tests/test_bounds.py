@@ -132,12 +132,12 @@ class TestAdequateBounds:
         for _ in range(60):
             d = random_adequate_knot_diagram(rng, 12)
             inv = invariants(d)
-            pair = SurfacePairData(abs(inv.chi_a), abs(inv.chi_b), 2 * d.c)
+            pair = SurfacePairData(abs(inv["chiA"]), abs(inv["chiB"]), 2 * d.c)
             assert (
                 general_bounds(pair)["meridian"]
                 == adequate_bounds(inv)["meridian"]
             )
-            assert abs(inv.chi_a) + abs(inv.chi_b) == d.c + 2 * inv.g_t_diagram - 2
+            assert abs(inv["chiA"]) + abs(inv["chiB"]) == d.c + 2 * inv["gT"] - 2
 
     def test_meridian_monotonicity_in_c(self):
         for g, direction in ((0, "up"), (1, "flat"), (2, "down"), (5, "down")):
@@ -192,10 +192,10 @@ class TestTwistBounds:
                 tw = twist_analysis(d, invariants(d))
             except NonAlternatingBigon:
                 continue
-            if tw.torus_degenerate or 2 * inv.g_t_diagram - 2 > tw.t - 2:
+            if tw["torusDegenerate"] or 2 * inv["gT"] - 2 > tw["t"] - 2:
                 continue
             checked += 1
-            assert twist_bound(d.c, tw.t)["meridian"] >= adequate_bounds(inv)["meridian"]
+            assert twist_bound(d.c, tw["t"])["meridian"] >= adequate_bounds(inv)["meridian"]
         assert checked > 20
 
 

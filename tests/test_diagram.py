@@ -103,6 +103,11 @@ class TestParsePd:
                 parse_pd(text)
             assert str(excinfo.value) == f"unrecognized PD token at: {rest}"
 
+    def test_label_past_the_int_digit_limit(self):
+        # int() refuses more than 4,300 digits with a plain ValueError
+        with pytest.raises(MalformedToken):
+            parse_pd(f"X[{'9' * 5000},1,2,3]")
+
     def test_label_used_thrice(self):
         with pytest.raises(EdgeLabelUsedOtherThanTwice):
             parse_pd("X[1,1,1,2] X[2,3,3,4]")
@@ -250,6 +255,19 @@ class TestParseBraid:
                 parse_braid(text)
             assert info.value.code == "TooManyCrossings"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (f"2: s1^{'9' * 5000}", TooManyCrossings),
+            (f"2: s1^-{'9' * 5000}", TooManyCrossings),
+            (f"2: s{'9' * 5000}^3", BadGeneratorIndex),
+        ],
+    )
+    def test_numbers_past_the_int_digit_limit(self, text, error):
+        # int() refuses more than 4,300 digits with a plain ValueError
+        with pytest.raises(error):
+            parse_braid(text)
+
     def test_merge_adjacent(self):
         w = parse_braid("3: s1^2 s1^1 s2^-1")
         assert w.syllables == ((1, 3), (2, -1))
@@ -285,7 +303,7 @@ class TestBraidClosure:
         assert closed.c == 3
         ref = parse_pd(TREFOIL)
         inv_c, inv_r = invariants(closed), invariants(ref)
-        assert {inv_c.v_a, inv_c.v_b} == {inv_r.v_a, inv_r.v_b}
+        assert {inv_c["vA"], inv_c["vB"]} == {inv_r["vA"], inv_r["vB"]}
         assert face_degrees(closed) == face_degrees(ref)
 
     def test_component_count_is_permutation_cycles(self):
@@ -335,4 +353,4 @@ class TestMirror:
         inv = invariants(braid_closure(word))
         negated = BraidWord(word.strands, tuple((i, -r) for i, r in word.syllables))
         inv_neg = invariants(braid_closure(negated))
-        assert (inv_neg.v_a, inv_neg.v_b) == (inv.v_b, inv.v_a)
+        assert (inv_neg["vA"], inv_neg["vB"]) == (inv["vB"], inv["vA"])

@@ -1,5 +1,6 @@
 """End-to-end pipelines, JSON round trips, batch cross-checks, CLI."""
 
+import csv
 import json
 import math
 import os
@@ -281,7 +282,8 @@ class TestNonFiniteInput:
             f'nan_volume,"{FIG8}",1.0,nan\n'
             f'inf_volume,"{FIG8}",1.0,inf\n'
         )
-        notes = {row.name: (row.status, row.note) for row in run_batch(os.fspath(path)).rows}
+        rows = run_batch(os.fspath(path)).rows
+        notes = {row["name"]: (row["status"], row["note"]) for row in rows}
         assert notes == {
             "good": ("pass", ""),
             "nan_meridian": ("skip", "bad reference_meridian value"),
@@ -312,12 +314,11 @@ class TestNonFiniteInput:
 class TestRunBatch:
     def test_vetted_table_all_pass(self):
         result = run_batch(os.fspath(DATA))
-        assert result.failed == 0 and result.skipped == 0
-        assert result.passed == 5
-        by_name = {row.name: row for row in result.rows}
+        assert result.to_dict()["summary"] == {"pass": 5, "fail": 0, "skip": 0}
+        by_name = {row["name"]: row for row in result.rows}
         fig8 = by_name["figure_eight"]
-        assert fig8.computed_bound == pytest.approx(1.5)
-        assert fig8.slack == pytest.approx(0.5)
+        assert fig8["computedBound"] == pytest.approx(1.5)
+        assert fig8["slack"] == pytest.approx(0.5)
 
     def test_bad_rows_are_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -329,14 +330,14 @@ class TestRunBatch:
             "badref,X[1,1,2,2],-3\n"
         )
         result = run_batch(os.fspath(path))
-        assert result.passed == 1 and result.failed == 0 and result.skipped == 3
+        assert result.to_dict()["summary"] == {"pass": 1, "fail": 0, "skip": 3}
 
     def test_theory_violation_fails(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(f'name,pd,reference_meridian\ntoobig,"{FIG8}",5.0\n')
         result = run_batch(os.fspath(path))
         assert result.failed == 1
-        assert result.rows[0].slack == pytest.approx(-3.5)
+        assert result.rows[0]["slack"] == pytest.approx(-3.5)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -360,16 +361,26 @@ class TestRunBatch:
         with pytest.raises(FileUnreadable, match="cannot decode"):
             run_batch(os.fspath(path))
 
+    def test_field_over_the_csv_limit_is_unreadable(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(f'name,pd,reference_meridian\nlong,"{"X" * (limit + 1)}",1.0\n')
+        with pytest.raises(FileUnreadable):
+            run_batch(os.fspath(path))
+        assert main(["batch", os.fspath(path)]) == 1
+        assert capsys.readouterr().err.startswith("error[FileUnreadable]:")
+        assert csv.field_size_limit() == limit  # the process-wide limit is left alone
+
     def test_order_independence(self, tmp_path):
         base = DATA.read_text().strip().splitlines()
         header, rows = base[0], base[1:]
         shuffled = [header] + rows[::-1]
         path = tmp_path / "shuffled.csv"
         path.write_text("\n".join(shuffled) + "\n")
-        forward = {r.name: r.to_dict() for r in run_batch(os.fspath(DATA)).rows}
-        backward = {r.name: r.to_dict() for r in run_batch(os.fspath(path)).rows}
+        forward = {r["name"]: r for r in run_batch(os.fspath(DATA)).rows}
+        backward = {r["name"]: r for r in run_batch(os.fspath(path)).rows}
         assert forward == backward
-        assert [r.name for r in run_batch(os.fspath(path)).rows] == [
+        assert [r["name"] for r in run_batch(os.fspath(path)).rows] == [
             row.split(",")[0] for row in rows[::-1]
         ]
 
@@ -505,6 +516,40 @@ class TestCli:
                     proc.kill()
                     proc.wait(timeout=60)
         assert err_path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", f"X[{'9' * 5000},1,2,3]"], "MalformedToken"),
+            (["braid", f"2: s1^{'9' * 5000}"], "TooManyCrossings"),
+            (["braid", f"2: s{'9' * 5000}^3"], "BadGeneratorIndex"),
+        ],
+    )
+    def test_numbers_past_the_int_digit_limit_are_coded(self, capsys, argv, code):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error[{code}]:")
+
+    @pytest.mark.parametrize(
+        "budget", ["1e400", "-1e400", "1e999999999", "1e-999999999", "1/0", "9" * 400 + "/1"]
+    )
+    def test_budget_needs_a_finite_float(self, capsys, budget):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--pair", "1,1,2", f"--budget={budget}"])
+        assert excinfo.value.code == 1
+        assert "argument --budget: not a number with a finite float" in capsys.readouterr().err
+
+    def test_zero_budget_with_a_huge_exponent_is_read_as_a_float(self, capsys):
+        # Fraction("0e-999999999") would build 10 ** 999999999 first
+        assert main(["analyze", "--pair", "1,1,2", "--budget", "0e-999999999"]) == 1
+        assert capsys.readouterr().err.startswith("error[NonPositiveBudget]:")
+
+    def test_unknown_option_shows_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pretzel", "3,5,7", "--prime"])
+        assert excinfo.value.code == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: cuspbounds pretzel [-h] [--budget BUDGET]")
+        assert error == "cuspbounds pretzel: error: unrecognized arguments: --prime"
 
     def test_usage_errors_exit_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspbounds import (
-    CONSTANTS,
     Slope,
     exceptional_filter,
     montesinos_window,
@@ -23,6 +22,7 @@ from cuspbounds.errors import (
     SlopeTooSmall,
     TooFewTwistRegions,
 )
+from cuspbounds.surgery import CUSP_AREA_FLOOR, EXCLUSION_FACTOR, V8
 
 mpmath.mp.dps = 50
 
@@ -54,12 +54,12 @@ class TestSlope:
 
 class TestConstants:
     def test_exclusion_factor_is_exact(self):
-        assert CONSTANTS.exclusion_factor == Fraction(360, 67)
-        assert Fraction(18) / CONSTANTS.cusp_area_floor == Fraction(360, 67)
+        assert EXCLUSION_FACTOR == Fraction(360, 67)
+        assert Fraction(18) / CUSP_AREA_FLOOR == Fraction(360, 67)
 
     def test_octahedron_volume_matches_high_precision(self):
         v8 = 4 * mpmath.catalan
-        assert abs(CONSTANTS.v8 - float(v8)) < 1e-12
+        assert abs(V8 - float(v8)) < 1e-12
 
 
 class TestSlopeLengthLower:
@@ -173,7 +173,7 @@ class TestMontesinosWindow:
     def test_lower_clamped_at_nine_regions(self):
         lower, upper, _ = montesinos_window(9, Slope(1, 100))
         assert lower == 0.0
-        assert upper == pytest.approx(2 * CONSTANTS.v8 * 9, abs=1e-12)
+        assert upper == pytest.approx(2 * V8 * 9, abs=1e-12)
 
     def test_slope_too_small(self):
         with pytest.raises(SlopeTooSmall):
