@@ -96,15 +96,15 @@ def _slope_verdicts(
             out.append(entry)
             continue
         non_exc, two_pi = tests.filter(q)
+        found = error is None and window is not None
         entry.update(lengthLower=bd.sig12(tests.length(q)) if lengths else None,
-                     nonExceptional=non_exc, twoPiExceeded=two_pi, volumeWindow=None, rule="filter")
+                     nonExceptional=non_exc, twoPiExceeded=two_pi,
+                     volumeWindow={"lower": bd.sig12(lower), "upper": window[1]} if found else None,
+                     rule=rule if found else "filter")
         if error is not None:
             entry["windowError"] = _error(error)
-        elif window is not None:
-            entry["volumeWindow"] = {"lower": bd.sig12(lower), "upper": window[1]}
-            entry["rule"] = rule
-            if hit:
-                entry["boundaryHit"] = True
+        elif found and hit:
+            entry["boundaryHit"] = True
         out.append(entry)
     return out
 
