@@ -23,10 +23,8 @@ from .bounds import (
 )
 from .diagram import (
     BraidWord,
-    Face,
     PlanarDiagram,
     braid_closure,
-    mirror,
     parse_braid,
     parse_pd,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "AnalysisRequest",
     "BraidVerdict",
     "BraidWord",
-    "Face",
     "PlanarDiagram",
     "PretzelParams",
     "Slope",
@@ -58,7 +55,6 @@ __all__ = [
     "exceptional_filter",
     "general_bounds",
     "invariants",
-    "mirror",
     "montesinos_window",
     "parse_braid",
     "parse_pd",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -180,15 +179,15 @@ def pretzel_bounds(params: PretzelParams) -> tuple[SurfacePairData, dict[str, Fr
     return pair, general_bounds(pair)
 
 
-class BraidVerdict(str, Enum):
-    """What a closed-braid word guarantees about its knot."""
+class BraidVerdict:
+    """What a closed-braid word guarantees about its knot, as the report prints it."""
 
     MERIDIAN_UNDER_FOUR = "MeridianUnderFour"
     ADEQUATE_ONLY = "AdequateOnly"
     INAPPLICABLE = "Inapplicable"
 
 
-def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> BraidVerdict:
+def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> str:
     """Classify a braid word by the exponent conditions on its syllables.
 
     Same-signed exponents, all of magnitude >= 2, make the closure an

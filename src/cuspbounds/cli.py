@@ -271,13 +271,12 @@ def _run(argv: list[str] | None) -> int:
             )
             report = {"status": "ok", "diagnostics": [], "slopes": verdicts}
         else:  # batch
-            result = run_batch(args.csv_path)
-            report = result.to_dict()
+            report = run_batch(args.csv_path).to_dict()
             if args.format == "json":
                 _emit(report, "json", out)
             else:
                 _print_batch_text(report, out)
-            return EXIT_ERROR if result.failed else EXIT_OK
+            return EXIT_ERROR if report["summary"]["fail"] else EXIT_OK
     except CuspBoundsError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -50,20 +49,6 @@ from .errors import (
 # Crossings a braid word may ask for, counted as the sum of |r| over its
 # syllables as written; about 1 KB of memory per crossing.
 MAX_CROSSINGS = 100_000
-
-
-@dataclass(frozen=True)
-class Face:
-    """One complementary region, as the cyclic list of darts along it."""
-
-    boundary: tuple[tuple[int, int], ...]
-    is_alternating_bigon: bool
-
-
-def is_alternating_bigon(d1: int, d2: int) -> bool:
-    """Whether the degree-2 face with darts d1, d2 is a bigon between two crossings whose
-    edges alternate over/under: equal-parity slots (0/2 under, 1/3 over)."""
-    return d1 >> 2 != d2 >> 2 and not (d1 ^ d2) & 1
 
 
 def _pair_darts(slots: tuple[int, ...]) -> list[int]:
@@ -158,17 +143,6 @@ class PlanarDiagram:
     def c(self) -> int:
         return len(self.slots) // 4
 
-    @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """Faces of the rotation system, darts as (crossing, slot) pairs."""
-        return tuple(
-            Face(
-                tuple(divmod(d, 4) for d in orbit),
-                len(orbit) == 2 and is_alternating_bigon(*orbit),
-            )
-            for orbit in _face_orbits(self.partner)
-        )
-
     # -- serialization -----------------------------------------------------
 
     def pd_string(self) -> str:
@@ -236,7 +210,7 @@ class BraidWord:
             raise FewerThanTwoStrands(f"need at least 2 strands, got {self.strands}")
         for i, r in self.syllables:
             if not 1 <= i <= self.strands - 1:
-                raise BadGeneratorIndex(f"generator s{i} outside 1..{self.strands - 1}")
+                raise BadGeneratorIndex(f"generator s{str(i)[:20]} outside 1..{self.strands - 1}")
             if r == 0:
                 raise ZeroExponent(f"syllable s{i}^0 is empty")
         for (i, _), (j, _) in zip(self.syllables, self.syllables[1:]):
@@ -285,10 +259,10 @@ def parse_braid(text: str) -> BraidWord:
     try:
         strands = int(head.strip())
     except ValueError:
-        raise MalformedToken(f"bad strand count {head.strip()!r}") from None
+        raise MalformedToken(f"bad strand count {head.strip()[:20]!r}") from None
     # A knot closure on n strands has at least n - 1 crossings.
     if strands > MAX_CROSSINGS + 1:
-        raise TooManyCrossings(f"{strands} strands exceed the limit of {MAX_CROSSINGS + 1}")
+        raise TooManyCrossings(f"strand count {head.strip()[:20]!r} exceeds {MAX_CROSSINGS + 1}")
     tokens = body.split()
     if not tokens:
         raise MalformedToken("braid word has no syllables")
@@ -297,7 +271,7 @@ def parse_braid(text: str) -> BraidWord:
     for tok in tokens:
         m = _BRAID_SYLLABLE.match(tok)
         if m is None:
-            raise MalformedToken(f"unrecognized braid syllable {tok!r}")
+            raise MalformedToken(f"unrecognized braid syllable {tok[:20]!r}")
         index, power = m.groups()
         # int() refuses more than 4,300 digits, far past both limits.
         try:
@@ -309,7 +283,7 @@ def parse_braid(text: str) -> BraidWord:
         except ValueError:
             raise TooManyCrossings(f"exponent of {len(power)} digits exceeds {MAX_CROSSINGS}") from None
         if r == 0:
-            raise ZeroExponent(f"syllable {tok!r} has exponent zero")
+            raise ZeroExponent(f"syllable {tok[:20]!r} has exponent zero")
         crossings += abs(r)
         if crossings > MAX_CROSSINGS:
             raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
@@ -356,17 +330,3 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     closing = {cur[p]: top[p] for p in range(n)}
     return _normalized([closing.get(label, label) for label in labels])
 
-
-# --------------------------------------------------------------------------
-# Mirrors
-# --------------------------------------------------------------------------
-
-def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
-    """The reflected diagram: each crossing's cyclic slot order reversed.
-
-    The incoming under-strand stays at slot 0; reversing the rotation swaps
-    the roles of the two smoothings, so downstream A/B quantities swap.
-    """
-    slots = list(diagram.slots)
-    slots[1::4], slots[3::4] = slots[3::4], slots[1::4]
-    return _normalized(slots)

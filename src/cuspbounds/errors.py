@@ -72,15 +72,16 @@ class NonAlternatingBigon(CuspBoundsError):
     """A bigon whose strands do not alternate: the diagram is not reduced
     (a type-II move would cancel the two crossings)."""
 
-    def __init__(self, message: str, face=None):
-        super().__init__(message)
-        self.face = face
-
 
 # --------------------------------------------------------------- bounds
 
 class NonPositiveBudget(CuspBoundsError):
     """Length budgets must be positive."""
+
+
+class BudgetOutOfRange(CuspBoundsError):
+    """A budget is reported as a float, so its float must be finite, and
+    non-zero for a non-zero budget."""
 
 
 class DegenerateSurfacePair(CuspBoundsError, ValueError):

@@ -18,6 +18,7 @@ from . import states as st
 from . import surgery as sg
 from .diagram import PlanarDiagram, braid_closure, parse_braid, parse_pd
 from .errors import (
+    BudgetOutOfRange,
     CuspBoundsError,
     FileUnreadable,
     MissingHeader,
@@ -69,49 +70,18 @@ def _error(exc: CuspBoundsError) -> dict:
     return {"code": exc.code, "message": str(exc)}
 
 
-def _slope_verdicts(
-    tests: sg.SlopeThresholds, slopes: tuple, lengths: bool, window=None, rule="surgery_window"
-) -> list[dict]:
-    """One entry per slope: the filter verdicts of ``tests``, the length floor
-    if ``lengths``, and the volume window for ``window`` = (scale, upper), or
-    the ``CuspBoundsError`` that refused its volume or twist number once for
-    every slope. A Montesinos entry rests on its window, so a refused window
-    leaves only the error there; elsewhere it becomes ``windowError``."""
-    refused = window if isinstance(window, CuspBoundsError) else None
-    out = []
-    for slope in slopes:
-        if isinstance(slope, dict):
-            out.append(slope)
-            continue
-        q = abs(slope.q)
-        entry = {"p": slope.p, "q": slope.q}
-        error = refused
-        if window is not None and error is None:
-            try:
-                lower, hit = tests.window(q, window[0])
-            except CuspBoundsError as exc:
-                error = exc
-        if error is not None and rule == "montesinos_window":
-            entry["error"] = _error(error)
-            out.append(entry)
-            continue
-        non_exc, two_pi = tests.filter(q)
-        found = error is None and window is not None
-        entry.update(lengthLower=bd.sig12(tests.length(q)) if lengths else None,
-                     nonExceptional=non_exc, twoPiExceeded=two_pi,
-                     volumeWindow={"lower": bd.sig12(lower), "upper": window[1]} if found else None,
-                     rule=rule if found else "filter")
-        if error is not None:
-            entry["windowError"] = _error(error)
-        elif found and hit:
-            entry["boundaryHit"] = True
-        out.append(entry)
-    return out
-
-
 def _add_criterion(report: dict, pair: bd.SurfacePairData, budget: Fraction | None) -> None:
-    if budget is not None:
-        report["criterion"] = {"budget": float(budget), "satisfied": bd.criterion_check(pair, budget)}
+    """Report the criterion with its budget as a float, which must be finite,
+    and non-zero for a non-zero budget, as the CLI's ``--budget`` demands."""
+    if budget is None:
+        return
+    try:
+        value = float(budget)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (value == 0) != (budget == 0):
+        raise BudgetOutOfRange("the budget's float overflows or underflows to zero")
+    report["criterion"] = {"budget": value, "satisfied": bd.criterion_check(pair, budget)}
 
 
 def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
@@ -199,7 +169,7 @@ def run_analyze(request: AnalysisRequest) -> dict:
         diagram = braid_closure(word)
         report = _diagram_report(diagram, request)
         report["input"] = {"kind": "braid", "value": request.braid}
-        report["braidVerdict"] = bd.braid_criterion(word, request.prime_asserted).value
+        report["braidVerdict"] = bd.braid_criterion(word, request.prime_asserted)
         return report
     diagram = parse_pd(request.pd)
     report = _diagram_report(diagram, request)
@@ -219,27 +189,61 @@ def run_surgery(
     montesinos_t: int | None = None,
     volume: float | None = None,
 ) -> list[dict]:
-    """Per-slope verdicts from a Montesinos twist number, else an explicit
-    delta, else (c, g) counts, which also give length floors. ``slopes`` may mix
-    parsed slopes with error entries from :func:`parse_slope_list`, which pass
-    through untouched."""
-    window = None
-    try:
-        if montesinos_t is not None:
-            scale, upper = sg.montesinos_scale(montesinos_t)
-            window = (scale, bd.sig12(upper))
-        elif volume is not None:
-            volume = sg.checked_volume(volume)
-            window = (volume, bd.sig12(volume))
-    except CuspBoundsError as exc:
-        window = exc
-    if montesinos_t is not None:
-        return _slope_verdicts(sg.MONTESINOS, slopes, False, window, "montesinos_window")
-    if delta is not None:
-        return _slope_verdicts(sg.SlopeThresholds(delta), slopes, False, window)
-    if c is None or g_t is None:
+    """One entry per slope, with thresholds from a Montesinos twist number, else
+    an explicit delta, else (c, g) counts, which also give length floors: the
+    filter verdicts and the window of the twist number or of ``volume``. A
+    window refused for a slope is its entry's ``error`` for Montesinos knots,
+    which rest on it, and its ``windowError`` elsewhere. Error entries from
+    :func:`parse_slope_list` in ``slopes`` pass through untouched."""
+    montesinos = montesinos_t is not None
+    if montesinos:
+        tests = sg.MONTESINOS
+    elif delta is not None:
+        tests = sg.SlopeThresholds(delta)
+    elif c is None or g_t is None:
         raise NoSlopeSource("need delta, (c, g), or a Montesinos twist number")
-    return _slope_verdicts(sg.counts_thresholds(c, g_t), slopes, True, window)
+    else:
+        tests = sg.counts_thresholds(c, g_t)
+    lengths = not montesinos and delta is None
+    rule = "montesinos_window" if montesinos else "surgery_window"
+    scale = refused = None
+    try:
+        if montesinos:
+            scale, upper = sg.montesinos_scale(montesinos_t)
+            upper = bd.sig12(upper)
+        elif volume is not None:
+            scale = sg.checked_volume(volume)
+            upper = bd.sig12(scale)
+    except CuspBoundsError as exc:
+        refused = _error(exc)
+    out = []
+    for slope in slopes:
+        if isinstance(slope, dict):
+            out.append(slope)
+            continue
+        q = abs(slope.q)
+        entry = {"p": slope.p, "q": slope.q}
+        error = refused
+        if scale is not None:
+            try:
+                lower, hit = tests.window(q, scale)
+            except CuspBoundsError as exc:
+                error = _error(exc)
+        if error is not None and montesinos:
+            entry["error"] = error
+        else:
+            non_exc, two_pi = tests.filter(q)
+            found = scale is not None and error is None
+            entry.update(lengthLower=bd.sig12(tests.length(q)) if lengths else None,
+                         nonExceptional=non_exc, twoPiExceeded=two_pi,
+                         volumeWindow={"lower": bd.sig12(lower), "upper": upper} if found else None,
+                         rule=rule if found else "filter")
+            if error is not None:
+                entry["windowError"] = error
+            elif found and hit:
+                entry["boundaryHit"] = True
+        out.append(entry)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +255,6 @@ class BatchResult:
     """The report rows of a batch run, one dict per CSV row."""
 
     rows: list[dict] = field(default_factory=list)
-
-    @property
-    def failed(self) -> int:
-        return sum(row["status"] == "fail" for row in self.rows)
 
     def to_dict(self) -> dict:
         counts = Counter(row["status"] for row in self.rows)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import eq
 
-from .diagram import Face, PlanarDiagram, arc_orbits, is_alternating_bigon
+from .diagram import PlanarDiagram, arc_orbits
 from .errors import NonAlternatingBigon, NonIntegerGenus, StateLengthMismatch
 
 # The smoothing arc of dart d is d ^ 1 in an A crossing and d ^ 3 in a B crossing.
@@ -92,11 +92,8 @@ def twist_analysis(diagram: PlanarDiagram, inv: dict) -> dict:
         c1, c2 = d1 >> 2, d2 >> 2
         if c1 == c2:
             continue
-        if not is_alternating_bigon(d1, d2):
-            raise NonAlternatingBigon(
-                f"non-alternating bigon between crossings {c1} and {c2}",
-                face=Face((divmod(d1, 4), divmod(d2, 4)), False),
-            )
+        if (d1 ^ d2) & 1:  # one under slot (0, 2) and one over slot (1, 3): no alternation
+            raise NonAlternatingBigon(f"non-alternating bigon between crossings {c1} and {c2}")
         v_bi += 1
     torus_degenerate = v_bi == diagram.c
     t = 1 if torus_degenerate else diagram.c - v_bi

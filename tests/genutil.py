@@ -93,6 +93,14 @@ def union_find_circle_count(diagram: PlanarDiagram, state: str) -> tuple[int, tu
     return circles, tuple(find(arc1[0]) == find(arc2[0]) for arc1, arc2 in arcs)
 
 
+def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
+    """The reflected diagram: each crossing's slots 1 and 3 swap, which reverses
+    its cyclic order and keeps the incoming under-strand at slot 0."""
+    slots = list(diagram.slots)
+    slots[1::4], slots[3::4] = slots[3::4], slots[1::4]
+    return PlanarDiagram(tuple(slots))
+
+
 def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
     """Face boundaries as (crossing, slot) darts: cross the edge, then turn
     to the next slot counterclockwise. Faces are listed by first dart."""

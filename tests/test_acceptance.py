@@ -33,7 +33,6 @@ from cuspbounds import (
     exceptional_filter,
     general_bounds,
     invariants,
-    mirror,
     montesinos_window,
     parse_braid,
     parse_pd,
@@ -45,6 +44,7 @@ from cuspbounds import (
     twist_bound,
 )
 from genutil import (
+    mirror,
     path_following_circle_count,
     pretzel_pd,
     random_adequate_knot_diagram,

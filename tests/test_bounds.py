@@ -229,29 +229,29 @@ class TestPretzelBounds:
 class TestBraidCriterion:
     def test_meridian_under_four(self):
         word = parse_braid("4: s1^3 s2^3 s3^3")
-        assert braid_criterion(word, prime_asserted=True) is BraidVerdict.MERIDIAN_UNDER_FOUR
+        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.MERIDIAN_UNDER_FOUR
 
     def test_downgrade_without_primality(self):
         word = parse_braid("4: s1^3 s2^3 s3^3")
-        assert braid_criterion(word) is BraidVerdict.ADEQUATE_ONLY
+        assert braid_criterion(word) == BraidVerdict.ADEQUATE_ONLY
 
     def test_adequate_only_for_magnitude_two(self):
         word = parse_braid("3: s1^2 s2^3 s1^3")
-        assert braid_criterion(word, prime_asserted=True) is BraidVerdict.ADEQUATE_ONLY
+        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.ADEQUATE_ONLY
 
     def test_two_strand_words_downgrade(self):
         # a 2-strand closure is a (2, r) torus knot, never hyperbolic
-        assert braid_criterion(parse_braid("2: s1^3"), True) is BraidVerdict.ADEQUATE_ONLY
+        assert braid_criterion(parse_braid("2: s1^3"), True) == BraidVerdict.ADEQUATE_ONLY
 
     def test_mixed_signs_inapplicable(self):
-        assert braid_criterion(parse_braid("3: s1^3 s2^-3"), True) is BraidVerdict.INAPPLICABLE
+        assert braid_criterion(parse_braid("3: s1^3 s2^-3"), True) == BraidVerdict.INAPPLICABLE
 
     def test_unit_exponent_inapplicable(self):
-        assert braid_criterion(parse_braid("3: s1^1 s2^3"), True) is BraidVerdict.INAPPLICABLE
+        assert braid_criterion(parse_braid("3: s1^1 s2^3"), True) == BraidVerdict.INAPPLICABLE
 
     def test_negative_side(self):
         word = parse_braid("4: s1^-3 s2^-3 s3^-3")
-        assert braid_criterion(word, prime_asserted=True) is BraidVerdict.MERIDIAN_UNDER_FOUR
+        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.MERIDIAN_UNDER_FOUR
 
     def test_link_closure_rejected(self):
         with pytest.raises(ClosureIsLink):

@@ -13,7 +13,6 @@ from cuspbounds import (
     BraidWord,
     PlanarDiagram,
     braid_closure,
-    mirror,
     parse_braid,
     parse_pd,
 )
@@ -29,7 +28,14 @@ from cuspbounds.errors import (
     TooManyCrossings,
     ZeroExponent,
 )
-from genutil import crossing_labels, findall_parse_pd, random_knot_diagram, weaving_braid
+from cuspbounds.diagram import _face_orbits
+from genutil import (
+    crossing_labels,
+    findall_parse_pd,
+    mirror,
+    random_knot_diagram,
+    weaving_braid,
+)
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -37,7 +43,12 @@ KINK = "X[1,1,2,2]"
 
 
 def face_degrees(d: PlanarDiagram) -> list[int]:
-    return sorted(len(f.boundary) for f in d.faces)
+    return sorted(map(len, _face_orbits(d.partner)))
+
+
+def alternating_bigons(d: PlanarDiagram) -> int:
+    """Degree-2 faces between two crossings whose slots share parity."""
+    return sum(d1 >> 2 != d2 >> 2 and (d1 - d2) % 2 == 0 for d1, d2 in d.degree_two_faces)
 
 
 class TestParsePd:
@@ -45,12 +56,12 @@ class TestParsePd:
         d = parse_pd(TREFOIL)
         assert d.c == 3
         assert len(set(d.slots)) == 6
-        assert len(d.faces) == 5
+        assert len(_face_orbits(d.partner)) == 5
 
     def test_kink(self):
         d = parse_pd(KINK)
         assert d.c == 1
-        assert len(d.faces) == 3
+        assert len(_face_orbits(d.partner)) == 3
 
     def test_paren_tuples_and_commas(self):
         d = parse_pd("(1,4,2,5), (3,6,4,1), (5,2,6,3)")
@@ -212,25 +223,27 @@ class TestFaces:
     def test_trefoil_faces(self):
         d = parse_pd(TREFOIL)
         assert face_degrees(d) == [2, 2, 2, 3, 3]
-        assert sum(f.is_alternating_bigon for f in d.faces) == 3
+        assert alternating_bigons(d) == 3
 
     def test_fig8_faces(self):
         d = parse_pd(FIG8)
         assert face_degrees(d) == [2, 2, 3, 3, 3, 3]
-        assert sum(f.is_alternating_bigon for f in d.faces) == 2
+        assert alternating_bigons(d) == 2
 
     def test_kink_faces(self):
         d = parse_pd(KINK)
         assert face_degrees(d) == [1, 1, 2]
         # the degree-2 face sits at a single crossing, so it is no bigon
-        assert not any(f.is_alternating_bigon for f in d.faces)
+        assert len(d.degree_two_faces) == 1
+        assert alternating_bigons(d) == 0
 
     def test_euler_and_degree_sum_on_random_diagrams(self):
         rng = random.Random(20240811)
         for _ in range(60):
             d = random_knot_diagram(rng, 12)
-            assert len(d.faces) == d.c + 2
-            assert sum(len(f.boundary) for f in d.faces) == 4 * d.c
+            orbits = _face_orbits(d.partner)
+            assert len(orbits) == d.c + 2
+            assert sum(map(len, orbits)) == 4 * d.c
 
 
 class TestParseBraid:
@@ -267,6 +280,21 @@ class TestParseBraid:
         # int() refuses more than 4,300 digits with a plain ValueError
         with pytest.raises(error):
             parse_braid(text)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (f"{'9' * 5000}: s1^3", MalformedToken, f"bad strand count {'9' * 20!r}"),
+            (f"3: s1^3 {'x' * 5000}", MalformedToken, f"unrecognized braid syllable {'x' * 20!r}"),
+            (f"3: s{'1' * 4000}^0", ZeroExponent, f"syllable {'s' + '1' * 19!r} has exponent zero"),
+            (f"{'9' * 4000}: s1^3", TooManyCrossings, f"strand count {'9' * 20!r} exceeds 100001"),
+            (f"3: s{'9' * 4000}^3", BadGeneratorIndex, f"generator s{'9' * 20} outside 1..2"),
+        ],
+    )
+    def test_long_tokens_are_echoed_cut_to_twenty_characters(self, text, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_braid(text)
+        assert str(excinfo.value) == message
 
     def test_merge_adjacent(self):
         w = parse_braid("3: s1^2 s1^1 s2^-1")

@@ -25,10 +25,12 @@ from cuspbounds import (
 from cuspbounds.cli import main
 from cuspbounds.errors import (
     BadDiagramCounts,
+    BudgetOutOfRange,
     DeltaOutOfRange,
     FileUnreadable,
     MissingHeader,
     NonFiniteVolume,
+    NonPositiveBudget,
     NoSlopeSource,
     NotOneInputSource,
 )
@@ -79,6 +81,24 @@ class TestRunAnalyze:
         report = run_analyze(AnalysisRequest(pair=(11, 1, 24), budget=Fraction(4)))
         assert report["bounds"]["meridian"]["value"] == 3.0
         assert report["criterion"] == {"budget": 4.0, "satisfied": True}
+
+    @pytest.mark.parametrize(
+        "budget, error",
+        [
+            (Fraction(10**400), BudgetOutOfRange),
+            (Fraction(-(10**400)), BudgetOutOfRange),
+            (Fraction(1, 10**400), BudgetOutOfRange),
+            (math.inf, BudgetOutOfRange),
+            (math.nan, BudgetOutOfRange),
+            (Fraction(0), NonPositiveBudget),
+            (-1e-300, NonPositiveBudget),
+        ],
+    )
+    @pytest.mark.parametrize("source", [{"pair": (1, 1, 2)}, {"pd": FIG8}])
+    def test_budget_is_refused_without_a_positive_finite_float(self, source, budget, error):
+        # the report prints the budget as a float, so that float must exist
+        with pytest.raises(error):
+            run_analyze(AnalysisRequest(**source, budget=budget))
 
     def test_braid_report_includes_verdict(self):
         report = run_analyze(AnalysisRequest(braid="4: s1^3 s2^3 s3^3", prime_asserted=True))
@@ -336,7 +356,7 @@ class TestRunBatch:
         path = tmp_path / "table.csv"
         path.write_text(f'name,pd,reference_meridian\ntoobig,"{FIG8}",5.0\n')
         result = run_batch(os.fspath(path))
-        assert result.failed == 1
+        assert result.to_dict()["summary"]["fail"] == 1
         assert result.rows[0]["slack"] == pytest.approx(-3.5)
 
     def test_missing_header(self, tmp_path):

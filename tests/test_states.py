@@ -8,15 +8,16 @@ import pytest
 from cuspbounds import (
     braid_closure,
     invariants,
-    mirror,
     parse_braid,
     parse_pd,
     resolve,
     twist_analysis,
 )
 from cuspbounds.errors import ClosureIsLink, NonAlternatingBigon, StateLengthMismatch
+from cuspbounds.diagram import _face_orbits
 from genutil import (
     is_alternating_diagram,
+    mirror,
     path_following_circle_count,
     pretzel_pd,
     random_knot_diagram,
@@ -214,7 +215,8 @@ class TestTwistAnalysis:
         d = parse_pd("X[2,1,3,4] X[4,3,5,6] X[5,1,2,6]")
         with pytest.raises(NonAlternatingBigon) as excinfo:
             twist_analysis(d, invariants(d))
-        assert excinfo.value.face is not None
+        # the face between crossings 0 and 2 (0-based) is the clasp
+        assert str(excinfo.value) == "non-alternating bigon between crossings 0 and 2"
 
     def test_counting_identities(self):
         rng = random.Random(2718)
@@ -247,8 +249,12 @@ class TestKernelAgainstOracles:
             assert v == circles == path_following_circle_count(d, state)
             assert adequate == (not any(loops))
         boundaries = traced_faces(d)
-        assert len(d.faces) == len(boundaries) == d.c + 2
-        assert [f.boundary for f in d.faces] == boundaries
+        orbits = _face_orbits(d.partner)
+        assert len(orbits) == len(boundaries) == d.c + 2
+        assert [tuple(divmod(dart, 4) for dart in orbit) for orbit in orbits] == boundaries
+        assert d.degree_two_faces == tuple(
+            tuple(4 * ci + si for ci, si in b) for b in boundaries if len(b) == 2
+        )
         bigons = [b for b in boundaries if len(b) == 2 and b[0][0] != b[1][0]]
         if any(b[0][1] % 2 != b[1][1] % 2 for b in bigons):
             with pytest.raises(NonAlternatingBigon):
