@@ -8,11 +8,11 @@ torus-degenerate diagram), so pipelines can filter non-hyperbolic inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import CuspBoundsError
 from .pipeline import (
@@ -148,14 +148,6 @@ def _print_text(report: dict, out) -> None:
         )
 
 
-def _emit(report: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _print_text(report, out)
-
-
 def _print_batch_text(report: dict, out) -> None:
     for row in report["rows"]:
         if row["status"] == "skip":
@@ -171,6 +163,67 @@ def _print_batch_text(report: dict, out) -> None:
         f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}",
         file=out,
     )
+
+
+def _finite_repr(x: float) -> str:
+    if x - x:  # nan for nan and for either infinity
+        raise ValueError(f"out of range float value for JSON: {x!r}")
+    return float.__repr__(x)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite_repr,
+            bool: _LITERALS, type(None): _LITERALS}
+
+
+def _json_parts(value, newline: str, parts: list) -> None:
+    """Append to ``parts`` what ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes, indented after ``newline``. Types are matched
+    exactly; any other raises ``TypeError`` before it is iterated."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            encode = _SCALARS.get(type(item))  # scalars are written here, not in a call
+            if encode is not None:
+                parts.append(separator + encode_basestring_ascii(key) + ": " + encode(item))
+            else:
+                parts.append(separator + encode_basestring_ascii(key) + ": ")
+                _json_parts(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    elif kind is list:
+        separator = "[" + inner
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                parts.append(separator + encode(item))
+            else:
+                parts.append(separator)
+                _json_parts(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]" if value else "[]")
+    elif kind in _SCALARS:  # a bare scalar
+        parts.append(_SCALARS[kind](value))
+    else:
+        raise TypeError(f"{kind.__name__} is not a JSON report type")
+
+
+def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
+    """Print ``report`` as text, or as JSON once all of it is encoded, so that a
+    refused value writes nothing. JSON goes out in 8 KiB pieces: an unbuffered
+    stream (``python -u``) drops the rest of a write that a closed pipe took in
+    part, and the next piece raises ``BrokenPipeError``."""
+    if fmt != "json":
+        print_text(report, out)
+        return
+    parts: list = []
+    _json_parts(report, "\n", parts)
+    text = "".join(parts) + "\n"
+    for start in range(0, len(text), 8192):
+        out.write(text[start:start + 8192])
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -272,10 +325,7 @@ def _run(argv: list[str] | None) -> int:
             report = {"status": "ok", "diagnostics": [], "slopes": verdicts}
         else:  # batch
             report = run_batch(args.csv_path).to_dict()
-            if args.format == "json":
-                _emit(report, "json", out)
-            else:
-                _print_batch_text(report, out)
+            _emit(report, args.format, out, _print_batch_text)
             return EXIT_ERROR if report["summary"]["fail"] else EXIT_OK
     except CuspBoundsError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

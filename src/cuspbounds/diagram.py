@@ -49,6 +49,13 @@ from .errors import (
 # Crossings a braid word may ask for, counted as the sum of |r| over its
 # syllables as written; about 1 KB of memory per crossing.
 MAX_CROSSINGS = 100_000
+# int() and str() convert numbers of at most 4,300 digits.
+_STR_LIMIT = 10**4300
+
+
+def _cut(n: int) -> str:
+    """``n`` cut to 20 characters, without asking str() for more than 4,300 digits."""
+    return str(n)[:20] if abs(n) < _STR_LIMIT else "<over 4300 digits>"
 
 
 def _pair_darts(slots: tuple[int, ...]) -> list[int]:
@@ -207,10 +214,15 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         if self.strands < 2:
-            raise FewerThanTwoStrands(f"need at least 2 strands, got {self.strands}")
+            raise FewerThanTwoStrands(f"need at least 2 strands, got {_cut(self.strands)}")
+        # The caps of parse_braid, for words built without it.
+        if self.strands > MAX_CROSSINGS + 1:
+            raise TooManyCrossings(f"strand count exceeds {MAX_CROSSINGS + 1}")
+        if sum(abs(r) for _, r in self.syllables) > MAX_CROSSINGS:
+            raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
         for i, r in self.syllables:
             if not 1 <= i <= self.strands - 1:
-                raise BadGeneratorIndex(f"generator s{str(i)[:20]} outside 1..{self.strands - 1}")
+                raise BadGeneratorIndex(f"generator s{_cut(i)} outside 1..{self.strands - 1}")
             if r == 0:
                 raise ZeroExponent(f"syllable s{i}^0 is empty")
         for (i, _), (j, _) in zip(self.syllables, self.syllables[1:]):

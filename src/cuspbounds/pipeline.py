@@ -1,8 +1,10 @@
 """Analysis pipelines behind the CLI: single inputs, slope sweeps, batch CSV.
 
-Reports are plain JSON-shaped dicts (str/int/float/bool/None containers), so
-serialization is ``json.dumps`` and parsing is ``json.loads``; floats are
-rounded to 12 significant digits on the way out.
+Reports are plain JSON-shaped dicts (dicts with str keys, lists, str, int,
+float, bool, None; no tuples or float subclasses), and floats are rounded to
+12 significant digits on the way out. The CLI writes them with its own writer,
+byte for byte what ``json.dumps(report, indent=2, sort_keys=True)`` writes;
+``json.loads`` reads them back.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from cuspbounds import (
 from cuspbounds.errors import (
     BadGeneratorIndex,
     ClosureIsLink,
+    CuspBoundsError,
     EmptyDiagram,
     EdgeLabelUsedOtherThanTwice,
     FewerThanTwoStrands,
@@ -289,12 +290,34 @@ class TestParseBraid:
             (f"3: s{'1' * 4000}^0", ZeroExponent, f"syllable {'s' + '1' * 19!r} has exponent zero"),
             (f"{'9' * 4000}: s1^3", TooManyCrossings, f"strand count {'9' * 20!r} exceeds 100001"),
             (f"3: s{'9' * 4000}^3", BadGeneratorIndex, f"generator s{'9' * 20} outside 1..2"),
+            (f"-{'9' * 4000}: s1^3", FewerThanTwoStrands, f"need at least 2 strands, got -{'9' * 19}"),
         ],
     )
     def test_long_tokens_are_echoed_cut_to_twenty_characters(self, text, error, message):
         with pytest.raises(error) as excinfo:
             parse_braid(text)
         assert str(excinfo.value) == message
+
+    def test_braid_word_applies_the_caps_itself(self):
+        # words built without parse_braid: numbers past str()'s 4,300 digits and
+        # more strands or crossings than MAX_CROSSINGS allows end in coded errors
+        cap = cuspbounds.diagram.MAX_CROSSINGS
+        huge = 10**5000
+        calls = [
+            (lambda: BraidWord(2, ((huge, 1),)), BadGeneratorIndex),
+            (lambda: BraidWord(2, ((-huge, 1),)), BadGeneratorIndex),
+            (lambda: BraidWord(huge, ((1, 1),)).permutation(), TooManyCrossings),
+            (lambda: BraidWord(-huge, ((1, 1),)), FewerThanTwoStrands),
+            (lambda: BraidWord(cap + 2, ((1, 1),)), TooManyCrossings),
+            (lambda: BraidWord(2, ((1, huge),)), TooManyCrossings),
+            (lambda: BraidWord(3, ((1, cap), (2, -1))), TooManyCrossings),
+        ]
+        for call, error in calls:
+            with pytest.raises(error) as excinfo:
+                call()
+            assert isinstance(excinfo.value, CuspBoundsError)
+            assert len(str(excinfo.value)) < 80
+        assert BraidWord(cap + 1, ((1, cap),)).strands == cap + 1
 
     def test_merge_adjacent(self):
         w = parse_braid("3: s1^2 s1^1 s2^-1")

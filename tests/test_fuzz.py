@@ -3,19 +3,24 @@
 Whatever the input, ``cli.main`` returns 0, 1 or 2, or argparse exits with
 status 1 for a usage mistake; nothing else escapes. Every ``error[...]``
 line names a ``CuspBoundsError`` subclass, and every JSON report is strict
-JSON, without NaN or Infinity.
+JSON, without NaN or Infinity. The CLI's JSON writer writes what
+``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` does, and
+refuses any other value before it writes anything.
 """
 
 import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cuspbounds import errors
-from cuspbounds.cli import main
+from cuspbounds.bounds import Sqrt
+from cuspbounds.cli import _emit, main
 
 CODES = {
     name for name, obj in vars(errors).items()
@@ -151,3 +156,59 @@ def test_batch_command(tmp_path, rows, header, fmt):
         writer.writerow(["name", "pd", "reference_meridian", "reference_volume"][: 4 if header else 2])
         writer.writerows(rows)
     run(["batch", str(path), "--format", fmt])
+
+
+STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),  # with lone surrogates
+    st.sampled_from(["", "\udcff", "\ud835\udd38", "\t\n\x00\x1f\x7f", "\u00e9\u2212", '"\\/']),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, -(10**4000), 2**64, 10**300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+    STRINGS,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class NotIterated(dict):
+    def __iter__(self):
+        raise AssertionError("the writer iterated an unknown type")
+
+
+REFUSED = [
+    (float("nan"), ValueError),
+    (float("inf"), ValueError),
+    (float("-inf"), ValueError),
+    ((1, 2), TypeError),
+    (Fraction(1, 3), TypeError),
+    (Sqrt(2), TypeError),
+    ({1: "one"}, TypeError),
+    (NotIterated(a=1), TypeError),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    out = io.StringIO()
+    _emit(value, "json", out)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad, error", REFUSED)
+@settings(max_examples=20, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_refuses_before_writing(bad, error, value):
+    for report in (bad, [value, bad], {"a": value, "b": {"c": bad}}, {"a": [value, [bad]]}):
+        out = io.StringIO()
+        with pytest.raises(error):
+            _emit(report, "json", out)
+        assert out.getvalue() == ""
