@@ -178,8 +178,9 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite_repr
 
 def _json_parts(value, newline: str, parts: list) -> None:
     """Append to ``parts`` what ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` writes, indented after ``newline``. Types are matched
-    exactly; any other raises ``TypeError`` before it is iterated."""
+    allow_nan=False)`` writes for the dict or list ``value`` at the depth whose
+    line break and indent are ``newline``. Types are matched exactly; any other
+    type raises ``TypeError`` before it is iterated."""
     kind = type(value)
     inner = newline + "  "
     if kind is dict:
@@ -205,8 +206,6 @@ def _json_parts(value, newline: str, parts: list) -> None:
                 _json_parts(item, inner, parts)
             separator = "," + inner
         parts.append(newline + "]" if value else "[]")
-    elif kind in _SCALARS:  # a bare scalar
-        parts.append(_SCALARS[kind](value))
     else:
         raise TypeError(f"{kind.__name__} is not a JSON report type")
 

@@ -1,10 +1,9 @@
 """Analysis pipelines behind the CLI: single inputs, slope sweeps, batch CSV.
 
-Reports are plain JSON-shaped dicts (dicts with str keys, lists, str, int,
-float, bool, None; no tuples or float subclasses), and floats are rounded to
-12 significant digits on the way out. The CLI writes them with its own writer,
-byte for byte what ``json.dumps(report, indent=2, sort_keys=True)`` writes;
-``json.loads`` reads them back.
+Reports are plain JSON-shaped dicts (str-keyed dicts, lists, str, int, float,
+bool, None; no tuples or float subclasses), with floats rounded to 12
+significant digits. The CLI's writer prints them as ``json.dumps(report,
+indent=2, sort_keys=True)`` does, byte for byte.
 """
 
 from __future__ import annotations
