@@ -10,12 +10,15 @@ of each quantity with the rule that gave it. The rules and their sources:
   meridian <= 6(|chi1| + |chi2|)/i, lambda <= 3(|chi1| + |chi2|),
   area <= 18(|chi1| + |chi2|)^2 / i. Source: *Geometric estimates from
   spanning surfaces* (arXiv 1608.05035).
-* ``adequate``   -- for adequate diagrams the checkerboard pair has
-  |chi_A| + |chi_B| = c + 2g - 2 and boundary intersection 2c, giving
-  meridian <= 3 + (6g - 6)/c, lambda <= 3c + 6g - 6,
+* ``adequate``   -- ``general`` on the checkerboard pair of an adequate
+  diagram, which has |chi_A| + |chi_B| = c + 2g - 2 and boundary
+  intersection 2c: meridian <= 3 + (6g - 6)/c, lambda <= 3c + 6g - 6,
   area <= 9c (1 + (2g - 2)/c)^2. Source: arXiv 1608.05035.
-* ``twist``      -- meridian <= 3 + 3t/c - 6/c from the twist number t.
-  Source not yet identified, so its diagram hypotheses are not known.
+* ``twist``      -- meridian <= 3 + 3t/c - 6/c from the twist number t, a
+  corollary of ``adequate`` with the same hypotheses. Collapsing each twist
+  region of an adequate diagram to one crossing keeps g and leaves t
+  crossings whose all-A and all-B states have at least two circles each, so
+  t - 2g >= 2 and this bound exceeds the ``adequate`` one by at least 6/c.
 * ``pretzel``    -- the three-strip pretzel P(a, -b, -c), a, b, c odd > 1:
   the all-A surface (chi = 1 - b - c, boundary slope -2b - 2c) against the
   genus-minimizing spanning surface (chi = -1, slope 0) gives meridian <= 3.
@@ -50,10 +53,12 @@ from .errors import (
     NotOddOrTooSmall,
     TooFewTwistRegions,
 )
-from .surgery import SIX
 
 Numeric = Union[int, float, Fraction]
 QUANTITIES = ("meridian", "lambda", "cuspArea")
+# The 6-theorem: slopes longer than six are never exceptional, and a
+# meridian, which is never exceptional, is shorter than six.
+SIX = 6
 
 
 def sig12(x: Numeric) -> float:
@@ -90,52 +95,45 @@ class SurfacePairData:
         if self.intersection < 1:
             raise DegenerateSurfacePair("boundary intersection number must be positive")
 
-    @property
-    def chi_sum(self) -> int:
-        return self.abs_chi_1 + self.abs_chi_2
 
-
-def general_bounds(pair: SurfacePairData) -> dict[str, Fraction]:
-    """Bounds from an arbitrary essential spanning-surface pair. The lambda
-    bound is strict in its derivation and reported non-strict, as stated."""
-    s, i = pair.chi_sum, pair.intersection
+def _pair_bounds(s: int, i: int) -> dict[str, Fraction]:
+    """The bounds of a surface pair with |chi1| + |chi2| = s and boundary
+    intersection number i. The lambda bound is strict in its derivation and
+    reported non-strict, as stated."""
     return {"meridian": Fraction(6 * s, i), "lambda": Fraction(3 * s),
             "cuspArea": Fraction(18 * s * s, i)}
 
 
-def criterion_check(pair: SurfacePairData, budget: Numeric) -> bool:
-    """Whether |chi1| + |chi2| <= (budget/6) * i, exactly.
+def general_bounds(pair: SurfacePairData) -> dict[str, Fraction]:
+    """Bounds from an arbitrary essential spanning-surface pair."""
+    return _pair_bounds(pair.abs_chi_1 + pair.abs_chi_2, pair.intersection)
 
-    Equivalent to the general meridian bound being at most ``budget``; the
-    boundary case (equality) counts as satisfied.
-    """
+
+def criterion_check(pair: SurfacePairData, budget: Numeric) -> bool:
+    """Whether the general meridian bound is at most ``budget``, exactly; the
+    boundary case (equality) counts as satisfied."""
     b = Fraction(budget)
     if b <= 0:
         raise NonPositiveBudget(f"budget must be positive, got {budget}")
-    return Fraction(pair.chi_sum) <= b / 6 * pair.intersection
+    return general_bounds(pair)["meridian"] <= b
 
 
 def adequate_bounds_from_counts(c: int, g_t: int) -> dict[str, Fraction]:
-    """The adequate-diagram formulas as pure arithmetic in (c, g)."""
-    if c < 1:
-        raise BadDiagramCounts(f"crossing count must be positive, got {c}")
-    if g_t < 0:
-        raise BadDiagramCounts(f"genus must be non-negative, got {g_t}")
-    return {
-        "meridian": 3 + Fraction(6 * g_t - 6, c),
-        "lambda": Fraction(3 * c + 6 * g_t - 6),
-        "cuspArea": 9 * c * (1 + Fraction(2 * g_t - 2, c)) ** 2,
-    }
+    """The general bounds of the checkerboard pair of an adequate diagram with
+    c >= 1 crossings and genus g >= 0: |chi_A| + |chi_B| = c + 2g - 2, i = 2c."""
+    if c < 1 or g_t < 0:
+        raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
+    return _pair_bounds(c + 2 * g_t - 2, 2 * c)
 
 
 def adequate_bounds(inv: dict) -> dict[str, Fraction]:
     """Bounds for an adequate diagram's checkerboard surface pair, from its
     :func:`states.invariants`."""
     if not inv["adequate"]:
-        raise NotAdequate("diagram is not adequate on both sides")
+        raise NotAdequate("diagram is not adequate; no diagrammatic bound applies")
     if inv["chiA"] == 0 or inv["chiB"] == 0:
         raise MoebiusBand(
-            "a checkerboard surface is a Moebius band; (2, p) torus diagram, not hyperbolic"
+            "a checkerboard surface is a Moebius band; (2, p) torus knot, not hyperbolic"
         )
     return adequate_bounds_from_counts(inv["c"], inv["gT"])
 

@@ -23,8 +23,10 @@ from .errors import (
     CuspBoundsError,
     FileUnreadable,
     MissingHeader,
+    MoebiusBand,
     NoSlopeSource,
     NonAlternatingBigon,
+    NotAdequate,
     NotOneInputSource,
 )
 
@@ -106,19 +108,15 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
             "torus-degenerate / non-hyperbolic: bigons form a cycle through every crossing"
         )
         return report
-    if not inv["adequate"]:
-        report["diagnostics"].append("diagram is not adequate; no diagrammatic bound applies")
-        if request.budget is not None or request.slopes:
+    try:
+        rules = [("adequate", bd.adequate_bounds(inv))]
+    except (NotAdequate, MoebiusBand) as exc:
+        report["diagnostics"].append(str(exc))
+        if isinstance(exc, MoebiusBand):
+            report["status"] = STATUS_INAPPLICABLE
+        elif request.budget is not None or request.slopes:
             report["diagnostics"].append("budget and slope analysis need an adequate diagram")
         return report
-    if inv["chiA"] == 0 or inv["chiB"] == 0:
-        report["status"] = STATUS_INAPPLICABLE
-        report["diagnostics"].append(
-            "a checkerboard surface is a Moebius band; (2, p) torus knot, not hyperbolic"
-        )
-        return report
-
-    rules = [("adequate", bd.adequate_bounds(inv))]
     t = inv["t"]
     if t is not None:
         rules.append(("twist", bd.twist_bound(diagram.c, t)))
@@ -200,11 +198,11 @@ def run_surgery(
     if montesinos:
         tests = sg.MONTESINOS
     elif delta is not None:
-        tests = sg.SlopeThresholds(delta)
+        tests = sg.SlopeThresholds(3 * (1 + Fraction(delta)))
     elif c is None or g_t is None:
         raise NoSlopeSource("need delta, (c, g), or a Montesinos twist number")
     else:
-        tests = sg.counts_thresholds(c, g_t)
+        tests = sg.SlopeThresholds(bd.adequate_bounds_from_counts(c, g_t)["meridian"])
     lengths = not montesinos and delta is None
     rule = "montesinos_window" if montesinos else "surgery_window"
     scale = refused = None

@@ -1,11 +1,14 @@
 """Per-slope analysis: length floors, exceptional-slope exclusion, volume.
 
-For an adequate knot with crossing number c and diagram genus g, write
-delta = (2g - 2)/c. Filling slopes p/q meet the meridian |q| times, and the
-meridian bound 3 + (6g - 6)/c turns the cusp-area floor of 3.35 into a
-slope-length floor
+Every threshold rests on one number, an upper bound M on the meridian
+length. Filling slopes p/q meet the meridian |q| times, so the cusp-area
+floor of 3.35 (Cao-Meyerhoff) turns M into a slope-length floor
 
-    length(p/q) > 3.35 |q| c / (3c + 6g - 6) = (3.35/3) |q| / (1 + delta).
+    length(p/q) > 3.35 |q| / M = (3.35/3) |q| / (1 + delta),  1 + delta = M/3.
+
+For an adequate knot with crossing number c and diagram genus g, M is the
+``adequate`` bound 3 + (6g - 6)/c, so delta = (2g - 2)/c and the floor is
+3.35 |q| c / (3c + 6g - 6).
 
 Consequences, each decided in exact rational arithmetic:
 
@@ -24,9 +27,10 @@ Thresholds follow the printed forms: the 2-pi test is strict, the volume
 window's precondition is non-strict, and an exact hit |q| = 6(1 + delta) is
 flagged in the verdict. All of them need 1 + delta > 0 (real knots have
 delta >= -2/3), so a smaller delta is refused with ``DeltaOutOfRange``.
-A sweep writes 1 + delta = n/m once (``SlopeThresholds``) and decides each
-slope in integers, |q| > k(1 + delta) as |q| m > k n; floats appear only in
-the reported values, as correctly rounded quotients of exact integers.
+A sweep writes 1 + delta = M/3 = n/m once (``SlopeThresholds``, keyed on
+M) and decides each slope in integers, |q| > k(1 + delta) as |q| m > k n;
+floats appear only in the reported values, as correctly rounded quotients of
+exact integers.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import SIX, adequate_bounds_from_counts
 from .errors import (
-    BadDiagramCounts,
     DeltaOutOfRange,
     InvalidSlope,
     NonFiniteVolume,
@@ -48,10 +52,8 @@ from .errors import (
 Rational = int | Fraction
 
 
-# The constants of every threshold, with provenance.
-# The 6-theorem: slopes longer than six are never exceptional, and a
-# meridian, which is never exceptional, is shorter than six.
-SIX = 6
+# The constants of every threshold, with provenance; SIX, the 6-theorem's
+# length, comes from ``bounds``.
 # Every knot cusp has area at least 3.35 (Cao-Meyerhoff).
 CUSP_AREA_FLOOR = Fraction(67, 20)
 # A slope is not exceptional when |q| > 18/3.35 (1 + delta) = (360/67)(1 + delta).
@@ -84,15 +86,16 @@ def checked_volume(vol: float) -> float:
 
 
 class SlopeThresholds:
-    """The slope tests for one 1 + delta = n/m (n, m > 0), decided on |q| in
-    integers: |q| > k (1 + delta) becomes |q| m > k n. Floats are int true
-    divisions, correctly rounded like ``float(Fraction)``."""
+    """The slope tests for a meridian bound M, with 1 + delta = M/3 = n/m
+    (n, m > 0), decided on |q| in integers: |q| > k (1 + delta) becomes
+    |q| m > k n. Floats are int true divisions, correctly rounded like
+    ``float(Fraction)``."""
 
-    def __init__(self, delta: Rational, floor_text: str | None = None) -> None:
-        d = Fraction(delta)
-        n, m = d.numerator + d.denominator, d.denominator  # the denominator is positive
+    def __init__(self, meridian: Rational, floor_text: str | None = None) -> None:
+        one = Fraction(meridian) / 3
+        n, m = one.numerator, one.denominator  # the denominator is positive
         if n <= 0:
-            raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {d}")
+            raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {one - 1}")
         self.m = m
         self.six_n = SIX * n
         self.n36 = self.six_n * self.six_n
@@ -108,7 +111,7 @@ class SlopeThresholds:
         return q * self.m67 > self.n360, q * self.m > self.six_n
 
     def length(self, q: int) -> float:
-        """The slope-length floor 3.35 |q| / (3 (1 + delta))."""
+        """The slope-length floor 3.35 |q| / M = 3.35 |q| / (3 (1 + delta))."""
         return q * self.m67 / self.n60
 
     def window(self, q: int, vol: float) -> tuple[float, bool]:
@@ -122,21 +125,14 @@ class SlopeThresholds:
         return vol * ((qm2 - self.n36) / qm2) ** 1.5, qm == self.six_n
 
 
-# The Montesinos window asks |q| >= 6: the thresholds at 1 + delta = 1.
-MONTESINOS = SlopeThresholds(0, floor_text="6")
-
-
-def counts_thresholds(c: int, g_t: int) -> SlopeThresholds:
-    """The thresholds of delta = (2g - 2)/c, for c >= 1 crossings and diagram genus g >= 0."""
-    if c < 1 or g_t < 0:
-        raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
-    return SlopeThresholds(Fraction(2 * g_t - 2, c))
+# The Montesinos window asks |q| >= 6: the thresholds at M = 3, 1 + delta = 1.
+MONTESINOS = SlopeThresholds(3, floor_text="6")
 
 
 def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:
-    """Lower bound 3.35 |q| c / (3c + 6g - 6) on the slope's length; 1 + delta =
-    (3c + 6g - 6) / 3c, so a denominator 3c + 6g - 6 <= 0 raises ``DeltaOutOfRange``."""
-    return counts_thresholds(c, g_t).length(abs(slope.q))
+    """Lower bound 3.35 |q| / M = 3.35 |q| c / (3c + 6g - 6) on the slope's length,
+    M the ``adequate`` meridian bound; M <= 0 raises ``DeltaOutOfRange``."""
+    return SlopeThresholds(adequate_bounds_from_counts(c, g_t)["meridian"]).length(abs(slope.q))
 
 
 def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
@@ -146,7 +142,7 @@ def exceptional_filter(delta: Rational, slope: Slope) -> tuple[bool, bool]:
     strict inequalities on |q| against (360/67)(1 + delta) and 6(1 + delta).
     A delta with 1 + delta <= 0 is refused with ``DeltaOutOfRange``.
     """
-    return SlopeThresholds(delta).filter(abs(slope.q))
+    return SlopeThresholds(3 * (1 + Fraction(delta))).filter(abs(slope.q))
 
 
 def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> tuple[float, float, bool]:
@@ -157,7 +153,7 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> tuple[fl
     volume strictly drops under filling; ``boundary_hit`` flags |q| = 6(1 + delta).
     """
     vol = checked_volume(vol)
-    lower, hit = SlopeThresholds(delta).window(abs(slope.q), vol)
+    lower, hit = SlopeThresholds(3 * (1 + Fraction(delta))).window(abs(slope.q), vol)
     return lower, vol, hit
 
 

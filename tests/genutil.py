@@ -18,12 +18,12 @@ import re
 from collections import deque
 from fractions import Fraction
 
-from cuspbounds import (
+from cuspbounds import parse_pd
+from cuspbounds.diagram import (
     BraidWord,
     PlanarDiagram,
     braid_closure,
     parse_braid,
-    parse_pd,
 )
 from cuspbounds.errors import ClosureIsLink, EmptyDiagram, MalformedToken
 

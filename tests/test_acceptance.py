@@ -24,25 +24,24 @@ from pathlib import Path
 import mpmath
 
 from cuspbounds import (
-    PretzelParams,
     Slope,
-    SurfacePairData,
     adequate_bounds,
-    adequate_bounds_from_counts,
-    braid_closure,
-    exceptional_filter,
-    general_bounds,
     invariants,
-    montesinos_window,
-    parse_braid,
     parse_pd,
-    pretzel_bounds,
     resolve,
     run_batch,
-    surgery_volume_window,
     twist_analysis,
+)
+from cuspbounds.bounds import (
+    PretzelParams,
+    SurfacePairData,
+    adequate_bounds_from_counts,
+    general_bounds,
+    pretzel_bounds,
     twist_bound,
 )
+from cuspbounds.diagram import braid_closure, parse_braid
+from cuspbounds.surgery import exceptional_filter, montesinos_window, surgery_volume_window
 from genutil import (
     mirror,
     path_following_circle_count,

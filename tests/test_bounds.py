@@ -10,24 +10,26 @@ from hypothesis import strategies as st
 
 from cuspbounds import (
     AnalysisRequest,
+    adequate_bounds,
+    invariants,
+    parse_pd,
+    run_analyze,
+    twist_analysis,
+)
+from cuspbounds.bounds import (
     BraidVerdict,
     PretzelParams,
     SurfacePairData,
-    adequate_bounds,
     adequate_bounds_from_counts,
     best_bounds,
     braid_criterion,
     criterion_check,
     general_bounds,
-    invariants,
-    parse_braid,
-    parse_pd,
     pretzel_bounds,
-    run_analyze,
-    twist_analysis,
     twist_area_bound,
     twist_bound,
 )
+from cuspbounds.diagram import parse_braid
 from cuspbounds.errors import (
     BadDiagramCounts,
     ClosureIsLink,
@@ -115,6 +117,7 @@ class TestAdequateBounds:
             with pytest.raises(BadDiagramCounts) as info:
                 adequate_bounds_from_counts(c, g)
             assert info.value.code == "BadDiagramCounts"
+            assert str(info.value) == f"need c >= 1 and g >= 0, got c={c}, g={g}"
             assert isinstance(info.value, ValueError)
 
     def test_not_adequate_rejected(self):
@@ -133,10 +136,9 @@ class TestAdequateBounds:
             d = random_adequate_knot_diagram(rng, 12)
             inv = invariants(d)
             pair = SurfacePairData(abs(inv["chiA"]), abs(inv["chiB"]), 2 * d.c)
-            assert (
-                general_bounds(pair)["meridian"]
-                == adequate_bounds(inv)["meridian"]
-            )
+            general = general_bounds(pair)
+            assert set(general) == {"meridian", "lambda", "cuspArea"}
+            assert general == adequate_bounds(inv) == adequate_bounds_from_counts(d.c, inv["gT"])
             assert abs(inv["chiA"]) + abs(inv["chiB"]) == d.c + 2 * inv["gT"] - 2
 
     def test_meridian_monotonicity_in_c(self):
@@ -192,10 +194,12 @@ class TestTwistBounds:
                 tw = twist_analysis(d, invariants(d))
             except NonAlternatingBigon:
                 continue
-            if tw["torusDegenerate"] or 2 * inv["gT"] - 2 > tw["t"] - 2:
+            if tw["torusDegenerate"]:
                 continue
             checked += 1
-            assert twist_bound(d.c, tw["t"])["meridian"] >= adequate_bounds(inv)["meridian"]
+            # Collapsing the twist regions leaves t crossings and the same gT.
+            assert tw["t"] - 2 * inv["gT"] >= 2
+            assert twist_bound(d.c, tw["t"])["meridian"] > adequate_bounds(inv)["meridian"]
         assert checked > 20
 
 

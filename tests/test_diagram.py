@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import cuspbounds
-from cuspbounds import (
+from cuspbounds import parse_pd
+from cuspbounds.diagram import (
     BraidWord,
     PlanarDiagram,
+    _face_orbits,
     braid_closure,
     parse_braid,
-    parse_pd,
 )
 from cuspbounds.errors import (
     BadGeneratorIndex,
@@ -29,7 +30,6 @@ from cuspbounds.errors import (
     TooManyCrossings,
     ZeroExponent,
 )
-from cuspbounds.diagram import _face_orbits
 from genutil import (
     crossing_labels,
     findall_parse_pd,

@@ -20,7 +20,6 @@ from cuspbounds import (
     run_analyze,
     run_batch,
     run_surgery,
-    surgery_volume_window,
 )
 from cuspbounds.cli import main
 from cuspbounds.errors import (
@@ -35,6 +34,7 @@ from cuspbounds.errors import (
     NotOneInputSource,
 )
 from cuspbounds.pipeline import parse_slope_list
+from cuspbounds.surgery import surgery_volume_window
 from genutil import (
     fraction_montesinos_entries,
     fraction_slope_entries,

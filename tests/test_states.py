@@ -6,15 +6,13 @@ import random
 import pytest
 
 from cuspbounds import (
-    braid_closure,
     invariants,
-    parse_braid,
     parse_pd,
     resolve,
     twist_analysis,
 )
+from cuspbounds.diagram import _face_orbits, braid_closure, parse_braid
 from cuspbounds.errors import ClosureIsLink, NonAlternatingBigon, StateLengthMismatch
-from cuspbounds.diagram import _face_orbits
 from genutil import (
     is_alternating_diagram,
     mirror,

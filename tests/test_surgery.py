@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuspbounds import (
-    Slope,
-    exceptional_filter,
-    montesinos_window,
-    slope_length_lower,
-    surgery_volume_window,
-)
+from cuspbounds import Slope
 from cuspbounds.errors import (
     BadDiagramCounts,
     DeltaOutOfRange,
@@ -22,7 +16,15 @@ from cuspbounds.errors import (
     SlopeTooSmall,
     TooFewTwistRegions,
 )
-from cuspbounds.surgery import CUSP_AREA_FLOOR, EXCLUSION_FACTOR, V8
+from cuspbounds.surgery import (
+    CUSP_AREA_FLOOR,
+    EXCLUSION_FACTOR,
+    V8,
+    exceptional_filter,
+    montesinos_window,
+    slope_length_lower,
+    surgery_volume_window,
+)
 
 mpmath.mp.dps = 50
 
