@@ -176,24 +176,34 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite_repr
             bool: _LITERALS, type(None): _LITERALS}
 
 
-def _json_parts(value, newline: str, parts: list) -> None:
+def _json_parts(value, newline: str, parts: list, layouts: dict) -> None:
     """Append to ``parts`` what ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` writes for the dict or list ``value`` at the depth whose
     line break and indent are ``newline``. Types are matched exactly; any other
-    type raises ``TypeError`` before it is iterated."""
+    type raises ``TypeError`` before it is iterated.
+
+    ``layouts`` maps a dict's key order and ``newline`` to its sorted keys,
+    each with its ready-made ``{``/``,``, line break, indent and encoded key,
+    so that a report's many dicts with one key set are laid out once."""
     kind = type(value)
     inner = newline + "  "
     if kind is dict:
-        separator = "{" + inner
-        for key in sorted(value):
+        order = tuple(value)
+        layout = layouts.get((order, newline))
+        if layout is None:
+            separator, layout = "{" + inner, []
+            for key in sorted(order):
+                layout.append((key, separator + encode_basestring_ascii(key) + ": "))
+                separator = "," + inner
+            layouts[order, newline] = layout
+        for key, prefix in layout:
             item = value[key]
             encode = _SCALARS.get(type(item))  # scalars are written here, not in a call
             if encode is not None:
-                parts.append(separator + encode_basestring_ascii(key) + ": " + encode(item))
+                parts.append(prefix + encode(item))
             else:
-                parts.append(separator + encode_basestring_ascii(key) + ": ")
-                _json_parts(item, inner, parts)
-            separator = "," + inner
+                parts.append(prefix)
+                _json_parts(item, inner, parts, layouts)
         parts.append(newline + "}" if value else "{}")
     elif kind is list:
         separator = "[" + inner
@@ -203,7 +213,7 @@ def _json_parts(value, newline: str, parts: list) -> None:
                 parts.append(separator + encode(item))
             else:
                 parts.append(separator)
-                _json_parts(item, inner, parts)
+                _json_parts(item, inner, parts, layouts)
             separator = "," + inner
         parts.append(newline + "]" if value else "[]")
     else:
@@ -219,7 +229,7 @@ def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
         print_text(report, out)
         return
     parts: list = []
-    _json_parts(report, "\n", parts)
+    _json_parts(report, "\n", parts, {})
     text = "".join(parts) + "\n"
     for start in range(0, len(text), 8192):
         out.write(text[start:start + 8192])

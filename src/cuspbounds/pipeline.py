@@ -22,6 +22,7 @@ from .errors import (
     BudgetOutOfRange,
     CuspBoundsError,
     FileUnreadable,
+    InvalidSlope,
     MissingHeader,
     MoebiusBand,
     NoSlopeSource,
@@ -192,8 +193,13 @@ def run_surgery(
     an explicit delta, else (c, g) counts, which also give length floors: the
     filter verdicts and the window of the twist number or of ``volume``. A
     window refused for a slope is its entry's ``error`` for Montesinos knots,
-    which rest on it, and its ``windowError`` elsewhere. Error entries from
-    :func:`parse_slope_list` in ``slopes`` pass through untouched."""
+    which rest on it, and its ``windowError`` elsewhere; an |q| whose length
+    floor is too large for a float is refused (``InvalidSlope``) as the
+    entry's ``error``. Error entries from :func:`parse_slope_list` in
+    ``slopes`` pass through untouched.
+
+    An entry past ``p`` and ``q`` depends on |q| alone, so each distinct |q|
+    is decided once per call; entries copy their nested dicts and share none."""
     montesinos = montesinos_t is not None
     if montesinos:
         tests = sg.MONTESINOS
@@ -215,32 +221,43 @@ def run_surgery(
             upper = bd.sig12(scale)
     except CuspBoundsError as exc:
         refused = _error(exc)
+    tails: dict = {}  # |q| -> (the entry past p and q, the key of its nested dict or None)
     out = []
     for slope in slopes:
         if isinstance(slope, dict):
             out.append(slope)
             continue
         q = abs(slope.q)
-        entry = {"p": slope.p, "q": slope.q}
-        error = refused
-        if scale is not None:
+        known = tails.get(q)
+        if known is None:
+            error, fatal = refused, montesinos  # fatal: the error is the whole entry
+            if scale is not None:
+                try:
+                    lower, hit = tests.window(q, scale)
+                except CuspBoundsError as exc:
+                    error = _error(exc)
             try:
-                lower, hit = tests.window(q, scale)
-            except CuspBoundsError as exc:
-                error = _error(exc)
-        if error is not None and montesinos:
-            entry["error"] = error
-        else:
-            non_exc, two_pi = tests.filter(q)
-            found = scale is not None and error is None
-            entry.update(lengthLower=bd.sig12(tests.length(q)) if lengths else None,
-                         nonExceptional=non_exc, twoPiExceeded=two_pi,
-                         volumeWindow={"lower": bd.sig12(lower), "upper": upper} if found else None,
-                         rule=rule if found else "filter")
-            if error is not None:
-                entry["windowError"] = error
-            elif found and hit:
-                entry["boundaryHit"] = True
+                length = bd.sig12(tests.length(q)) if lengths else None
+            except InvalidSlope as exc:
+                error, fatal = _error(exc), True
+            if error is not None and fatal:
+                tail, nested = {"error": error}, "error"
+            else:
+                non_exc, two_pi = tests.filter(q)
+                found = scale is not None and error is None
+                window = {"lower": bd.sig12(lower), "upper": upper} if found else None
+                tail = {"lengthLower": length, "nonExceptional": non_exc, "twoPiExceeded": two_pi,
+                        "volumeWindow": window, "rule": rule if found else "filter"}
+                nested = "volumeWindow" if found else None
+                if error is not None:
+                    tail["windowError"], nested = error, "windowError"
+                elif found and hit:
+                    tail["boundaryHit"] = True
+            known = tails[q] = tail, nested
+        tail, nested = known
+        entry = {"p": slope.p, "q": slope.q, **tail}
+        if nested is not None:
+            entry[nested] = tail[nested].copy()
         out.append(entry)
     return out
 

@@ -111,8 +111,14 @@ class SlopeThresholds:
         return q * self.m67 > self.n360, q * self.m > self.six_n
 
     def length(self, q: int) -> float:
-        """The slope-length floor 3.35 |q| / M = 3.35 |q| / (3 (1 + delta))."""
-        return q * self.m67 / self.n60
+        """The slope-length floor 3.35 |q| / M = 3.35 |q| / (3 (1 + delta));
+        ``InvalidSlope`` when it is too large for a float."""
+        try:
+            return q * self.m67 / self.n60
+        except OverflowError:
+            raise InvalidSlope(
+                "|q| too large: its length floor 3.35 |q| / M overflows a float"
+            ) from None
 
     def window(self, q: int, vol: float) -> tuple[float, bool]:
         """(vol (1 - 36 (1 + delta)^2 / q^2)^(3/2), whether |q| = 6(1 + delta));

@@ -293,9 +293,13 @@ def _err(code: str, message: str) -> dict:
     return {"code": code, "message": message}
 
 
+HUGE_Q = "|q| too large: its length floor 3.35 |q| / M overflows a float"
+
+
 def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> list:
     """Expected sweep entries from ``delta``, or from the counts (c, g), which
-    also give the length floor 3.35 |q| c / (3c + 6g - 6). ``slopes`` holds
+    also give the length floor 3.35 |q| c / (3c + 6g - 6); a floor too large
+    for a float makes the entry an ``InvalidSlope`` error. ``slopes`` holds
     objects with ``p`` and ``q``, and error dicts, which pass through."""
     one = 1 + (Fraction(delta) if delta is not None else Fraction(2 * g - 2, c))
     out = []
@@ -306,7 +310,11 @@ def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> l
         aq = abs(slope.q)
         length = None
         if delta is None:
-            length = _sig(float(Fraction(67, 20) * aq * c / (3 * c + 6 * g - 6)))
+            try:
+                length = _sig(float(Fraction(67, 20) * aq * c / (3 * c + 6 * g - 6)))
+            except OverflowError:
+                out.append({"p": slope.p, "q": slope.q, "error": _err("InvalidSlope", HUGE_Q)})
+                continue
         entry = {
             "p": slope.p,
             "q": slope.q,

@@ -179,6 +179,22 @@ JSON_VALUES = st.recursive(
 REPORTS = st.lists(JSON_VALUES, max_size=4) | st.dictionaries(STRINGS, JSON_VALUES, max_size=4)
 
 
+# The writer lays out each key set once per report and depth; these reports
+# repeat a few key sets in shuffled insertion orders, nested at two depths.
+KEY_SETS = [("p", "q", "rule", "volumeWindow"), ("lower", "upper"), ("code", "message"),
+            ("", "\u00e9", "a", "\ud835\udd38")]
+
+
+@st.composite
+def laid_out(draw, depth: int = 2):
+    keys = draw(st.permutations(draw(st.sampled_from(KEY_SETS))))
+    if depth == 0:
+        return {key: draw(SCALARS) for key in keys}
+    inner = laid_out(depth - 1)
+    values = st.one_of(SCALARS, inner, st.lists(inner, max_size=3))
+    return {key: draw(values) for key in keys}
+
+
 class NotIterated(dict):
     def __iter__(self):
         raise AssertionError("the writer iterated an unknown type")
@@ -204,12 +220,37 @@ def test_json_writer_matches_json_dumps(value):
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(value=st.lists(laid_out(), max_size=8))
+def test_json_writer_reuses_key_layouts(value):
+    out = io.StringIO()
+    _emit(value, "json", out)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("bad, error", REFUSED)
 @settings(max_examples=20, deadline=None)
 @given(value=JSON_VALUES)
 def test_json_writer_refuses_before_writing(bad, error, value):
-    for report in ([bad], [value, bad], {"a": value, "b": {"c": bad}}, {"a": [value, [bad]]}):
+    for report in ([bad], [value, bad], {"a": value, "b": {"c": bad}}, {"a": [value, [bad]]},
+                   [{"a": 1}, {"a": bad}], [{"a": {"a": value}}, {"a": {"a": [bad]}}]):
         out = io.StringIO()
         with pytest.raises(error):
             _emit(report, "json", out)
         assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        [{"a": 1}, {1: "x"}],
+        [{"a": 1}, {"a": 1, 2: "x"}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"b": 2, "a": {("a",): 1}}],
+        {"a": {"a": 1}, "b": [{"a": 2}, {None: 3}]},
+    ],
+)
+def test_json_writer_refuses_non_str_keys_after_a_stored_layout(report):
+    out = io.StringIO()
+    with pytest.raises(TypeError):
+        _emit(report, "json", out)
+    assert out.getvalue() == ""

@@ -1,5 +1,6 @@
 """End-to-end pipelines, JSON round trips, batch cross-checks, CLI."""
 
+import copy
 import csv
 import json
 import math
@@ -36,6 +37,7 @@ from cuspbounds.errors import (
 from cuspbounds.pipeline import parse_slope_list
 from cuspbounds.surgery import surgery_volume_window
 from genutil import (
+    HUGE_Q,
     fraction_montesinos_entries,
     fraction_slope_entries,
     random_adequate_knot_diagram,
@@ -191,6 +193,40 @@ class TestRunSurgery:
         assert verdicts[0]["nonExceptional"] is False  # 6 < (360/67)(3/2)
         assert verdicts[0]["lengthLower"] is None
 
+    def test_huge_q_is_an_invalid_slope_entry(self):
+        huge = 10**400  # the floor 67 |q| / 60 at M = 3 is past the largest float
+        slopes = (Slope(1, huge), Slope(-3, -huge), Slope(1, 7))
+        verdicts = run_surgery(slopes, c=10, g_t=1, volume=2.0)
+        error = {"code": "InvalidSlope", "message": HUGE_Q}
+        assert verdicts[:2] == [{"p": 1, "q": huge, "error": error},
+                                {"p": -3, "q": -huge, "error": error}]
+        assert verdicts[2]["rule"] == "surgery_window"
+        # without counts there is no length floor, and the slope is decided as usual
+        assert run_surgery(slopes, delta=0)[0]["nonExceptional"] is True
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": 0, "volume": 5.0},  # volumeWindow, and windowError below |q| = 6
+            {"delta": 0, "volume": -1.0},  # a refused volume: windowError everywhere
+            {"c": 10, "g_t": 1, "volume": 5.0},  # error for the huge |q|
+            {"montesinos_t": 10},  # volumeWindow, and error below |q| = 6
+            {"montesinos_t": 1},  # a refused twist number: error everywhere
+        ],
+    )
+    def test_entries_share_no_dict(self, kwargs):
+        slopes = parse_slope_list(f"1/7,-1/7,3/-7,-3/-7,1/2,-1/2,1/{10**400},-1/-{10**400}")
+        pristine = run_surgery(slopes, **kwargs)
+        for i in range(len(pristine)):
+            entries = run_surgery(slopes, **kwargs)
+            nested = [entries[i][key] for key in ("volumeWindow", "windowError", "error")
+                      if isinstance(entries[i].get(key), dict)]
+            assert nested
+            for inner in nested:
+                inner["mutated"] = True
+            assert entries[:i] + entries[i + 1:] == pristine[:i] + pristine[i + 1:]
+            assert run_surgery(slopes, **kwargs) == pristine
+
 
 # Slopes p/q in lowest terms, a few with huge |q|, mixed with an error entry
 # from the slope parser, which every sweep passes through untouched.
@@ -204,6 +240,22 @@ SLOPE_ITEMS = st.one_of(
     .map(lambda pq: Slope(*pq)),
     st.just(PASSTHROUGH),
 )
+# Lists in which |q| comes from a small pool with both signs of p and q, so
+# that p/q, p/-q and -p/-q repeat and a sweep meets each |q| many times.
+REPEATED_SLOPES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.integers(-8, 8),
+            st.sampled_from([1, 2, 5, 6, 7, 12, 1000003, 10**400]),
+            st.sampled_from([1, -1]),
+        )
+        .filter(lambda pqs: math.gcd(pqs[0], pqs[1]) == 1)
+        .map(lambda pqs: Slope(pqs[0], pqs[1] * pqs[2])),
+        st.just(PASSTHROUGH),
+    ),
+    max_size=40,
+)
+SLOPE_LISTS = st.one_of(st.lists(SLOPE_ITEMS, max_size=12), REPEATED_SLOPES)
 VOLUMES = st.one_of(
     st.none(),
     st.floats(1e-6, 1e6),
@@ -230,7 +282,7 @@ class TestSweepsAgainstFractionOracle:
     oracles of ``genutil``, entry for entry and float for float."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), slopes=st.lists(SLOPE_ITEMS, max_size=12), volume=VOLUMES)
+    @given(data=st.data(), slopes=SLOPE_LISTS, volume=VOLUMES)
     def test_delta_sweep(self, data, slopes, volume):
         delta = data.draw(deltas_for(slopes))
         expected = fraction_slope_entries(slopes, delta=delta, volume=volume)
@@ -241,7 +293,7 @@ class TestSweepsAgainstFractionOracle:
         counts=st.tuples(st.integers(1, 80), st.integers(0, 12)).filter(
             lambda cg: cg[0] + 2 * cg[1] > 2  # 1 + delta = (c + 2g - 2)/c > 0
         ),
-        slopes=st.lists(SLOPE_ITEMS, max_size=12),
+        slopes=SLOPE_LISTS,
         volume=VOLUMES,
     )
     def test_counts_sweep(self, counts, slopes, volume):
@@ -250,7 +302,7 @@ class TestSweepsAgainstFractionOracle:
         assert run_surgery(tuple(slopes), c=c, g_t=g, volume=volume) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(t=st.integers(-2, 40), slopes=st.lists(SLOPE_ITEMS, max_size=12))
+    @given(t=st.integers(-2, 40), slopes=SLOPE_LISTS)
     def test_montesinos_sweep(self, t, slopes):
         expected = fraction_montesinos_entries(slopes, t)
         assert run_surgery(tuple(slopes), montesinos_t=t) == expected
@@ -258,7 +310,7 @@ class TestSweepsAgainstFractionOracle:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        slopes=st.lists(SLOPE_ITEMS, min_size=1, max_size=12),
+        slopes=SLOPE_LISTS.filter(bool),
         volume=VOLUMES,
     )
     def test_analyze_slope_list(self, seed, slopes, volume):
@@ -536,6 +588,20 @@ class TestCli:
                     proc.kill()
                     proc.wait(timeout=60)
         assert err_path.read_bytes() == b""
+
+    @pytest.mark.parametrize("argv", [["surgery", "--crossings", "10", "--genus", "1"],
+                                      ["analyze", FIG8, "--volume", "2.029883212819"]])
+    def test_huge_q_is_a_coded_entry(self, capsys, argv):
+        huge = "1" + "0" * 400
+        assert main(argv + [f"--slopes=1/{huge},1/7", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "Infinity" not in captured.out
+        entries = strict_json(captured.out)["slopes"]
+        error = {"code": "InvalidSlope", "message": HUGE_Q}
+        assert entries[0] == {"p": 1, "q": int(huge), "error": error}
+        assert entries[1]["nonExceptional"] is True
+        assert main(argv + [f"--slopes=1/{huge}"]) == 0
+        assert f"slope 1/{huge}: error {HUGE_Q}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -1,5 +1,6 @@
 """Slope-length floors, exceptional-slope filters, volume windows."""
 
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -85,6 +86,15 @@ class TestSlopeLengthLower:
             with pytest.raises(BadDiagramCounts):
                 slope_length_lower(c, g, Slope(1, 5))
         assert issubclass(BadDiagramCounts, ValueError)
+
+    def test_floor_past_the_largest_float_is_an_invalid_slope(self):
+        # c = 10, g = 1: M = 3 and the floor is 67 |q| / 60, finite up to the
+        # largest float and refused once it rounds to 2^1024
+        last = int(sys.float_info.max) * 60 // 67
+        assert slope_length_lower(10, 1, Slope(1, last)) == float(Fraction(67 * last, 60))
+        for q in (2**1024 * 60 // 67 + 1, -(10**400)):
+            with pytest.raises(InvalidSlope, match="overflows a float"):
+                slope_length_lower(10, 1, Slope(1, q))
 
 
 class TestExceptionalFilter:
