@@ -37,9 +37,9 @@ serialized output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .diagram import BraidWord
 from .errors import (
@@ -54,7 +54,7 @@ from .errors import (
     TooFewTwistRegions,
 )
 
-Numeric = Union[int, float, Fraction]
+Numeric = int | float | Fraction
 QUANTITIES = ("meridian", "lambda", "cuspArea")
 # The 6-theorem: slopes longer than six are never exceptional, and a
 # meridian, which is never exceptional, is shorter than six.
@@ -80,20 +80,19 @@ def _signed_square(x) -> Numeric:
     return x.square if isinstance(x, Sqrt) else x * abs(x)
 
 
-@dataclass(frozen=True)
-class SurfacePairData:
+class SurfacePairData(namedtuple("SurfacePairData", "abs_chi_1 abs_chi_2 intersection")):
     """|chi| of two essential spanning surfaces and their boundary
     intersection number; all three must be positive."""
 
-    abs_chi_1: int
-    abs_chi_2: int
-    intersection: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.abs_chi_1 < 1 or self.abs_chi_2 < 1:
+    def __new__(cls, abs_chi_1: int, abs_chi_2: int, intersection: int) -> SurfacePairData:
+        if abs_chi_1 < 1 or abs_chi_2 < 1:
             raise DegenerateSurfacePair("surfaces with chi = 0 carry no length bound")
-        if self.intersection < 1:
+        if intersection < 1:
             raise DegenerateSurfacePair("boundary intersection number must be positive")
+        return tuple.__new__(cls, (abs_chi_1, abs_chi_2, intersection))
 
 
 def _pair_bounds(s: int, i: int) -> dict[str, Fraction]:
@@ -152,18 +151,17 @@ def twist_area_bound(t: int) -> dict[str, Sqrt]:
     return {"cuspArea": Sqrt(300 * (t - 1) ** 2)}
 
 
-@dataclass(frozen=True)
-class PretzelParams:
+class PretzelParams(namedtuple("PretzelParams", "a b c")):
     """Parameters of the three-strip pretzel P(a, -b, -c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        for value in (self.a, self.b, self.c):
+    def __new__(cls, a: int, b: int, c: int) -> PretzelParams:
+        for value in (a, b, c):
             if value <= 1 or value % 2 == 0:
                 raise NotOddOrTooSmall(f"pretzel parameters must be odd and > 1: {value}")
+        return tuple.__new__(cls, (a, b, c))
 
 
 def pretzel_bounds(params: PretzelParams) -> tuple[SurfacePairData, dict[str, Fraction]]:

@@ -29,9 +29,8 @@ the all-B smoothing of a positive braid closure reproduces the braid-strand
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     BadGeneratorIndex,
@@ -46,8 +45,8 @@ from .errors import (
     ZeroExponent,
 )
 
-# Crossings a braid word may ask for, counted as the sum of |r| over its
-# syllables as written; about 1 KB of memory per crossing.
+# Crossings a PD code may list, or a braid word ask for (counted as the sum of
+# |r| over its syllables as written); about 1 KB of memory per crossing.
 MAX_CROSSINGS = 100_000
 # int() and str() convert numbers of at most 4,300 digits.
 _STR_LIMIT = 10**4300
@@ -118,31 +117,42 @@ def _face_orbits(partner: Sequence[int]) -> list[list[int]]:
     return orbits
 
 
-@dataclass(frozen=True)
 class PlanarDiagram:
     """A validated one-component 4-valent diagram with rotation system. ``slots``
     holds four edge labels per crossing, so dart ``d`` carries ``slots[d]``.
     Validation also keeps the edge involution ``partner`` and the dart pairs of
-    the degree-2 faces."""
+    the degree-2 faces. Immutable; equality, hash and repr use ``slots`` alone."""
 
-    slots: tuple[int, ...]
-    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    degree_two_faces: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.slots:
+    def __init__(self, slots: tuple[int, ...]) -> None:
+        if not slots:
             raise EmptyDiagram("diagram has no crossings")
-        partner = _pair_darts(self.slots)
-        n_comp, _ = arc_orbits(partner, [2] * self.c)
+        partner = _pair_darts(slots)
+        c = len(slots) // 4
+        n_comp, _ = arc_orbits(partner, [2] * c)
         if n_comp != 1:
             raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
         orbits = _face_orbits(partner)
-        if len(orbits) != self.c + 2:
+        if len(orbits) != c + 2:
             raise NonPlanarDiagram(
-                f"face traversal gives {len(orbits)} faces, expected c + 2 = {self.c + 2}"
+                f"face traversal gives {len(orbits)} faces, expected c + 2 = {c + 2}"
             )
-        object.__setattr__(self, "partner", tuple(partner))
-        object.__setattr__(self, "degree_two_faces", tuple(tuple(o) for o in orbits if len(o) == 2))
+        # Written past __setattr__, which refuses every assignment.
+        self.__dict__.update(slots=slots, partner=tuple(partner),
+                             degree_two_faces=tuple(tuple(o) for o in orbits if len(o) == 2))
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: PlanarDiagram is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.slots == other.slots if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.slots)
+
+    def __repr__(self) -> str:
+        return f"PlanarDiagram(slots={self.slots!r})"
 
     # -- basic counts ------------------------------------------------------
 
@@ -182,7 +192,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     """Parse PD-code text like ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]``.
 
     Tuples may also be written ``(a,b,c,d)`` and separated by whitespace
-    and/or commas. Edge labels are normalized to 1..2c on parse.
+    and/or commas. Edge labels are normalized to 1..2c on parse. Text listing
+    more than ``MAX_CROSSINGS`` crossings raises ``TooManyCrossings`` before
+    any label is converted.
     """
     stripped = text.strip()
     if not stripped:
@@ -190,6 +202,10 @@ def parse_pd(text: str) -> PlanarDiagram:
     pos = _PD_TOKENS.match(stripped).end()
     if pos < len(stripped):
         raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+    # Every token of the grammar opens with one bracket.
+    crossings = stripped.count("[") + stripped.count("(")
+    if crossings > MAX_CROSSINGS:
+        raise TooManyCrossings(f"PD code lists {crossings} crossings, more than {MAX_CROSSINGS}")
     # The grammar leaves only edge labels, four per token, once its brackets,
     # commas and X marks turn into whitespace.
     try:
@@ -205,29 +221,29 @@ def parse_pd(text: str) -> PlanarDiagram:
 # Braid words
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "strands syllables")):
     """A braid word as (generator index, nonzero exponent) syllables."""
 
-    strands: int
-    syllables: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.strands < 2:
-            raise FewerThanTwoStrands(f"need at least 2 strands, got {_cut(self.strands)}")
+    def __new__(cls, strands: int, syllables: tuple[tuple[int, int], ...]) -> BraidWord:
+        if strands < 2:
+            raise FewerThanTwoStrands(f"need at least 2 strands, got {_cut(strands)}")
         # The caps of parse_braid, for words built without it.
-        if self.strands > MAX_CROSSINGS + 1:
+        if strands > MAX_CROSSINGS + 1:
             raise TooManyCrossings(f"strand count exceeds {MAX_CROSSINGS + 1}")
-        if sum(abs(r) for _, r in self.syllables) > MAX_CROSSINGS:
+        if sum(abs(r) for _, r in syllables) > MAX_CROSSINGS:
             raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
-        for i, r in self.syllables:
-            if not 1 <= i <= self.strands - 1:
-                raise BadGeneratorIndex(f"generator s{_cut(i)} outside 1..{self.strands - 1}")
+        for i, r in syllables:
+            if not 1 <= i <= strands - 1:
+                raise BadGeneratorIndex(f"generator s{_cut(i)} outside 1..{strands - 1}")
             if r == 0:
                 raise ZeroExponent(f"syllable s{i}^0 is empty")
-        for (i, _), (j, _) in zip(self.syllables, self.syllables[1:]):
+        for (i, _), (j, _) in zip(syllables, syllables[1:]):
             if i == j:
                 raise MalformedToken("adjacent syllables share a generator; merge them first")
+        return tuple.__new__(cls, (strands, syllables))
 
     def permutation(self) -> list[int]:
         """Where each starting position ends up (0-based positions)."""

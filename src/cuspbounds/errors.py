@@ -54,7 +54,8 @@ class ClosureIsLink(CuspBoundsError):
 
 
 class TooManyCrossings(CuspBoundsError):
-    """A braid word asks for more crossings or strands than ``diagram.MAX_CROSSINGS`` allows."""
+    """A PD code or braid word asks for more crossings (or strands) than
+    ``diagram.MAX_CROSSINGS`` allows."""
 
 
 # ------------------------------------------------------------ state machinery

@@ -8,10 +8,8 @@ indent=2, sort_keys=True)`` does, byte for byte.
 
 from __future__ import annotations
 
-import csv
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import bounds as bd
@@ -51,23 +49,22 @@ def parse_slope_list(text: str) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
+class AnalysisRequest(namedtuple(
+        "AnalysisRequest", "pd braid pretzel pair budget volume slopes prime_asserted")):
     """One input source plus options; exactly one source must be set."""
 
-    pd: str | None = None
-    braid: str | None = None
-    pretzel: tuple[int, int, int] | None = None
-    pair: tuple[int, int, int] | None = None
-    budget: Fraction | None = None
-    volume: float | None = None
-    slopes: tuple = ()
-    prime_asserted: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        sources = [s for s in (self.pd, self.braid, self.pretzel, self.pair) if s is not None]
-        if len(sources) != 1:
+    def __new__(cls, pd: str | None = None, braid: str | None = None,
+                pretzel: tuple[int, int, int] | None = None,
+                pair: tuple[int, int, int] | None = None, budget: Fraction | None = None,
+                volume: float | None = None, slopes: tuple = (),
+                prime_asserted: bool = False) -> AnalysisRequest:
+        if sum(s is not None for s in (pd, braid, pretzel, pair)) != 1:
             raise NotOneInputSource("exactly one input source must be given")
+        fields = pd, braid, pretzel, pair, budget, volume, slopes, prime_asserted
+        return tuple.__new__(cls, fields)
 
 
 def _error(exc: CuspBoundsError) -> dict:
@@ -266,11 +263,13 @@ def run_surgery(
 # Batch CSV cross-checks
 # --------------------------------------------------------------------------
 
-@dataclass
-class BatchResult:
+class BatchResult(namedtuple("BatchResult", "rows")):
     """The report rows of a batch run, one dict per CSV row."""
 
-    rows: list[dict] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, rows: list[dict] | None = None) -> BatchResult:
+        return tuple.__new__(cls, ([] if rows is None else rows,))
 
     def to_dict(self) -> dict:
         counts = Counter(row["status"] for row in self.rows)
@@ -318,7 +317,8 @@ def run_batch(path: str) -> BatchResult:
     tabulated geodesic length is a theory violation and marks the row failed.
     A file that cannot be opened, decoded or parsed as CSV (a field longer
     than the ``csv`` module's limit, say) raises ``FileUnreadable``."""
-    result = BatchResult()
+    import csv  # here, not at the top: a cold start of the CLI has no use for it
+
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -327,9 +327,9 @@ def run_batch(path: str) -> BatchResult:
                 raise MissingHeader(
                     "CSV must have header columns name, pd, reference_meridian"
                 )
-            result.rows = [_check_row(row) for row in reader]
+            rows = [_check_row(row) for row in reader]
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot decode {path}: {exc}") from exc
-    return result
+    return BatchResult(rows)

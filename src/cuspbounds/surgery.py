@@ -36,7 +36,7 @@ exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bounds import SIX, adequate_bounds_from_counts
@@ -62,18 +62,18 @@ EXCLUSION_FACTOR = 3 * SIX / CUSP_AREA_FLOOR
 V8 = 3.663862376708876
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(namedtuple("Slope", "p q")):
     """A filling slope p/q in lowest terms; q = 0 (the meridian) is excluded."""
 
-    p: int
-    q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
+    def __new__(cls, p: int, q: int) -> Slope:
+        if q == 0:
             raise InvalidSlope("meridional slope q = 0 is excluded")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidSlope(f"slope {self.p}/{self.q} is not in lowest terms")
+        if math.gcd(p, q) != 1:
+            raise InvalidSlope(f"slope {p}/{q} is not in lowest terms")
+        return tuple.__new__(cls, (p, q))
 
 
 def checked_volume(vol: float) -> float:

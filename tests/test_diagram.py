@@ -120,6 +120,20 @@ class TestParsePd:
         with pytest.raises(MalformedToken):
             parse_pd(f"X[{'9' * 5000},1,2,3]")
 
+    def test_crossing_cap(self):
+        # The cap is checked before any label is converted: with one label past
+        # int()'s digit limit, cap tokens reach the conversion (MalformedToken)
+        # and cap + 1 tokens do not (TooManyCrossings).
+        cap = cuspbounds.diagram.MAX_CROSSINGS
+        last = f"X[1,1,1,{'9' * 5000}]"
+        with pytest.raises(MalformedToken):
+            parse_pd(" ".join(["(1,1,1,1)"] * (cap - 1) + [last]))
+        for head in ("(1,1,1,1)", "X[1,1,1,1]"):
+            with pytest.raises(TooManyCrossings) as info:
+                parse_pd(" ".join([head] * cap + [last]))
+            assert info.value.code == "TooManyCrossings"
+            assert str(info.value) == f"PD code lists {cap + 1} crossings, more than {cap}"
+
     def test_label_used_thrice(self):
         with pytest.raises(EdgeLabelUsedOtherThanTwice):
             parse_pd("X[1,1,1,2] X[2,3,3,4]")
