@@ -12,7 +12,12 @@ import math
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+
+# The C string encoder of json.encoder, without loading the json package.
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .errors import CuspBoundsError
 from .pipeline import (

@@ -18,7 +18,16 @@ involutions generate everything:
 Strand components are the orbits of the group generated by both involutions;
 faces are the orbits of "rotate after partner" (``p = partner[d]``, then
 ``(p & ~3) | ((p + 1) & 3)``), the usual turn-left rule for combinatorial
-maps. Each is counted by one walk over the darts.
+maps. Each is counted by one walk over the darts. The face walk keeps no
+container per face, only the dart pairs of the degree-2 faces: c + 2 lists
+alive at once would be container allocations that start cyclic garbage
+collections and that each collection then scans.
+
+Parsed diagrams are renumbered 1..2c in order of first appearance. One pass
+over the labels as written gives both ``partner`` and each label's first
+dart, whose order is the renumbering, so the renumbered slots are not paired
+a second time. A diagram built directly from ``slots`` keeps its labels and
+pairs them itself.
 
 Braid closures are emitted so that a positive generator takes the strand
 entering from the higher-numbered position underneath. With that chirality
@@ -57,26 +66,25 @@ def _cut(n: int) -> str:
     return str(n)[:20] if abs(n) < _STR_LIMIT else "<over 4300 digits>"
 
 
-def _pair_darts(slots: tuple[int, ...]) -> list[int]:
-    """The involution pairing the two darts that carry each edge label, built in
-    one pass that also checks every label is a positive integer."""
-    if len(slots) % 4:
-        raise MalformedToken(f"crossing needs 4 edge labels, got {slots[len(slots) & ~3:]!r}")
-    partner = [-1] * len(slots)
+def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> tuple[list[int], dict[int, int]]:
+    """The involution pairing the two darts that carry each edge label, and each
+    label's first dart in order of first appearance, built in one pass over
+    positive integer labels. With ``renumbered`` a label used other than twice
+    is named by its rank in that order, the number ``_normalized`` gives it."""
+    partner = [-1] * len(labels)
     first: dict[int, int] = {}
-    for d, label in enumerate(slots):
-        if not isinstance(label, int) or label < 1:
-            crossing = slots[d & ~3:(d | 3) + 1]
-            raise MalformedToken(f"edge labels must be positive integers: {crossing!r}")
+    for d, label in enumerate(labels):
         other = first.setdefault(label, d)
         if other != d:
             partner[d], partner[other] = other, d
     # With every dart paired each label is used at least twice, and then exactly
     # twice when there are half as many labels as darts.
-    if -1 in partner or 2 * len(first) != len(slots):
-        bad = sorted(label for label, k in Counter(slots).items() if k != 2)
+    if -1 in partner or 2 * len(first) != len(labels):
+        # Counter keeps the order of first appearance.
+        bad = sorted(i if renumbered else label
+                     for i, (label, k) in enumerate(Counter(labels).items(), 1) if k != 2)
         raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
-    return partner
+    return partner, first
 
 
 def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[int]]:
@@ -99,24 +107,6 @@ def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[
     return count, orbit
 
 
-def _face_orbits(partner: Sequence[int]) -> list[list[int]]:
-    """Turn-left orbits: cross the edge, then rotate one slot counterclockwise."""
-    seen = bytearray(len(partner))
-    orbits = []
-    for start in range(len(partner)):
-        if seen[start]:
-            continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            orbit.append(d)
-            p = partner[d]
-            d = p - 3 if p & 3 == 3 else p + 1
-        orbits.append(orbit)
-    return orbits
-
-
 class PlanarDiagram:
     """A validated one-component 4-valent diagram with rotation system. ``slots``
     holds four edge labels per crossing, so dart ``d`` carries ``slots[d]``.
@@ -126,19 +116,13 @@ class PlanarDiagram:
     def __init__(self, slots: tuple[int, ...]) -> None:
         if not slots:
             raise EmptyDiagram("diagram has no crossings")
-        partner = _pair_darts(slots)
-        c = len(slots) // 4
-        n_comp, _ = arc_orbits(partner, [2] * c)
-        if n_comp != 1:
-            raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
-        orbits = _face_orbits(partner)
-        if len(orbits) != c + 2:
-            raise NonPlanarDiagram(
-                f"face traversal gives {len(orbits)} faces, expected c + 2 = {c + 2}"
-            )
-        # Written past __setattr__, which refuses every assignment.
-        self.__dict__.update(slots=slots, partner=tuple(partner),
-                             degree_two_faces=tuple(tuple(o) for o in orbits if len(o) == 2))
+        if len(slots) % 4:
+            raise MalformedToken(f"crossing needs 4 edge labels, got {slots[len(slots) & ~3:]!r}")
+        for d, label in enumerate(slots):
+            if not isinstance(label, int) or label < 1:
+                crossing = slots[d & ~3:(d | 3) + 1]
+                raise MalformedToken(f"edge labels must be positive integers: {crossing!r}")
+        _validate(self, slots, _pair_darts(slots)[0])
 
     def __setattr__(self, name: str, *_) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: PlanarDiagram is immutable")
@@ -167,11 +151,48 @@ class PlanarDiagram:
         return " ".join(["X[%d,%d,%d,%d]"] * self.c) % self.slots
 
 
+def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int]) -> None:
+    """Check that paired slots form one strand component with c + 2 faces, and
+    write them into ``diagram`` with the dart pairs of its degree-2 faces."""
+    c = len(slots) // 4
+    n_comp, _ = arc_orbits(partner, [2] * c)
+    if n_comp != 1:
+        raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
+    # Turn left: cross the edge, then rotate one slot counterclockwise. A dart's
+    # entry in ``unseen`` is its partner until a walk from a lower start passes
+    # it, then -1; no later start looks back at a face's own start.
+    unseen = partner.copy()
+    faces = 0
+    degree_two = []
+    for start in range(len(unseen)):
+        p = unseen[start]
+        if p < 0:
+            continue
+        faces += 1
+        d = p - 3 if p & 3 == 3 else p + 1
+        p = partner[d]
+        if d != start and (p - 3 if p & 3 == 3 else p + 1) == start:
+            degree_two.append((start, d))
+        while d != start:
+            p = unseen[d]
+            unseen[d] = -1
+            d = p - 3 if p & 3 == 3 else p + 1
+    if faces != c + 2:
+        raise NonPlanarDiagram(f"face traversal gives {faces} faces, expected c + 2 = {c + 2}")
+    # Written past __setattr__, which refuses every assignment.
+    diagram.__dict__.update(slots=slots, partner=tuple(partner), degree_two_faces=tuple(degree_two))
+
+
 def _normalized(labels: Sequence[int]) -> PlanarDiagram:
     """Relabel a flat slot list (four labels per crossing) 1..2c in order of
-    first appearance and validate."""
-    relabel = {label: i for i, label in enumerate(dict.fromkeys(labels), 1)}
-    return PlanarDiagram(tuple(map(relabel.__getitem__, labels)))
+    first appearance and validate. The labels are positive integers. One pass
+    pairs them; the renumbering keeps that pairing, so the relabelled slots are
+    not paired again."""
+    partner, first = _pair_darts(labels, renumbered=True)
+    relabel = dict(zip(first, range(1, len(first) + 1)))
+    diagram = PlanarDiagram.__new__(PlanarDiagram)
+    _validate(diagram, tuple(map(relabel.__getitem__, labels)), partner)
+    return diagram
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cuspbounds import parse_pd
 from cuspbounds.diagram import (
     BraidWord,
     PlanarDiagram,
-    _face_orbits,
     braid_closure,
     parse_braid,
 )
@@ -35,6 +34,7 @@ from genutil import (
     findall_parse_pd,
     mirror,
     random_knot_diagram,
+    traced_faces,
     weaving_braid,
 )
 
@@ -44,7 +44,7 @@ KINK = "X[1,1,2,2]"
 
 
 def face_degrees(d: PlanarDiagram) -> list[int]:
-    return sorted(map(len, _face_orbits(d.partner)))
+    return sorted(map(len, traced_faces(d)))
 
 
 def alternating_bigons(d: PlanarDiagram) -> int:
@@ -57,12 +57,12 @@ class TestParsePd:
         d = parse_pd(TREFOIL)
         assert d.c == 3
         assert len(set(d.slots)) == 6
-        assert len(_face_orbits(d.partner)) == 5
+        assert len(traced_faces(d)) == 5
 
     def test_kink(self):
         d = parse_pd(KINK)
         assert d.c == 1
-        assert len(_face_orbits(d.partner)) == 3
+        assert len(traced_faces(d)) == 3
 
     def test_paren_tuples_and_commas(self):
         d = parse_pd("(1,4,2,5), (3,6,4,1), (5,2,6,3)")
@@ -180,6 +180,10 @@ class TestFlatLabels:
             ((1.0, 4, 2, 5), MalformedToken, "edge labels must be positive integers: (1.0, 4, 2, 5)"),
             ((1, 4, 2, 5, 3, 6, 4), MalformedToken, "crossing needs 4 edge labels, got (3, 6, 4)"),
             ((), EmptyDiagram, "diagram has no crossings"),
+            # 90 (thrice) and 70 (once) come last: they are named by their
+            # ranks 7 and 8 in order of first appearance, not as written
+            ("X[10,40,20,50] X[30,60,40,10] X[50,20,60,90] X[90,90,30,70]",
+             EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [7, 8]"),
         ],
     )
     def test_label_errors(self, source, error, message):
@@ -234,6 +238,64 @@ class TestFlatLabels:
         assert outcomes >= {"ok", "MalformedToken", "EdgeLabelUsedOtherThanTwice"}
 
 
+class TestRelabelPass:
+    """Parsing pairs the labels as written and keeps that pairing through the
+    renumbering; direct construction pairs the renumbered slots itself, and the
+    ``genutil`` oracles pair and trace faces on (crossing, slot) tuples."""
+
+    @staticmethod
+    def scrambled_text(d: PlanarDiagram, rng: random.Random) -> str:
+        """PD text of ``d`` with sparse shuffled labels, some with leading
+        zeros, in mixed ``X[...]``, ``x [...]`` and ``(...)`` tokens."""
+        names = rng.sample(range(1, 100 * d.c), 2 * d.c)
+        tokens = []
+        for labels in crossing_labels(d):
+            body = ",".join("0" * rng.randrange(3) + str(names[x - 1]) for x in labels)
+            tokens.append(rng.choice(("X[%s]", "x [%s]", "(%s)", "X(%s]")) % body)
+        return "".join(t + rng.choice(("", " ", ", ", "\n")) for t in tokens)
+
+    @staticmethod
+    def check(d: PlanarDiagram, text: str) -> None:
+        direct = PlanarDiagram(d.slots)
+        darts: dict[int, list[int]] = {}
+        for dart, label in enumerate(d.slots):
+            darts.setdefault(label, []).append(dart)
+        partner = [0] * len(d.slots)
+        for a, b in darts.values():
+            partner[a], partner[b] = b, a
+        bigons = tuple(tuple(4 * ci + si for ci, si in b) for b in traced_faces(d) if len(b) == 2)
+        assert (direct.slots, direct.partner, direct.degree_two_faces) == (
+            d.slots, tuple(partner), bigons)
+        for parsed in (parse_pd(text), findall_parse_pd(text)):
+            assert (parsed.slots, parsed.partner, parsed.degree_two_faces) == (
+                direct.slots, direct.partner, direct.degree_two_faces), text[:80]
+
+    def test_random_diagrams_from_scrambled_text(self):
+        rng = random.Random(5150)
+        for _ in range(300):
+            d = random_knot_diagram(rng, 16)
+            self.check(d, self.scrambled_text(d, rng))
+        assert parse_pd("(001,4,02,5),X[3,6,004,1]x [5,2,0006,3]") == parse_pd(TREFOIL)
+
+    def test_braid_closures_up_to_two_thousand_crossings(self):
+        rng = random.Random(6174)
+        words = [weaving_braid(1000)]
+        while len(words) < 6:
+            strands = rng.randint(3, 6)
+            syllables, prev = [], 0
+            while sum(abs(r) for _, r in syllables) < 1990:
+                prev = rng.choice([i for i in range(1, strands) if i != prev])
+                syllables.append((prev, rng.choice((-1, 1)) * rng.randint(1, 5)))
+            word = BraidWord(strands, tuple(syllables))
+            if word.closure_component_count() == 1:
+                words.append(word)
+        for word in words:
+            d = braid_closure(word)
+            assert 1990 <= d.c <= 2000
+            self.check(d, d.pd_string())
+            self.check(d, self.scrambled_text(d, rng))
+
+
 class TestFaces:
     def test_trefoil_faces(self):
         d = parse_pd(TREFOIL)
@@ -256,9 +318,9 @@ class TestFaces:
         rng = random.Random(20240811)
         for _ in range(60):
             d = random_knot_diagram(rng, 12)
-            orbits = _face_orbits(d.partner)
-            assert len(orbits) == d.c + 2
-            assert sum(map(len, orbits)) == 4 * d.c
+            boundaries = traced_faces(d)
+            assert len(boundaries) == d.c + 2
+            assert sum(map(len, boundaries)) == 4 * d.c
 
 
 class TestParseBraid:

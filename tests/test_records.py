@@ -145,7 +145,7 @@ def test_cold_import_loads_no_dataclasses_inspect_typing_or_csv():
         sys.path.insert(0, sys.argv[1])
         import cuspbounds, cuspbounds.cli
         assert cuspbounds.__file__.startswith(sys.argv[1]), cuspbounds.__file__
-        print(sorted({"dataclasses", "inspect", "typing", "csv"} & set(sys.modules) - bare))
+        print(sorted({"dataclasses", "inspect", "typing", "csv", "json"} & set(sys.modules) - bare))
         print(cuspbounds.run_batch(sys.argv[2]).to_dict()["summary"], "csv" in sys.modules)
     """
     src = str(Path(cuspbounds.__file__).resolve().parents[1])
