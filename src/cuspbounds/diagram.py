@@ -18,16 +18,14 @@ involutions generate everything:
 Strand components are the orbits of the group generated by both involutions;
 faces are the orbits of "rotate after partner" (``p = partner[d]``, then
 ``(p & ~3) | ((p + 1) & 3)``), the usual turn-left rule for combinatorial
-maps. Each is counted by one walk over the darts. The face walk keeps no
-container per face, only the dart pairs of the degree-2 faces: c + 2 lists
-alive at once would be container allocations that start cyclic garbage
-collections and that each collection then scans.
+maps. Each is counted by one walk over the darts. The face walk keeps only
+the dart pairs of the degree-2 faces, no list per face: c + 2 lists alive at
+once would start cyclic garbage collections, and each would scan them.
 
-Parsed diagrams are renumbered 1..2c in order of first appearance. One pass
-over the labels as written gives both ``partner`` and each label's first
-dart, whose order is the renumbering, so the renumbered slots are not paired
-a second time. A diagram built directly from ``slots`` keeps its labels and
-pairs them itself.
+Parsing renumbers the labels 1..2c in order of first appearance. One pass
+over the labels as written gives both ``partner`` and that order, so the
+renumbered slots are not paired again. A diagram built directly from
+``slots`` keeps its labels and pairs them itself.
 
 Braid closures are emitted so that a positive generator takes the strand
 entering from the higher-numbered position underneath. With that chirality
@@ -158,9 +156,9 @@ def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int]
     n_comp, _ = arc_orbits(partner, [2] * c)
     if n_comp != 1:
         raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
-    # Turn left: cross the edge, then rotate one slot counterclockwise. A dart's
-    # entry in ``unseen`` is its partner until a walk from a lower start passes
-    # it, then -1; no later start looks back at a face's own start.
+    # Turn left: cross the edge, then rotate one slot counterclockwise.
+    # ``unseen[d]`` is ``partner[d]`` until a walk passes d, then -1; a face's
+    # start is left unmarked, since the loop never comes back to it.
     unseen = partner.copy()
     faces = 0
     degree_two = []

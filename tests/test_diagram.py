@@ -263,9 +263,9 @@ class TestRelabelPass:
         partner = [0] * len(d.slots)
         for a, b in darts.values():
             partner[a], partner[b] = b, a
-        bigons = tuple(tuple(4 * ci + si for ci, si in b) for b in traced_faces(d) if len(b) == 2)
+        degree_two = tuple(tuple(4 * ci + si for ci, si in b) for b in traced_faces(d) if len(b) == 2)
         assert (direct.slots, direct.partner, direct.degree_two_faces) == (
-            d.slots, tuple(partner), bigons)
+            d.slots, tuple(partner), degree_two)
         for parsed in (parse_pd(text), findall_parse_pd(text)):
             assert (parsed.slots, parsed.partner, parsed.degree_two_faces) == (
                 direct.slots, direct.partner, direct.degree_two_faces), text[:80]
