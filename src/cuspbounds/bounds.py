@@ -62,7 +62,11 @@ SIX = 6
 
 
 def sig12(x: Numeric) -> float:
-    return float(f"{float(x):.12g}")
+    """``x`` rounded to 12 significant digits. A ``Fraction`` is divided out as
+    ``numerator / denominator``, the correctly rounded float that ``float()``
+    gives, without the call through ``numbers.Rational.__float__``."""
+    value = x.numerator / x.denominator if type(x) is Fraction else float(x)
+    return float(f"{value:.12g}")
 
 
 class Sqrt(float):
@@ -78,6 +82,14 @@ class Sqrt(float):
 def _signed_square(x) -> Numeric:
     """x |x| exactly, which orders values as x does."""
     return x.square if isinstance(x, Sqrt) else x * abs(x)
+
+
+def _less(x, y) -> bool:
+    """x < y exactly: rational values compare directly, and a :class:`Sqrt`
+    by its exact square."""
+    if isinstance(x, Sqrt) or isinstance(y, Sqrt):
+        return _signed_square(x) < _signed_square(y)
+    return x < y
 
 
 class SurfacePairData(namedtuple("SurfacePairData", "abs_chi_1 abs_chi_2 intersection")):
@@ -141,7 +153,7 @@ def twist_bound(c: int, t: int) -> dict[str, Fraction]:
     """Meridian bound 3 + 3t/c - 6/c from crossing and twist counts."""
     if c < 1 or not 1 <= t <= c:
         raise BadDiagramCounts(f"need 1 <= t <= c, got t={t}, c={c}")
-    return {"meridian": 3 + Fraction(3 * t - 6, c)}
+    return {"meridian": Fraction(3 * c + 3 * t - 6, c)}
 
 
 def twist_area_bound(t: int) -> dict[str, Sqrt]:
@@ -208,20 +220,24 @@ def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> str:
 def best_bounds(rules: Iterable[tuple[str, dict]]) -> dict:
     """The JSON ``bounds`` block of ``(rule id, values)`` pairs: each
     quantity's least value, the earlier rule winning a tie, and every
-    candidate in order."""
-    candidates = [(quantity, value, rule) for rule, values in rules
-                  for quantity, value in values.items()]
+    candidate in order. Each value is rounded once, for its candidate entry
+    and, if it wins, for its quantity's entry."""
+    candidates = []
+    best: dict = {}  # quantity -> (exact value, rounded value, rule)
+    for rule, values in rules:
+        for quantity, value in values.items():
+            rounded = sig12(value)
+            candidates.append({"quantity": quantity, "value": rounded, "rule": rule})
+            held = best.get(quantity)
+            if held is None or _less(value, held[0]):
+                best[quantity] = value, rounded, rule
     if not candidates:
         raise NoApplicableBound("no bounding rule applies")
-    best = {
-        quantity: min(((v, r) for q, v, r in candidates if q == quantity),
-                      key=lambda vr: _signed_square(vr[0]), default=None)
-        for quantity in QUANTITIES
-    }
-    report: dict = {
-        q: None if b is None else {"value": sig12(b[0]), "rule": b[1]} for q, b in best.items()
-    }
-    report["candidates"] = [{"quantity": q, "value": sig12(v), "rule": r} for q, v, r in candidates]
-    meridian = best["meridian"]
+    report: dict = {}
+    for q in QUANTITIES:
+        held = best.get(q)
+        report[q] = None if held is None else {"value": held[1], "rule": held[2]}
+    report["candidates"] = candidates
+    meridian = best.get("meridian")
     report["sixTheoremConsistent"] = meridian is not None and meridian[0] < SIX
     return report

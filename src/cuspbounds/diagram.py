@@ -149,13 +149,17 @@ class PlanarDiagram:
         return " ".join(["X[%d,%d,%d,%d]"] * self.c) % self.slots
 
 
-def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int]) -> None:
+def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int],
+              one_component: bool = False) -> None:
     """Check that paired slots form one strand component with c + 2 faces, and
-    write them into ``diagram`` with the dart pairs of its degree-2 faces."""
+    write them into ``diagram`` with the dart pairs of its degree-2 faces.
+    ``one_component`` skips the strand walk for slots known to trace one
+    component: a braid closure whose permutation is one cycle."""
     c = len(slots) // 4
-    n_comp, _ = arc_orbits(partner, [2] * c)
-    if n_comp != 1:
-        raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
+    if not one_component:
+        n_comp, _ = arc_orbits(partner, [2] * c)
+        if n_comp != 1:
+            raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
     # Turn left: cross the edge, then rotate one slot counterclockwise.
     # ``unseen[d]`` is ``partner[d]`` until a walk passes d, then -1; a face's
     # start is left unmarked, since the loop never comes back to it.
@@ -181,15 +185,16 @@ def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int]
     diagram.__dict__.update(slots=slots, partner=tuple(partner), degree_two_faces=tuple(degree_two))
 
 
-def _normalized(labels: Sequence[int]) -> PlanarDiagram:
+def _normalized(labels: Sequence[int], one_component: bool = False) -> PlanarDiagram:
     """Relabel a flat slot list (four labels per crossing) 1..2c in order of
-    first appearance and validate. The labels are positive integers. One pass
-    pairs them; the renumbering keeps that pairing, so the relabelled slots are
-    not paired again."""
+    first appearance and validate, as :func:`_validate` with ``one_component``
+    does. The labels are positive integers. One pass pairs them; the
+    renumbering keeps that pairing, so the relabelled slots are not paired
+    again."""
     partner, first = _pair_darts(labels, renumbered=True)
     relabel = dict(zip(first, range(1, len(first) + 1)))
     diagram = PlanarDiagram.__new__(PlanarDiagram)
-    _validate(diagram, tuple(map(relabel.__getitem__, labels)), partner)
+    _validate(diagram, tuple(map(relabel.__getitem__, labels)), partner, one_component)
     return diagram
 
 
@@ -375,5 +380,6 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
             cur[a], cur[a + 1] = out_l, out_r
     # Closure arcs identify each strand's bottom label with its top label.
     closing = {cur[p]: top[p] for p in range(n)}
-    return _normalized([closing.get(label, label) for label in labels])
+    # The closure has one component per cycle of the permutation, checked above.
+    return _normalized([closing.get(label, label) for label in labels], one_component=True)
 

@@ -122,8 +122,9 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
             rules.append(("twist_area", bd.twist_area_bound(t)))
     report["bounds"] = bd.best_bounds(rules)
 
-    pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
-    _add_criterion(report, pair, request.budget)
+    if request.budget is not None:
+        pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
+        _add_criterion(report, pair, request.budget)
     if request.slopes:
         report["slopes"] = run_surgery(request.slopes, c=inv["c"], g_t=inv["gT"], volume=request.volume)
     return report
@@ -298,8 +299,11 @@ def _check_row(row: dict) -> dict:
         except ValueError:
             result["note"] = "bad reference_volume value"
             return result
+    # run_analyze's two steps for PD text, without the canonical PD text of
+    # its "input" entry, which a row does not print.
+    request = AnalysisRequest(pd=row.get("pd") or "")
     try:
-        report = run_analyze(AnalysisRequest(pd=row.get("pd") or ""))
+        report = _diagram_report(parse_pd(request.pd), request)
     except CuspBoundsError as exc:
         result["note"] = f"{exc.code}: {exc}"
         return result

@@ -29,7 +29,7 @@ flagged and t is reported as 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import eq
 
 from .diagram import PlanarDiagram, arc_orbits
@@ -64,11 +64,11 @@ def invariants(diagram: PlanarDiagram) -> dict:
     if two_g % 2 != 0:
         raise NonIntegerGenus(f"2 - vA - vB + c = {two_g} is odd; diagram data corrupted")
     g_t = two_g // 2
-    delta = Fraction(2 * g_t - 2, c)
+    k = gcd(two_g - 2, c)  # delta = (2g - 2)/c in lowest terms, with c > 0
     a_adequate, b_adequate = _loop_free(circle_a), _loop_free(circle_b)
     return {
         "c": c, "vA": v_a, "vB": v_b, "chiA": v_a - c, "chiB": v_b - c, "gT": g_t,
-        "delta": {"num": delta.numerator, "den": delta.denominator},
+        "delta": {"num": (two_g - 2) // k, "den": c // k},
         "aAdequate": a_adequate, "bAdequate": b_adequate, "adequate": a_adequate and b_adequate,
     }
 

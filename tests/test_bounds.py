@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspbounds import (
@@ -17,8 +17,10 @@ from cuspbounds import (
     twist_analysis,
 )
 from cuspbounds.bounds import (
+    QUANTITIES,
     BraidVerdict,
     PretzelParams,
+    Sqrt,
     SurfacePairData,
     adequate_bounds_from_counts,
     best_bounds,
@@ -44,6 +46,35 @@ from cuspbounds.errors import (
 from genutil import random_adequate_knot_diagram
 
 FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
+
+
+def signed_square(x) -> Fraction:
+    """x |x| in Fraction arithmetic; a Sqrt gives the square it keeps."""
+    if isinstance(x, Sqrt):
+        return Fraction(x.square)
+    return Fraction(x) * abs(Fraction(x))
+
+
+def sig12_oracle(x) -> float:
+    return float(f"{float(x):.12g}")
+
+
+# Bound values as rules give them: Fractions and ints of either sign, square
+# roots, the rationals equal to those roots' floats, and Fractions whose
+# numerator and denominator are each too large for a float. The small ranges
+# make exact ties common.
+BOUND_VALUES = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.integers(-20, 20),
+    st.integers(0, 12).map(Sqrt),
+    st.integers(0, 12).map(lambda n: Fraction(math.sqrt(n))),
+    st.integers(-20, 20).map(lambda k: Fraction(10**400 + k, 10**400 // 3)),
+)
+RULE_LISTS = st.lists(
+    st.tuples(st.sampled_from(["adequate", "twist", "twist_area", "general"]),
+              st.dictionaries(st.sampled_from(QUANTITIES), BOUND_VALUES, max_size=3)),
+    max_size=5,
+)
 
 
 class TestGeneralBounds:
@@ -300,6 +331,34 @@ class TestBestBounds:
                       [("twist_area", area), ("adequate", rational)]):
             winner = best_bounds(rules)["cuspArea"]["rule"]
             assert winner == ("adequate" if rational_smaller else "twist_area")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules=RULE_LISTS)
+    def test_least_values_against_an_exact_oracle(self, rules):
+        candidates = [(q, v, r) for r, values in rules for q, v in values.items()]
+        if not candidates:
+            with pytest.raises(NoApplicableBound):
+                best_bounds(rules)
+            return
+        report = best_bounds(rules)
+        assert report["candidates"] == [
+            {"quantity": q, "value": sig12_oracle(v), "rule": r} for q, v, r in candidates
+        ]
+        for quantity in QUANTITIES:
+            entries = [(v, r) for q, v, r in candidates if q == quantity]
+            if not entries:
+                assert report[quantity] is None
+                continue
+            # min keeps the first of equal keys: the earlier rule wins a tie.
+            value, rule = min(entries, key=lambda vr: signed_square(vr[0]))
+            assert report[quantity] == {"value": sig12_oracle(value), "rule": rule}
+        meridians = [signed_square(v) for q, v, _ in candidates if q == "meridian"]
+        assert report["sixTheoremConsistent"] == (bool(meridians) and min(meridians) < 36)
+
+    @pytest.mark.parametrize("huge", [Fraction(10**400, 3), 10**400])
+    def test_value_too_large_for_a_float_raises(self, huge):
+        with pytest.raises(OverflowError):
+            best_bounds([("adequate", {"meridian": Fraction(3, 2)}), ("general", {"cuspArea": huge})])
 
     def test_json_shape(self):
         d = best_bounds([("adequate", adequate_bounds(invariants(FIG8)))])

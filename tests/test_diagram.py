@@ -2,9 +2,11 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +35,7 @@ from genutil import (
     crossing_labels,
     findall_parse_pd,
     mirror,
+    random_braid_word,
     random_knot_diagram,
     traced_faces,
     weaving_braid,
@@ -147,6 +150,16 @@ class TestParsePd:
         # one-component 4-valent code, but the Euler count drops to 3 faces
         with pytest.raises(NonPlanarDiagram):
             parse_pd("X[1,2,4,5] X[3,6,4,1] X[5,2,6,3]")
+
+    @pytest.mark.parametrize("text", ["X[1,1,2,2] X[3,3,4,4]", f"{TREFOIL} X[7,7,8,8]"])
+    def test_multi_component_is_reported_before_the_face_count(self, text):
+        # Two disjoint pieces: two strand components, and more than c + 2
+        # faces. PD text and slots both report the components first.
+        slots = tuple(int(label) for label in re.findall(r"\d+", text))
+        assert len(traced_faces(SimpleNamespace(slots=slots, c=len(slots) // 4))) > len(slots) // 4 + 2
+        for build in (parse_pd, lambda _: PlanarDiagram(slots)):
+            with pytest.raises(MultiComponentLink):
+                build(text)
 
     def test_round_trip(self):
         for text in (TREFOIL, FIG8, KINK):
@@ -456,6 +469,28 @@ class TestBraidClosure:
             word = parse_braid(text)
             d = braid_closure(word)
             assert resolve(d, "B" * d.c)[0] == word.strands
+
+    def test_one_cycle_closures_trace_one_strand(self):
+        # A closure skips validation's strand walk once its permutation is one
+        # cycle. Joining the labels on slots 0 and 2, and on slots 1 and 3, of
+        # each crossing (a union-find over labels) gives one strand as well.
+        rng = random.Random(2718)
+        for _ in range(300):
+            word = random_braid_word(rng, 30)
+            if word.closure_component_count() != 1:
+                continue
+            d = braid_closure(word)
+            root = {label: label for label in d.slots}
+
+            def find(x):
+                while root[x] != x:
+                    root[x] = x = root[root[x]]
+                return x
+
+            for a, b, c, e in crossing_labels(d):
+                root[find(a)] = find(c)
+                root[find(b)] = find(e)
+            assert len({find(label) for label in d.slots}) == 1
 
     def test_weaving_closures_are_knots(self):
         for k in (2, 4, 5, 7):

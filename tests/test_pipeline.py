@@ -23,9 +23,11 @@ from cuspbounds import (
     run_surgery,
 )
 from cuspbounds.cli import main
+from cuspbounds.diagram import BraidWord, PlanarDiagram, braid_closure
 from cuspbounds.errors import (
     BadDiagramCounts,
     BudgetOutOfRange,
+    CuspBoundsError,
     DeltaOutOfRange,
     FileUnreadable,
     MissingHeader,
@@ -41,6 +43,7 @@ from genutil import (
     fraction_montesinos_entries,
     fraction_slope_entries,
     random_adequate_knot_diagram,
+    random_knot_diagram,
 )
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
@@ -383,7 +386,70 @@ class TestNonFiniteInput:
             strict_json(capsys.readouterr().out)
 
 
+def row_from_run_analyze(name: str, pd: str, reference_text: str) -> dict:
+    """The batch row of one CSV row, built from ``run_analyze``'s report."""
+    row = {"name": name.strip() or "<unnamed>", "status": "skip", "computedBound": None,
+           "referenceMeridian": None, "slack": None, "note": ""}
+    try:
+        reference = float(reference_text)
+    except ValueError:
+        reference = math.nan
+    if not (math.isfinite(reference) and reference > 0):
+        return {**row, "note": "bad reference_meridian value"}
+    try:
+        report = run_analyze(AnalysisRequest(pd=pd))
+    except CuspBoundsError as exc:
+        return {**row, "note": f"{exc.code}: {exc}"}
+    if report["status"] != "ok" or report["bounds"] is None:
+        return {**row, "note": "; ".join(report["diagnostics"]) or "no bounds"}
+    computed = report["bounds"]["meridian"]["value"]
+    return {**row, "status": "pass" if computed >= reference else "fail",
+            "computedBound": computed, "referenceMeridian": reference,
+            "slack": computed - reference}
+
+
+def random_batch_row(rng: random.Random) -> tuple[str, str]:
+    """PD text and reference text of a row of one random kind: a random knot
+    diagram (adequate or not, some with a non-alternating bigon), a
+    torus-degenerate closure, a two-component link, mangled PD text or a bad
+    reference."""
+    kind = rng.choice(["knot", "knot", "torus", "link", "malformed", "bad_reference"])
+    pd = random_knot_diagram(rng, 16).pd_string()
+    reference = f"{rng.uniform(0.5, 4.0):.3f}"
+    if kind == "torus":
+        pd = braid_closure(BraidWord(2, ((1, rng.choice([3, 5, 7, -3, -5])),))).pd_string()
+    elif kind == "link":
+        other = random_knot_diagram(rng, 8)
+        shift = 2 * pd.count("X")
+        pd += " " + PlanarDiagram(tuple(x + shift for x in other.slots)).pd_string()
+    elif kind == "malformed":
+        cut = rng.randrange(len(pd))
+        pd = rng.choice([pd[:cut], pd[:cut] + "a" + pd[cut + 1:], pd + " X[1,2]", ""])
+    elif kind == "bad_reference":
+        reference = rng.choice(["", "abc", "0", "-1.5", "nan", "inf"])
+    return pd, reference
+
+
 class TestRunBatch:
+    def test_rows_match_run_analyze(self, tmp_path):
+        with DATA.open(newline="", encoding="utf-8") as handle:
+            table = [(r["name"], r["pd"], r["reference_meridian"]) for r in csv.DictReader(handle)]
+        rng = random.Random(4242)
+        table += [(f"random{i}", *random_batch_row(rng)) for i in range(300)]
+        path = tmp_path / "table.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["name", "pd", "reference_meridian"])
+            writer.writerows(table)
+        rows = run_batch(os.fspath(path)).rows
+        assert rows == [row_from_run_analyze(*entry) for entry in table]
+        statuses = {row["status"] for row in rows}
+        notes = " ".join(row["note"] for row in rows)
+        assert statuses == {"pass", "fail", "skip"}
+        for expected in ("MultiComponentLink", "MalformedToken", "torus-degenerate",
+                         "not adequate", "bad reference_meridian", "NonAlternatingBigon"):
+            assert expected in notes
+
     def test_vetted_table_all_pass(self):
         result = run_batch(os.fspath(DATA))
         assert result.to_dict()["summary"] == {"pass": 5, "fail": 0, "skip": 0}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,20 @@ class TestInvariants:
         assert inv["gT"] == 0
         assert (inv["chiA"], inv["chiB"]) == (-1, -1)
         assert inv["delta"] == {"num": -1, "den": 2}
+
+    def test_delta_in_lowest_terms_on_random_diagrams(self):
+        # delta = (2g - 2)/c with a positive denominator; g = 1 gives 0/1.
+        rng = random.Random(1618)
+        genera = set()
+        for _ in range(300):
+            inv = invariants(random_knot_diagram(rng, 18))
+            delta = Fraction(2 * inv["gT"] - 2, inv["c"])
+            assert inv["delta"] == {"num": delta.numerator, "den": delta.denominator}
+            assert inv["delta"]["den"] > 0
+            if inv["gT"] == 1:
+                assert inv["delta"] == {"num": 0, "den": 1}
+            genera.add(min(inv["gT"], 2))
+        assert genera == {0, 1, 2}
 
     def test_alternating_families_have_genus_zero(self):
         diagrams = [pretzel_pd(3, 3, 5), pretzel_pd(5, 5, 7), braid_closure(weaving_braid(4))]
