@@ -49,10 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = [part for part in text.replace(",", " ").split() if part]
-    if len(parts) != 3:
-        raise ValueError(f"expected three integers, got {text!r}")
-    return tuple(int(part) for part in parts)  # type: ignore[return-value]
+    try:
+        a, b, c = map(int, text.replace(",", " ").split())
+    except ValueError:  # not three parts, or one that int() refuses
+        raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}") from None
+    return a, b, c
 
 
 def _finite_float(text: str) -> float:

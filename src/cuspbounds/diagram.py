@@ -12,20 +12,20 @@ Darts are integers ``d = 4 * ci + si`` (crossing index, slot). Two
 involutions generate everything:
 
 * ``across``    -- ``d ^ 2``, the strand running straight through a crossing;
-* ``partner``   -- the dart carrying the other occurrence of the same edge
-                   label, one flat list built in a single pass over the slots.
+* ``partner``   -- the other dart of the same edge, one flat list built in
+                   one pass over the labels or the braid word.
 
-Strand components are the orbits of the group generated by both involutions;
-faces are the orbits of "rotate after partner" (``p = partner[d]``, then
-``(p & ~3) | ((p + 1) & 3)``), the usual turn-left rule for combinatorial
-maps. Each is counted by one walk over the darts. The face walk keeps only
-the dart pairs of the degree-2 faces, no list per face: c + 2 lists alive at
-once would start cyclic garbage collections, and each would scan them.
+Every pass after the pairing reads ``partner``, never the labels. Strand
+components are the orbits of both involutions: the diagram is a knot when the
+walk ``d -> partner[d ^ 2]`` from dart 0 takes 2c steps. Faces are the cycles
+of turn-left, "rotate after partner" (``(p & ~3) | ((p + 1) & 3)`` for
+``p = partner[d]``), and the face walk follows its inverse, which has the same
+cycles. It keeps the dart pairs of the degree-2 faces, no list per face: c + 2
+lists alive at once would start cyclic garbage collections.
 
-Parsing renumbers the labels 1..2c in order of first appearance. One pass
-over the labels as written gives both ``partner`` and that order, so the
-renumbered slots are not paired again. A diagram built directly from
-``slots`` keeps its labels and pairs them itself.
+Parsing pairs the labels as written, then numbers each edge 1..2c by its
+first dart. A braid closure pairs its darts as it stacks the crossings and is
+numbered the same way. A diagram built from ``slots`` keeps its labels.
 
 Braid closures are emitted so that a positive generator takes the strand
 entering from the higher-numbered position underneath. With that chirality
@@ -64,11 +64,11 @@ def _cut(n: int) -> str:
     return str(n)[:20] if abs(n) < _STR_LIMIT else "<over 4300 digits>"
 
 
-def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> tuple[list[int], dict[int, int]]:
-    """The involution pairing the two darts that carry each edge label, and each
-    label's first dart in order of first appearance, built in one pass over
-    positive integer labels. With ``renumbered`` a label used other than twice
-    is named by its rank in that order, the number ``_normalized`` gives it."""
+def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> list[int]:
+    """The involution pairing the two darts that carry each edge label, built in
+    one pass over positive integer labels. With ``renumbered`` a label used
+    other than twice is named by its rank in order of first appearance, the
+    number ``_from_partner`` gives it."""
     partner = [-1] * len(labels)
     first: dict[int, int] = {}
     for d, label in enumerate(labels):
@@ -82,14 +82,15 @@ def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> tuple[list[i
         bad = sorted(i if renumbered else label
                      for i, (label, k) in enumerate(Counter(labels).items(), 1) if k != 2)
         raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
-    return partner, first
+    return partner
 
 
 def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[int]]:
     """Number and per-dart index of the orbits alternating ``partner`` with the arc
-    ``d ^ flips[d >> 2]`` inside each crossing: flip 2 (straight across) gives the strand
-    components, flips 1 and 3 (A and B smoothings) the state circles. Marking both ends
-    of every arc crossed lets one walk cover an orbit."""
+    ``d ^ flips[d >> 2]`` inside each crossing: flips 1 and 3 (A and B smoothings) give
+    the state circles, and flip 2 (straight across) the strand components, counted only
+    for the message of a diagram that validation found is not one strand. Marking both
+    ends of every arc crossed lets one walk cover an orbit."""
     orbit = [-1] * len(partner)
     count = 0
     for start in range(len(partner)):
@@ -120,7 +121,7 @@ class PlanarDiagram:
             if not isinstance(label, int) or label < 1:
                 crossing = slots[d & ~3:(d | 3) + 1]
                 raise MalformedToken(f"edge labels must be positive integers: {crossing!r}")
-        _validate(self, slots, _pair_darts(slots)[0])
+        _validate(self, slots, _pair_darts(slots))
 
     def __setattr__(self, name: str, *_) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: PlanarDiagram is immutable")
@@ -151,50 +152,53 @@ class PlanarDiagram:
 
 def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int],
               one_component: bool = False) -> None:
-    """Check that paired slots form one strand component with c + 2 faces, and
-    write them into ``diagram`` with the dart pairs of its degree-2 faces.
-    ``one_component`` skips the strand walk for slots known to trace one
-    component: a braid closure whose permutation is one cycle."""
+    """Check that paired slots form one strand with c + 2 faces and write them into
+    ``diagram`` with the dart pairs of its degree-2 faces. ``one_component`` skips
+    the strand walk for slots known to be one strand (a one-cycle braid closure)."""
     c = len(slots) // 4
     if not one_component:
-        n_comp, _ = arc_orbits(partner, [2] * c)
-        if n_comp != 1:
+        # Through a crossing, then along an edge: two darts a step, so a knot's
+        # one strand takes 2c steps.
+        d, steps = partner[2], 1
+        while d:
+            d = partner[d ^ 2]
+            steps += 1
+        if steps != 2 * c:
+            n_comp = arc_orbits(partner, [2] * c)[0]
             raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
-    # Turn left: cross the edge, then rotate one slot counterclockwise.
-    # ``unseen[d]`` is ``partner[d]`` until a walk passes d, then -1; a face's
-    # start is left unmarked, since the loop never comes back to it.
-    unseen = partner.copy()
+    # Faces are the cycles of turn-left (cross the edge, rotate one slot counterclockwise)
+    # and of its inverse: ``partner`` at the slot before d. A walk marks back[d] = -1.
+    back = partner.copy()
+    back[1::4], back[2::4], back[3::4], back[0::4] = (
+        partner[0::4], partner[1::4], partner[2::4], partner[3::4])
     faces = 0
     degree_two = []
-    for start in range(len(unseen)):
-        p = unseen[start]
-        if p < 0:
+    for start, d in enumerate(back):
+        if d < 0:
             continue
         faces += 1
-        d = p - 3 if p & 3 == 3 else p + 1
-        p = partner[d]
-        if d != start and (p - 3 if p & 3 == 3 else p + 1) == start:
+        if d != start and back[d] == start:
             degree_two.append((start, d))
         while d != start:
-            p = unseen[d]
-            unseen[d] = -1
-            d = p - 3 if p & 3 == 3 else p + 1
+            back[d], d = -1, back[d]
     if faces != c + 2:
         raise NonPlanarDiagram(f"face traversal gives {faces} faces, expected c + 2 = {c + 2}")
     # Written past __setattr__, which refuses every assignment.
     diagram.__dict__.update(slots=slots, partner=tuple(partner), degree_two_faces=tuple(degree_two))
 
 
-def _normalized(labels: Sequence[int], one_component: bool = False) -> PlanarDiagram:
-    """Relabel a flat slot list (four labels per crossing) 1..2c in order of
-    first appearance and validate, as :func:`_validate` with ``one_component``
-    does. The labels are positive integers. One pass pairs them; the
-    renumbering keeps that pairing, so the relabelled slots are not paired
-    again."""
-    partner, first = _pair_darts(labels, renumbered=True)
-    relabel = dict(zip(first, range(1, len(first) + 1)))
+def _from_partner(partner: list[int], one_component: bool = False) -> PlanarDiagram:
+    """The diagram whose edges are the dart pairs of ``partner``, numbered 1..2c in
+    order of first dart and validated as :func:`_validate` with ``one_component``."""
+    slots = [0] * len(partner)
+    k = 0
+    for d, p in enumerate(partner):
+        if p > d:
+            k += 1
+            slots[d] = slots[p] = k
+    slots = tuple(slots)  # the list is not kept through validation's walks
     diagram = PlanarDiagram.__new__(PlanarDiagram)
-    _validate(diagram, tuple(map(relabel.__getitem__, labels)), partner, one_component)
+    _validate(diagram, slots, partner, one_component)
     return diagram
 
 
@@ -238,7 +242,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise MalformedToken("an edge label has more digits than int() converts") from None
     if min(labels) < 1:
         raise MalformedToken("edge labels must be positive")
-    return _normalized(labels)
+    return _from_partner(_pair_darts(labels, renumbered=True))
 
 
 # --------------------------------------------------------------------------
@@ -364,22 +368,27 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     if n_comp != 1:
         raise ClosureIsLink(f"closure has {n_comp} components, expected a knot")
     n = word.strands
-    top = list(range(1, n + 1))
-    cur = list(top)
-    fresh = n + 1
-    labels: list[int] = []
-    for i, r in word.syllables:
-        a = i - 1
-        for _ in range(abs(r)):
-            out_l, out_r = fresh, fresh + 1
-            fresh += 2
-            if r > 0:
-                labels += (cur[a + 1], cur[a], out_l, out_r)
-            else:
-                labels += (cur[a], out_l, out_r, cur[a + 1])
-            cur[a], cur[a + 1] = out_l, out_r
-    # Closure arcs identify each strand's bottom label with its top label.
-    closing = {cur[p]: top[p] for p in range(n)}
-    # The closure has one component per cycle of the permutation, checked above.
-    return _normalized([closing.get(label, label) for label in labels], one_component=True)
+    end = 4 * sum(abs(r) for _, r in word.syllables)
+    # Each in-dart pairs with the dart that last left its position; at first
+    # that is dart end + p, a stand-in that keeps position p's first in-dart.
+    partner = [0] * (end + n)
+    last = list(range(end, end + n))
+    d = 0
+    for i, r in word.syllables:  # s_i crosses positions i - 1 and i, counted from 0
+        for _ in range(r):  # in from i, in from i - 1, out to i - 1, out to i
+            x, y = last[i], last[i - 1]
+            partner[d], partner[x], partner[d + 1], partner[y] = x, d, y, d + 1
+            last[i - 1], last[i] = d + 2, d + 3
+            d += 4
+        for _ in range(-r):  # in from i - 1, out to i - 1, out to i, in from i
+            x, y = last[i - 1], last[i]
+            partner[d], partner[x], partner[d + 3], partner[y] = x, d, y, d + 3
+            last[i - 1], last[i] = d + 1, d + 2
+            d += 4
+    # Closing arcs join each position's last out-dart to its first in-dart. With
+    # one cycle the word touches every position, and the closure is one strand.
+    for x, y in zip(last, partner[end:]):
+        partner[x], partner[y] = y, x
+    del partner[end:]
+    return _from_partner(partner, one_component=True)
 

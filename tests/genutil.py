@@ -5,7 +5,9 @@ darts. The oracles here share none of that code: they rebuild the edge
 pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
 faces with a dict of tuple darts. ``findall_parse_pd`` reads PD labels with
-``re.findall`` where the package translates and splits the text. The slope
+``re.findall`` where the package translates and splits the text, and
+``closure_pd_text`` writes a braid closure as PD text by labelling edges where
+the package pairs darts. The slope
 sweep oracles decide each threshold by a ``Fraction`` comparison in its
 printed form, where the package compares integers.
 """
@@ -151,6 +153,24 @@ def findall_parse_pd(text: str) -> PlanarDiagram:
     for label in labels:
         relabel.setdefault(label, len(relabel) + 1)
     return PlanarDiagram(tuple(relabel[label] for label in labels))
+
+
+def closure_pd_text(word: BraidWord) -> str:
+    """PD text of the closure of ``word``, link or knot, labelled as the CI
+    step does: crossings stacked in word order, positive ones read (NE, NW, SW,
+    SE) and negative ones (NW, SW, SE, NE), and each position's bottom label
+    replaced by its top label. A position no syllable touches leaves no label."""
+    n = word.strands
+    cur, fresh, raw = list(range(1, n + 1)), n + 1, []
+    for g, e in word.syllables:
+        for _ in range(abs(e)):
+            a = g - 1
+            nw, ne, sw, se = cur[a], cur[a + 1], fresh, fresh + 1
+            fresh += 2
+            raw.append((ne, nw, sw, se) if e > 0 else (nw, sw, se, ne))
+            cur[a], cur[a + 1] = sw, se
+    close = {cur[p]: p + 1 for p in range(n)}
+    return " ".join("X[%d,%d,%d,%d]" % tuple(close.get(x, x) for x in t) for t in raw)
 
 
 def is_alternating_diagram(diagram: PlanarDiagram) -> bool:

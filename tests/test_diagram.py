@@ -32,6 +32,7 @@ from cuspbounds.errors import (
     ZeroExponent,
 )
 from genutil import (
+    closure_pd_text,
     crossing_labels,
     findall_parse_pd,
     mirror,
@@ -48,6 +49,36 @@ KINK = "X[1,1,2,2]"
 
 def face_degrees(d: PlanarDiagram) -> list[int]:
     return sorted(map(len, traced_faces(d)))
+
+
+def permutation_cycles(word: BraidWord) -> int:
+    """Cycles of the permutation of ``word``, followed position by position."""
+    perm = list(range(word.strands))
+    for i, r in word.syllables:
+        if r % 2:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    seen, cycles = set(), 0
+    for p in range(word.strands):
+        cycles += p not in seen
+        while p not in seen:
+            seen.add(p)
+            p = perm[p]
+    return cycles
+
+
+def one_cycle_word(rng: random.Random, strands: int) -> BraidWord:
+    """A random word on ``strands`` strands whose closure is a knot."""
+    while True:
+        syllables, prev = [], 0
+        for _ in range(rng.randint(1, 10)):
+            choices = [i for i in range(1, strands) if i != prev]
+            if not choices:
+                break
+            prev = rng.choice(choices)
+            syllables.append((prev, rng.choice((-1, 1)) * rng.randint(1, 3)))
+        word = BraidWord(strands, tuple(syllables))
+        if permutation_cycles(word) == 1:
+            return word
 
 
 def alternating_bigons(d: PlanarDiagram) -> int:
@@ -159,6 +190,41 @@ class TestParsePd:
         assert len(traced_faces(SimpleNamespace(slots=slots, c=len(slots) // 4))) > len(slots) // 4 + 2
         for build in (parse_pd, lambda _: PlanarDiagram(slots)):
             with pytest.raises(MultiComponentLink):
+                build(text)
+
+    @pytest.mark.parametrize("components", [2, 3, 4, 5])
+    def test_link_closures_report_their_component_count(self, components):
+        # Every generator appears, so every position carries darts and each
+        # cycle of the permutation is one strand component.
+        rng = random.Random(components)
+        found = 0
+        while found < 20:
+            strands = rng.randint(components, components + 3)
+            gens = rng.sample(range(1, strands), strands - 1) + rng.choices(range(1, strands), k=2)
+            gens = [g for g, prev in zip(gens, [0] + gens) if g != prev]
+            word = BraidWord(strands, tuple((g, rng.choice((-1, 1)) * rng.randint(1, 4)) for g in gens))
+            if permutation_cycles(word) != components:
+                continue
+            found += 1
+            text = closure_pd_text(word)
+            slots = tuple(int(label) for label in re.findall(r"\d+", text))
+            message = f"^strand trace gives {components} components, expected a knot$"
+            for build in (parse_pd, lambda _: PlanarDiagram(slots)):
+                with pytest.raises(MultiComponentLink, match=message):
+                    build(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["X[1,2,1,2]", f"X[8,1,8,7] {TREFOIL.replace('X[1,', 'X[7,')}",
+         f"{TREFOIL.replace('X[1,', 'X[7,')} X[8,1,8,7]"],
+    )
+    def test_straight_through_loop_is_a_component(self, text):
+        # Edge 8, and both edges of the lone crossing, join darts d and d ^ 2
+        # of one crossing: partner[d] == d ^ 2, a strand of one step.
+        slots = tuple(int(label) for label in re.findall(r"\d+", text))
+        assert any(slots[d] == slots[d ^ 2] for d in range(len(slots)))
+        for build in (parse_pd, lambda _: PlanarDiagram(slots)):
+            with pytest.raises(MultiComponentLink, match="^strand trace gives 2 components,"):
                 build(text)
 
     def test_round_trip(self):
@@ -491,6 +557,27 @@ class TestBraidClosure:
                 root[find(a)] = find(c)
                 root[find(b)] = find(e)
             assert len({find(label) for label in d.slots}) == 1
+
+    def test_closures_match_their_pd_text(self):
+        # closure_pd_text labels the edges of the stacked crossings where
+        # braid_closure pairs darts; parsing that text gives the same diagram.
+        rng = random.Random(4711)
+        words = [BraidWord(2, ((1, r),)) for r in (1, -1, 3, -5)]
+        while len(words) < 500:
+            strands = rng.randint(2, 6)
+            if strands > 2 and rng.random() < 0.3:
+                # position ``strands`` is first touched by the last syllable
+                head = one_cycle_word(rng, strands - 1).syllables
+                last = (strands - 1, rng.choice((-1, 1)) * rng.choice((1, 3)))
+                words.append(BraidWord(strands, head + (last,)))
+            else:
+                words.append(one_cycle_word(rng, strands))
+        assert any(r < 0 for word in words for _, r in word.syllables)
+        for word in words:
+            closed, parsed = braid_closure(word), parse_pd(closure_pd_text(word))
+            assert closed.slots == parsed.slots
+            assert closed.partner == parsed.partner
+            assert closed.degree_two_faces == parsed.degree_two_faces
 
     def test_weaving_closures_are_knots(self):
         for k in (2, 4, 5, 7):

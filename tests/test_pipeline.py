@@ -703,6 +703,19 @@ class TestCli:
         assert usage.startswith("usage: cuspbounds pretzel [-h] [--budget BUDGET]")
         assert error == "cuspbounds pretzel: error: unrecognized arguments: --prime"
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [(["pretzel", "3,5"], "pretzel: error: argument params"),
+         (["pretzel", "3,x,5"], "pretzel: error: argument params"),
+         (["analyze", "--pair", "1,2"], "analyze: error: argument --pair")],
+    )
+    def test_triple_usage_error_names_no_private_function(self, capsys, argv, where):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"cuspbounds {where}: expected three integers, got {argv[-1]!r}"
+
     def test_usage_errors_exit_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["surgery", "--delta", "0"])  # missing --slopes
