@@ -53,7 +53,8 @@ from .errors import (
 )
 
 # Crossings a PD code may list, or a braid word ask for (counted as the sum of
-# |r| over its syllables as written); about 1 KB of memory per crossing.
+# |r| over its syllables as written). Traced peaks per crossing: about 0.5 KB to
+# parse PD text, about 0.4 KB to parse a braid word and build its closure.
 MAX_CROSSINGS = 100_000
 # int() and str() convert numbers of at most 4,300 digits.
 _STR_LIMIT = 10**4300
@@ -206,12 +207,16 @@ def _from_partner(partner: list[int], one_component: bool = False) -> PlanarDiag
 # PD-code text
 # --------------------------------------------------------------------------
 
-# Whole tokens with their trailing separators. ``match`` takes the longest run of
-# them and stops at the first bad token without backtracking, so its end is the
-# error position; whitespace before a bracket is allowed only after an X, which
-# keeps every split of the text unambiguous.
+# A run of at most 1,000 whole tokens, each with its trailing separators; no token
+# starts with a separator, so runs split the text between tokens. ``match`` takes
+# the longest run and stops at the first bad token without backtracking, so a run
+# that stops short ends at the error position. Whitespace before a bracket is
+# allowed only after an X, which keeps every split of the text unambiguous. Runs
+# are bounded because the regex engine keeps backtracking state for every
+# repetition of the group, about 1 KB a crossing over a whole text. Once
+# requires-python reaches 3.11, a possessive ``(?:...)*+`` can replace the loop.
 _PD_TOKENS = re.compile(
-    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
+    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*){0,1000}"
 )
 _NOT_DIGITS = str.maketrans("Xx[](),", "       ")
 
@@ -227,9 +232,12 @@ def parse_pd(text: str) -> PlanarDiagram:
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
-    pos = _PD_TOKENS.match(stripped).end()
-    if pos < len(stripped):
-        raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+    pos = 0
+    while pos < len(stripped):
+        end = _PD_TOKENS.match(stripped, pos).end()
+        if end == pos:
+            raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+        pos = end
     # Every token of the grammar opens with one bracket.
     crossings = stripped.count("[") + stripped.count("(")
     if crossings > MAX_CROSSINGS:
@@ -312,13 +320,17 @@ def parse_braid(text: str) -> BraidWord:
     head, sep, body = text.partition(":")
     if not sep:
         raise MalformedToken("braid text must look like 'n: s1^2 s2^-1 ...'")
+    count = head.strip()
     try:
-        strands = int(head.strip())
+        # Digits (\d, as in a syllable), maybe after a minus that BraidWord reports
+        # as FewerThanTwoStrands: int() alone would also read "+3" and "3_0". It
+        # raises on "" and on more than 4,300 digits.
+        strands = int(count if count.removeprefix("-").isdecimal() else "")
     except ValueError:
-        raise MalformedToken(f"bad strand count {head.strip()[:20]!r}") from None
+        raise MalformedToken(f"bad strand count {count[:20]!r}") from None
     # A knot closure on n strands has at least n - 1 crossings.
     if strands > MAX_CROSSINGS + 1:
-        raise TooManyCrossings(f"strand count {head.strip()[:20]!r} exceeds {MAX_CROSSINGS + 1}")
+        raise TooManyCrossings(f"strand count {count[:20]!r} exceeds {MAX_CROSSINGS + 1}")
     tokens = body.split()
     if not tokens:
         raise MalformedToken("braid word has no syllables")

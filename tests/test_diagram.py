@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -233,6 +234,62 @@ class TestParsePd:
             assert parse_pd(d.pd_string()) == d
 
 
+class TestPdTokenRuns:
+    """``parse_pd`` checks the grammar in runs of at most 1,000 tokens; the
+    ``genutil`` oracle matches the whole text at once. Run boundaries must not
+    change which texts parse, nor where an error is reported."""
+
+    FORMS = ("X[%s]", "x [%s]", "(%s)")
+    SEPARATORS = (" ", ", ", ",", "\n")
+
+    @classmethod
+    def dressed(cls, text: str, shift: int = 0) -> str:
+        """``X[...]`` PD text rewritten token by token in every form and after
+        every separator, the pattern shifted by ``shift`` tokens."""
+        bodies = re.findall(r"\[([\d,]+)\]", text)
+        return "".join(cls.FORMS[(i + shift) % 3] % body + cls.SEPARATORS[(i + shift) % 4]
+                       for i, body in enumerate(bodies)).rstrip()
+
+    @pytest.mark.parametrize("c", [999, 1000, 1001, 2000])
+    def test_valid_texts_across_run_boundaries(self, c):
+        # s1^c closes to a knot for odd c; s1^(c-1) s2 for even c.
+        word = BraidWord(2, ((1, c),)) if c % 2 else BraidWord(3, ((1, c - 1), (2, 1)))
+        for shift in range(12):
+            text = self.dressed(closure_pd_text(word), shift)
+            parsed = parse_pd(text)
+            assert parsed.c == c
+            assert parsed == findall_parse_pd(text)
+
+    @pytest.mark.parametrize("index", [0, 999, 1000, 1001, 2000, 2499, 2500])
+    @pytest.mark.parametrize("bad", ["X[1,2,3]", "( 7", "x[1,2,3,4,5]", "X[1,-2,3,4]", "Y[1,2,3,4]"])
+    def test_bad_token_across_run_boundaries(self, index, bad):
+        # 2,500 tokens with one bad token at ``index`` (2,500: after the last)
+        tokens = [self.FORMS[i % 3] % f"{i},{i + 1},{i + 2},{i + 3}" for i in range(1, 2501)]
+        tokens.insert(index, bad)
+        text = "".join(t + self.SEPARATORS[i % 4] for i, t in enumerate(tokens)).rstrip()
+        pos = sum(len(t) + len(self.SEPARATORS[i % 4]) for i, t in enumerate(tokens[:index]))
+        assert text[pos:].startswith(bad)
+        message = f"unrecognized PD token at: {text[pos:pos + 20]!r}"
+        for parse in (findall_parse_pd, parse_pd):
+            with pytest.raises(MalformedToken) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+
+    def test_peak_memory_of_a_large_parse(self):
+        # A whole-text match kept about 1 KB of regex state per crossing: a
+        # 21 MB peak at c = 20,000 (33 MB on Python 3.10), against 9-10 MB in
+        # bounded runs.
+        text = closure_pd_text(weaving_braid(10_000))
+        tracemalloc.start()
+        try:
+            diagram = parse_pd(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diagram.c == 20_000
+        assert peak < 15_000_000, f"parse_pd peaked at {peak / 1e6:.1f} MB"
+
+
 class TestFlatLabels:
     """The diagram is one flat label tuple; these pin its checks and views."""
 
@@ -446,6 +503,8 @@ class TestParseBraid:
             (f"{'9' * 4000}: s1^3", TooManyCrossings, f"strand count {'9' * 20!r} exceeds 100001"),
             (f"3: s{'9' * 4000}^3", BadGeneratorIndex, f"generator s{'9' * 20} outside 1..2"),
             (f"-{'9' * 4000}: s1^3", FewerThanTwoStrands, f"need at least 2 strands, got -{'9' * 19}"),
+            ("3_0: s1^3 s2^-3", MalformedToken, "bad strand count '3_0'"),
+            ("+3: s1^3 s2^-3", MalformedToken, "bad strand count '+3'"),
         ],
     )
     def test_long_tokens_are_echoed_cut_to_twenty_characters(self, text, error, message):
