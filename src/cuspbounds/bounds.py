@@ -41,7 +41,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .diagram import BraidWord
+from .diagram import BraidWord, _cut
 from .errors import (
     BadDiagramCounts,
     ClosureIsLink,
@@ -172,7 +172,7 @@ class PretzelParams(namedtuple("PretzelParams", "a b c")):
     def __new__(cls, a: int, b: int, c: int) -> PretzelParams:
         for value in (a, b, c):
             if value <= 1 or value % 2 == 0:
-                raise NotOddOrTooSmall(f"pretzel parameters must be odd and > 1: {value}")
+                raise NotOddOrTooSmall(f"pretzel parameters must be odd and > 1: {_cut(value)}")
         return tuple.__new__(cls, (a, b, c))
 
 

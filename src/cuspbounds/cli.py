@@ -19,7 +19,7 @@ try:
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-from .errors import CuspBoundsError
+from .errors import CuspBoundsError, FileUnreadable
 from .pipeline import (
     STATUS_INAPPLICABLE,
     AnalysisRequest,
@@ -50,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
     try:
-        a, b, c = map(int, text.replace(",", " ").split())
+        # Decimal digits after an optional minus, as a braid's strand count:
+        # int() alone would also read "+3" and "3_5".
+        a, b, c = (int(part if part.removeprefix("-").isdecimal() else "")
+                   for part in text.replace(",", " ").split())
     except ValueError:  # not three parts, or one that int() refuses
         raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}") from None
     return a, b, c
@@ -85,6 +88,16 @@ def _finite_fraction(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a number with a finite float: {text!r}") from None
     return value
+
+
+def _read_stdin() -> str:
+    """The diagram text on standard input, for the argument ``-``."""
+    if sys.stdin is None:  # started with file descriptor 0 closed
+        raise FileUnreadable("cannot read standard input: it is closed")
+    try:
+        return sys.stdin.read().strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot read standard input: {exc}") from None
 
 
 def _sig(x) -> str:
@@ -256,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="analyze a PD code (or a raw surface pair)")
-    p_analyze.add_argument("pd", nargs="?", help="PD code, e.g. 'X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]'")
+    p_analyze.add_argument(
+        "pd", nargs="?", help="PD code, e.g. 'X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]', or - for stdin")
     p_analyze.add_argument(
         "--pair", type=_parse_triple, help="raw |chi1|,|chi2|,intersection triple"
     )
 
     p_braid = sub.add_parser("braid", help="analyze a braid closure, e.g. '3: s1^3 s2^-3'")
-    p_braid.add_argument("braid", metavar="word")
+    p_braid.add_argument("braid", metavar="word", help="braid word, or - for stdin")
     p_braid.add_argument(
         "--prime", action="store_true", help="assert the diagram is prime (caller's responsibility)"
     )
@@ -316,6 +330,9 @@ def _run(argv: list[str] | None) -> int:
                 parser.error("analyze needs a PD code or --pair, not both")
             # Each subcommand stores its input under the request field it sets.
             sources = {k: getattr(args, k, None) for k in ("pd", "braid", "pretzel", "pair")}
+            for key in ("pd", "braid"):
+                if sources[key] == "-":
+                    sources[key] = _read_stdin()
             request = AnalysisRequest(
                 **sources,
                 budget=args.budget,

@@ -1,31 +1,30 @@
 """Combinatorial planar knot diagrams: PD codes, braid closures, faces.
 
-A diagram is one flat tuple of edge labels, four per 4-valent crossing.
-Each crossing lists its four incident edge labels counterclockwise starting
-from the incoming under-strand, so slots 0 and 2 carry the under-strand and
-slots 1 and 3 the over-strand. The slot order doubles as the rotation
-system: it is all the embedding data needed to trace strands and traverse
-faces, and planarity is enforced through the Euler count (a connected knot
-diagram on the sphere has exactly c + 2 faces).
+A diagram is its edge involution on integer darts ``d = 4 * ci + si``
+(crossing index, slot). Each crossing lists its four slots counterclockwise
+starting from the incoming under-strand, so slots 0 and 2 carry the
+under-strand and slots 1 and 3 the over-strand. The slot order doubles as the
+rotation system: it is all the embedding data needed to trace strands and
+traverse faces, and planarity is enforced through the Euler count (a
+connected knot diagram on the sphere has exactly c + 2 faces).
 
-Darts are integers ``d = 4 * ci + si`` (crossing index, slot). Two
-involutions generate everything:
+Two involutions generate everything:
 
 * ``across``    -- ``d ^ 2``, the strand running straight through a crossing;
 * ``partner``   -- the other dart of the same edge, one flat list built in
-                   one pass over the labels or the braid word.
+                   one pass over the PD labels or the braid word.
 
-Every pass after the pairing reads ``partner``, never the labels. Strand
-components are the orbits of both involutions: the diagram is a knot when the
-walk ``d -> partner[d ^ 2]`` from dart 0 takes 2c steps. Faces are the cycles
-of turn-left, "rotate after partner" (``(p & ~3) | ((p + 1) & 3)`` for
-``p = partner[d]``), and the face walk follows its inverse, which has the same
-cycles. It keeps the dart pairs of the degree-2 faces, no list per face: c + 2
-lists alive at once would start cyclic garbage collections.
+Strand components are the orbits of both involutions: the diagram is a knot
+when the walk ``d -> partner[d ^ 2]`` from dart 0 takes 2c steps. Faces are
+the cycles of turn-left, "rotate after partner" (``(p & ~3) | ((p + 1) & 3)``
+for ``p = partner[d]``), and the face walk follows its inverse, which has the
+same cycles. It keeps the dart pairs of the degree-2 faces, no list per face:
+c + 2 lists alive at once would start cyclic garbage collections.
 
-Parsing pairs the labels as written, then numbers each edge 1..2c by its
-first dart. A braid closure pairs its darts as it stacks the crossings and is
-numbered the same way. A diagram built from ``slots`` keeps its labels.
+Parsing pairs the labels as written and keeps only that pairing; a braid
+closure pairs its darts as it stacks the crossings. Edge labels are derived
+when asked for (``PlanarDiagram.slots``), each edge numbered 1..2c by its
+first dart.
 
 Braid closures are emitted so that a positive generator takes the strand
 entering from the higher-numbered position underneath. With that chirality
@@ -65,11 +64,10 @@ def _cut(n: int) -> str:
     return str(n)[:20] if abs(n) < _STR_LIMIT else "<over 4300 digits>"
 
 
-def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> list[int]:
+def _pair_darts(labels: Sequence[int]) -> list[int]:
     """The involution pairing the two darts that carry each edge label, built in
-    one pass over positive integer labels. With ``renumbered`` a label used
-    other than twice is named by its rank in order of first appearance, the
-    number ``_from_partner`` gives it."""
+    one pass over the labels. A label used other than twice is named by its rank
+    in order of first appearance, the number ``PlanarDiagram.slots`` gives it."""
     partner = [-1] * len(labels)
     first: dict[int, int] = {}
     for d, label in enumerate(labels):
@@ -80,8 +78,7 @@ def _pair_darts(labels: Sequence[int], renumbered: bool = False) -> list[int]:
     # twice when there are half as many labels as darts.
     if -1 in partner or 2 * len(first) != len(labels):
         # Counter keeps the order of first appearance.
-        bad = sorted(i if renumbered else label
-                     for i, (label, k) in enumerate(Counter(labels).items(), 1) if k != 2)
+        bad = [i for i, k in enumerate(Counter(labels).values(), 1) if k != 2]
         raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
     return partner
 
@@ -108,21 +105,14 @@ def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[
 
 
 class PlanarDiagram:
-    """A validated one-component 4-valent diagram with rotation system. ``slots``
-    holds four edge labels per crossing, so dart ``d`` carries ``slots[d]``.
-    Validation also keeps the edge involution ``partner`` and the dart pairs of
-    the degree-2 faces. Immutable; equality, hash and repr use ``slots`` alone."""
+    """A validated one-component 4-valent diagram with rotation system: the edge
+    involution ``partner`` on darts, and the dart pairs of the degree-2 faces.
+    Only :func:`parse_pd` and :func:`braid_closure` build one. Immutable;
+    equality and hash use ``partner`` alone, the same relation as comparing
+    ``slots``, which is numbered from it."""
 
-    def __init__(self, slots: tuple[int, ...]) -> None:
-        if not slots:
-            raise EmptyDiagram("diagram has no crossings")
-        if len(slots) % 4:
-            raise MalformedToken(f"crossing needs 4 edge labels, got {slots[len(slots) & ~3:]!r}")
-        for d, label in enumerate(slots):
-            if not isinstance(label, int) or label < 1:
-                crossing = slots[d & ~3:(d | 3) + 1]
-                raise MalformedToken(f"edge labels must be positive integers: {crossing!r}")
-        _validate(self, slots, _pair_darts(slots))
+    def __init__(self, *_, **__) -> None:
+        raise TypeError("PlanarDiagram has no public constructor; use parse_pd or braid_closure")
 
     def __setattr__(self, name: str, *_) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: PlanarDiagram is immutable")
@@ -130,33 +120,40 @@ class PlanarDiagram:
     __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
-        return self.slots == other.slots if other.__class__ is self.__class__ else NotImplemented
+        return self.partner == other.partner if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.slots)
+        return hash(self.partner)
 
     def __repr__(self) -> str:
         return f"PlanarDiagram(slots={self.slots!r})"
 
-    # -- basic counts ------------------------------------------------------
-
     @property
     def c(self) -> int:
-        return len(self.slots) // 4
+        return len(self.partner) // 4
 
-    # -- serialization -----------------------------------------------------
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """Four edge labels per crossing, so dart ``d`` carries ``slots[d]``: each
+        edge numbered 1..2c by its first dart. Built anew on every call."""
+        slots = [0] * len(self.partner)
+        k = 0
+        for d, p in enumerate(self.partner):
+            if p > d:
+                k += 1
+                slots[d] = slots[p] = k
+        return tuple(slots)
 
     def pd_string(self) -> str:
         """Canonical PD text; round-trips through :func:`parse_pd`."""
         return " ".join(["X[%d,%d,%d,%d]"] * self.c) % self.slots
 
 
-def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int],
-              one_component: bool = False) -> None:
-    """Check that paired slots form one strand with c + 2 faces and write them into
-    ``diagram`` with the dart pairs of its degree-2 faces. ``one_component`` skips
-    the strand walk for slots known to be one strand (a one-cycle braid closure)."""
-    c = len(slots) // 4
+def _validated(partner: list[int], one_component: bool = False) -> PlanarDiagram:
+    """The diagram whose edges are the dart pairs of ``partner``, once they form
+    one strand with c + 2 faces. ``one_component`` skips the strand walk for a
+    pairing known to be one strand (a one-cycle braid closure)."""
+    c = len(partner) // 4
     if not one_component:
         # Through a crossing, then along an edge: two darts a step, so a knot's
         # one strand takes 2c steps.
@@ -184,22 +181,9 @@ def _validate(diagram: PlanarDiagram, slots: tuple[int, ...], partner: list[int]
             back[d], d = -1, back[d]
     if faces != c + 2:
         raise NonPlanarDiagram(f"face traversal gives {faces} faces, expected c + 2 = {c + 2}")
-    # Written past __setattr__, which refuses every assignment.
-    diagram.__dict__.update(slots=slots, partner=tuple(partner), degree_two_faces=tuple(degree_two))
-
-
-def _from_partner(partner: list[int], one_component: bool = False) -> PlanarDiagram:
-    """The diagram whose edges are the dart pairs of ``partner``, numbered 1..2c in
-    order of first dart and validated as :func:`_validate` with ``one_component``."""
-    slots = [0] * len(partner)
-    k = 0
-    for d, p in enumerate(partner):
-        if p > d:
-            k += 1
-            slots[d] = slots[p] = k
-    slots = tuple(slots)  # the list is not kept through validation's walks
     diagram = PlanarDiagram.__new__(PlanarDiagram)
-    _validate(diagram, slots, partner, one_component)
+    # Written past __setattr__, which refuses every assignment.
+    diagram.__dict__.update(partner=tuple(partner), degree_two_faces=tuple(degree_two))
     return diagram
 
 
@@ -250,7 +234,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise MalformedToken("an edge label has more digits than int() converts") from None
     if min(labels) < 1:
         raise MalformedToken("edge labels must be positive")
-    return _from_partner(_pair_darts(labels, renumbered=True))
+    return _validated(_pair_darts(labels))
 
 
 # --------------------------------------------------------------------------
@@ -402,5 +386,5 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     for x, y in zip(last, partner[end:]):
         partner[x], partner[y] = y, x
     del partner[end:]
-    return _from_partner(partner, one_component=True)
+    return _validated(partner, one_component=True)
 

@@ -85,6 +85,11 @@ class BudgetOutOfRange(CuspBoundsError):
     non-zero for a non-zero budget."""
 
 
+class BoundOutOfRange(CuspBoundsError):
+    """Bounds are reported as floats, so a surface pair's bounds need finite,
+    non-zero floats."""
+
+
 class DegenerateSurfacePair(CuspBoundsError, ValueError):
     """Surface pairs need |chi| >= 1 on both surfaces and a positive boundary
     intersection number. Also a ``ValueError``, so that callers catching
@@ -121,7 +126,8 @@ class BadDiagramCounts(CuspBoundsError, ValueError):
 
 
 class InvalidSlope(CuspBoundsError, ValueError):
-    """A slope p/q needs q != 0 and p, q coprime."""
+    """A slope p/q needs q != 0 and p, q coprime, each written as decimal
+    digits after an optional minus."""
 
 
 class NotOneInputSource(CuspBoundsError, ValueError):
@@ -147,7 +153,8 @@ class NonPositiveVolume(CuspBoundsError):
 
 
 class NonFiniteVolume(CuspBoundsError):
-    """Volumes must be finite numbers, not NaN or infinity."""
+    """Volumes must be finite numbers, not NaN or infinity; so must the
+    Montesinos window's upper end 2 v8 t."""
 
 
 # --------------------------------------------------------------- batch
@@ -157,4 +164,4 @@ class MissingHeader(CuspBoundsError):
 
 
 class FileUnreadable(CuspBoundsError):
-    """Reference CSV could not be opened or decoded."""
+    """Reference CSV, or a diagram on standard input, could not be read or decoded."""

@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import bounds as bd
 from . import states as st
 from . import surgery as sg
-from .diagram import PlanarDiagram, braid_closure, parse_braid, parse_pd
+from .diagram import PlanarDiagram, _cut, braid_closure, parse_braid, parse_pd
 from .errors import (
+    BoundOutOfRange,
     BudgetOutOfRange,
     CuspBoundsError,
     FileUnreadable,
@@ -35,7 +36,8 @@ STATUS_INAPPLICABLE = "inapplicable"
 
 def parse_slope_list(text: str) -> tuple:
     """Parse ``p/q[,p/q...]``; invalid slopes become per-slope error entries
-    instead of aborting the whole request."""
+    instead of aborting the whole request. ``p`` and ``q`` are decimal digits
+    after an optional minus, as a braid's strand count."""
     out: list = []
     for part in text.split(","):
         part = part.strip()
@@ -43,7 +45,11 @@ def parse_slope_list(text: str) -> tuple:
             continue
         num, sep, den = part.partition("/")
         try:
-            out.append(sg.Slope(int(num), int(den) if sep else 1))
+            p, q = int(num), int(den) if sep else 1
+            # What int() reads past an optional minus and digits: "+1", "1_0".
+            if "+" in part or "_" in part:
+                raise InvalidSlope(f"slope {part[:20]!r} is not written in decimal digits")
+            out.append(sg.Slope(p, q))
         except ValueError as exc:
             out.append({"slope": part, "error": {"code": "InvalidSlope", "message": str(exc)}})
     return tuple(out)
@@ -134,13 +140,22 @@ def _surface_report(
     request: AnalysisRequest, kind: str, value, pair: bd.SurfacePairData, rule: tuple[str, dict]
 ) -> dict:
     """Report for an input given by its surface pair rather than a diagram,
-    bounded by the one ``(rule id, values)`` pair ``rule``."""
+    bounded by the one ``(rule id, values)`` pair ``rule``, whose values must
+    have finite, non-zero floats."""
+    try:
+        bounds = bd.best_bounds([rule])
+    except OverflowError:
+        bounds = None
+    # Every surface bound is positive, so a 0 is a float that underflowed.
+    if bounds is None or 0 in [entry["value"] for entry in bounds["candidates"]]:
+        raise BoundOutOfRange(f"{kind} {','.join(map(_cut, value))}: "
+                              f"a {rule[0]} bound has no finite, non-zero float")
     report = {
         "status": STATUS_OK,
         "diagnostics": ["slope analysis needs a diagram source"] if request.slopes else [],
         "input": {"kind": kind, "value": list(value)},
         "invariants": None,
-        "bounds": bd.best_bounds([rule]),
+        "bounds": bounds,
         "slopes": None,
     }
     _add_criterion(report, pair, request.budget)

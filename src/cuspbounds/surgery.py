@@ -40,6 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bounds import SIX, adequate_bounds_from_counts
+from .diagram import _cut
 from .errors import (
     DeltaOutOfRange,
     InvalidSlope,
@@ -164,10 +165,14 @@ def surgery_volume_window(delta: Rational, slope: Slope, vol: float) -> tuple[fl
 
 
 def montesinos_scale(t: int) -> tuple[float, float]:
-    """(max(0, (v8/4)(t - 9)), 2 v8 t): the window is [scale (1 - 36/q^2)^(3/2), upper)."""
+    """(max(0, (v8/4)(t - 9)), 2 v8 t): the window is [scale (1 - 36/q^2)^(3/2), upper).
+    A t whose 2 v8 t has no finite float raises ``NonFiniteVolume``."""
     if t < 2:
-        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {t}")
-    return max(0.0, (V8 / 4.0) * (t - 9)), 2.0 * V8 * t
+        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {_cut(t)}")
+    upper = 2.0 * V8 * t if t < 1e308 else math.inf  # float(t) overflows past 1.8e308
+    if upper == math.inf:
+        raise NonFiniteVolume(f"the window's upper end 2 v8 t overflows a float at t = {_cut(t)}")
+    return max(0.0, (V8 / 4.0) * (t - 9)), upper
 
 
 def montesinos_window(t: int, slope: Slope) -> tuple[float, float, bool]:

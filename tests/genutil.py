@@ -4,8 +4,9 @@ The package counts faces and state circles by orbit walks over integer
 darts. The oracles here share none of that code: they rebuild the edge
 pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
-faces with a dict of tuple darts. ``findall_parse_pd`` reads PD labels with
-``re.findall`` where the package translates and splits the text, and
+faces with a dict of tuple darts. ``findall_parse_pd`` reads and relabels PD
+labels with ``re.findall`` where the package translates and splits the text
+and numbers edges off the dart pairing, and
 ``closure_pd_text`` writes a braid closure as PD text by labelling edges where
 the package pairs darts. The slope
 sweep oracles decide each threshold by a ``Fraction`` comparison in its
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 from cuspbounds import parse_pd
@@ -27,12 +28,24 @@ from cuspbounds.diagram import (
     braid_closure,
     parse_braid,
 )
-from cuspbounds.errors import ClosureIsLink, EmptyDiagram, MalformedToken
+from cuspbounds.errors import (
+    ClosureIsLink,
+    EdgeLabelUsedOtherThanTwice,
+    EmptyDiagram,
+    MalformedToken,
+)
+
+
+def pd_text(slots) -> str:
+    """``X[a,b,c,d]`` PD text of a flat tuple of edge labels, four per crossing,
+    written as given; :func:`parse_pd` of it builds the diagram."""
+    return " ".join(["X[%d,%d,%d,%d]"] * (len(slots) // 4)) % tuple(slots)
 
 
 def crossing_labels(diagram: PlanarDiagram) -> list[tuple[int, ...]]:
     """The four edge labels of each crossing, cut from the flat slot tuple."""
-    return [diagram.slots[i:i + 4] for i in range(0, len(diagram.slots), 4)]
+    slots = diagram.slots  # built anew on every read
+    return [slots[i:i + 4] for i in range(0, len(slots), 4)]
 
 
 def path_following_circle_count(diagram: PlanarDiagram, state: str) -> int:
@@ -100,7 +113,7 @@ def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
     its cyclic order and keeps the incoming under-strand at slot 0."""
     slots = list(diagram.slots)
     slots[1::4], slots[3::4] = slots[3::4], slots[1::4]
-    return PlanarDiagram(tuple(slots))
+    return parse_pd(pd_text(slots))
 
 
 def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
@@ -137,9 +150,11 @@ _PD_TOKENS = re.compile(
 )
 
 
-def findall_parse_pd(text: str) -> PlanarDiagram:
-    """PD text to a diagram with the labels read by ``re.findall``: the same
-    grammar and error messages as :func:`parse_pd`, another way to read labels."""
+def findall_parse_pd(text: str) -> tuple[int, ...]:
+    """The ``slots`` that :func:`parse_pd` gives PD text, with the labels read by
+    ``re.findall`` and numbered 1..2c in order of first appearance: the same
+    grammar, label checks and error messages, another way to read and number
+    labels. Strands and faces are not checked."""
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
@@ -152,7 +167,11 @@ def findall_parse_pd(text: str) -> PlanarDiagram:
     relabel: dict[int, int] = {}
     for label in labels:
         relabel.setdefault(label, len(relabel) + 1)
-    return PlanarDiagram(tuple(relabel[label] for label in labels))
+    slots = tuple(relabel[label] for label in labels)
+    bad = sorted(label for label, k in Counter(slots).items() if k != 2)
+    if bad:
+        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
+    return slots
 
 
 def closure_pd_text(word: BraidWord) -> str:

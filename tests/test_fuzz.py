@@ -36,7 +36,9 @@ PDS = [
 BRAIDS = ["3: s1^3 s2^-3", "3: s1^3 s2^3 s1^3 s2^3", "2: s1^3", "4: s1^3 s2^3 s3^3", "3: s1^2 s2^-1"]
 NUMBERS = st.one_of(
     st.integers(-12, 40).map(str),
-    st.sampled_from(["0", "", "-", "1.5", "1e400", "nan", "inf", str(10**12), NINES]),
+    # "9" * 400: past a float's range, and still converted by int()
+    st.sampled_from(["0", "", "-", "1.5", "1e400", "nan", "inf", str(10**12), "9" * 400,
+                     NINES]),
 )
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from cuspbounds import (
     run_surgery,
 )
 from cuspbounds.cli import main
-from cuspbounds.diagram import BraidWord, PlanarDiagram, braid_closure
+from cuspbounds.diagram import BraidWord, braid_closure
 from cuspbounds.errors import (
     BadDiagramCounts,
     BudgetOutOfRange,
@@ -41,9 +42,12 @@ from cuspbounds.surgery import surgery_volume_window
 from genutil import (
     HUGE_Q,
     fraction_montesinos_entries,
+    closure_pd_text,
     fraction_slope_entries,
+    pd_text,
     random_adequate_knot_diagram,
     random_knot_diagram,
+    weaving_braid,
 )
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
@@ -421,7 +425,7 @@ def random_batch_row(rng: random.Random) -> tuple[str, str]:
     elif kind == "link":
         other = random_knot_diagram(rng, 8)
         shift = 2 * pd.count("X")
-        pd += " " + PlanarDiagram(tuple(x + shift for x in other.slots)).pd_string()
+        pd += " " + pd_text([x + shift for x in other.slots])
     elif kind == "malformed":
         cut = rng.randrange(len(pd))
         pd = rng.choice([pd[:cut], pd[:cut] + "a" + pd[cut + 1:], pd + " X[1,2]", ""])
@@ -715,6 +719,99 @@ class TestCli:
         assert excinfo.value.code == 1
         error = capsys.readouterr().err.splitlines()[-1]
         assert error == f"cuspbounds {where}: expected three integers, got {argv[-1]!r}"
+
+    @pytest.mark.parametrize("argv", [["pretzel", "3_5,5,7"], ["pretzel", "+3,5,7"],
+                                      ["analyze", "--pair", "1_1,1,24"]])
+    def test_triple_parts_are_decimal_digits(self, capsys, argv):
+        # int() alone reads "3_5" as 35 and "+3" as 3
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.endswith(f": expected three integers, got {argv[-1]!r}\n")
+
+    def test_slopes_are_decimal_digits(self):
+        entries = parse_slope_list("1_0/3,+1/3,1/+3,1/3_0, -1 / 3 ,\u0663/7,+2/4")
+        for entry, part in zip(entries, ["1_0/3", "+1/3", "1/+3", "1/3_0"]):
+            message = f"slope {part!r} is not written in decimal digits"
+            assert entry == {"slope": part, "error": {"code": "InvalidSlope", "message": message}}
+        assert entries[4:6] == (Slope(-1, 3), Slope(3, 7))
+        # the digits are checked before the slope
+        assert entries[6]["error"]["message"] == "slope '+2/4' is not written in decimal digits"
+
+    @pytest.mark.parametrize("digits", [309, 400])
+    def test_montesinos_window_past_a_float_is_a_coded_entry(self, capsys, digits):
+        t = "1" + "0" * (digits - 1)
+        error = {"code": "NonFiniteVolume",
+                 "message": f"the window's upper end 2 v8 t overflows a float at t = {t[:20]}"}
+        assert main(["surgery", "--montesinos", t, "--slopes", "1/7,1/3", "--format", "json"]) == 0
+        entries = strict_json(capsys.readouterr().out)["slopes"]
+        assert [entry["error"] for entry in entries] == [error, error]
+        assert main(["surgery", "--montesinos", t, "--slopes", "1/7"]) == 0
+        assert capsys.readouterr().out == f"status: ok\n  slope 1/7: error {error['message']}\n"
+        # 2 v8 t is finite at t = 10^307
+        t = "1" + "0" * 307
+        assert main(["surgery", "--montesinos", t, "--slopes", "1/7", "--format", "json"]) == 0
+        window = strict_json(capsys.readouterr().out)["slopes"][0]["volumeWindow"]
+        assert window["upper"] == 7.32772475342e307
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--pair", "1" + "0" * 200 + ",1,1"],
+             "pair 10000000000000000000,1,1: a general bound has no finite, non-zero float"),
+            (["analyze", "--pair", "1,1," + "1" + "0" * 400],
+             "pair 1,1,10000000000000000000: a general bound has no finite, non-zero float"),
+            (["pretzel", "3," + "1" * 400 + ",3"],
+             "pretzel 3,11111111111111111111,3: a pretzel bound has no finite, non-zero float"),
+        ],
+    )
+    def test_surface_bounds_past_a_float_are_coded(self, capsys, argv, message):
+        # too large for a float, or a meridian bound 12 / i that rounds to 0
+        for fmt in ("json", "text"):
+            assert main(argv + ["--format", fmt]) == 1
+            assert capsys.readouterr() == ("", f"error[BoundOutOfRange]: {message}\n")
+
+    def test_long_pretzel_parameter_is_cut(self, capsys):
+        assert main(["pretzel", "3," + "2" * 400 + ",3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error[NotOddOrTooSmall]: pretzel parameters must be odd and > 1: {'2' * 20}\n")
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["analyze"], FIG8), (["braid"], "3: s1^3 s2^3 s1^3 s2^3"), (["analyze"], "X[1,2"),
+         # past the 128 KiB that Linux allows a single argument
+         (["analyze"], closure_pd_text(weaving_braid(3500)))],
+        ids=["pd", "braid", "bad-pd", "pd-past-128KiB"],
+    )
+    def test_dash_reads_the_diagram_from_stdin(self, capsys, monkeypatch, argv, text):
+        options = ["--format", "json", "--slopes", "1/7"]
+        code = main(argv + [text] + options)
+        expected = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"\n {text}\n"))
+        assert main(argv + ["-"] + options) == code
+        assert capsys.readouterr() == expected
+        if len(text) > 128 * 1024:
+            assert code == 0 and strict_json(expected.out)["invariants"]["c"] == 7000
+
+    def test_unreadable_stdin_is_coded(self, capsys, monkeypatch):
+        class Unreadable:
+            def read(self):
+                raise IsADirectoryError(21, "Is a directory")
+
+        not_utf8 = io.TextIOWrapper(io.BytesIO(b"X[\xff"), encoding="utf-8")
+        for stdin, reason in [
+            (None, "it is closed"),
+            (Unreadable(), "[Errno 21] Is a directory"),
+            (not_utf8, "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        ]:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["analyze", "-"]) == 1
+            error = f"error[FileUnreadable]: cannot read standard input: {reason}\n"
+            assert capsys.readouterr() == ("", error)
+        # a PD code and --pair together are refused before stdin is read
+        with pytest.raises(SystemExit):
+            main(["analyze", "-", "--pair", "1,1,2"])
+        capsys.readouterr()
 
     def test_usage_errors_exit_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -89,8 +89,8 @@ def test_copy_and_pickle_round_trip(name):
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: PlanarDiagram(()), EmptyDiagram),
-        (lambda: PlanarDiagram((1, 1, 2, 2, 3, 3, 4, 4)), MultiComponentLink),
+        (lambda: parse_pd(""), EmptyDiagram),
+        (lambda: parse_pd("X[1,1,2,2] X[3,3,4,4]"), MultiComponentLink),
         (lambda: BraidWord(1, ()), FewerThanTwoStrands),
         (lambda: BraidWord(2, ((1, 0),)), ZeroExponent),
         (lambda: SurfacePairData(0, 1, 1), DegenerateSurfacePair),
@@ -118,9 +118,12 @@ def test_construction_errors_are_coded(call, error):
 def test_planar_diagram_compares_and_prints_slots_only():
     d = parse_pd(TREFOIL)
     assert repr(d) == f"PlanarDiagram(slots={d.slots!r})"
-    assert PlanarDiagram(d.slots) == d and hash(PlanarDiagram(d.slots)) == hash(d)
+    assert set(vars(d)) == {"partner", "degree_two_faces"}
     assert d.partner and d.degree_two_faces
     assert d != d.slots
+    for args in ((), (d.slots,)):
+        with pytest.raises(TypeError, match="no public constructor"):
+            PlanarDiagram(*args)
 
 
 def test_constructor_keywords_and_defaults():

@@ -69,13 +69,6 @@ class TestResolve:
             a, b, c, d = circle[4 * ci:4 * ci + 4]
             assert (a, c) == ((b, d) if choice == "A" else (d, b))
 
-    def test_resolve_accepts_unnormalized_labels(self):
-        from cuspbounds.diagram import PlanarDiagram
-
-        sparse = PlanarDiagram((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 30))
-        inv = invariants(sparse)
-        assert {inv["vA"], inv["vB"]} == {2, 3}
-
     def test_matches_path_following_oracle_exhaustively(self):
         rng = random.Random(99)
         for _ in range(12):
