@@ -41,10 +41,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .diagram import BraidWord, _cut
+from .diagram import BraidWord
 from .errors import (
     BadDiagramCounts,
-    ClosureIsLink,
     DegenerateSurfacePair,
     MoebiusBand,
     NoApplicableBound,
@@ -52,6 +51,7 @@ from .errors import (
     NotAdequate,
     NotOddOrTooSmall,
     TooFewTwistRegions,
+    cut,
 )
 
 Numeric = int | float | Fraction
@@ -125,7 +125,7 @@ def criterion_check(pair: SurfacePairData, budget: Numeric) -> bool:
     boundary case (equality) counts as satisfied."""
     b = Fraction(budget)
     if b <= 0:
-        raise NonPositiveBudget(f"budget must be positive, got {budget}")
+        raise NonPositiveBudget(f"budget must be positive, got {cut(budget)}")
     return general_bounds(pair)["meridian"] <= b
 
 
@@ -133,7 +133,7 @@ def adequate_bounds_from_counts(c: int, g_t: int) -> dict[str, Fraction]:
     """The general bounds of the checkerboard pair of an adequate diagram with
     c >= 1 crossings and genus g >= 0: |chi_A| + |chi_B| = c + 2g - 2, i = 2c."""
     if c < 1 or g_t < 0:
-        raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={c}, g={g_t}")
+        raise BadDiagramCounts(f"need c >= 1 and g >= 0, got c={cut(c)}, g={cut(g_t)}")
     return _pair_bounds(c + 2 * g_t - 2, 2 * c)
 
 
@@ -152,7 +152,7 @@ def adequate_bounds(inv: dict) -> dict[str, Fraction]:
 def twist_bound(c: int, t: int) -> dict[str, Fraction]:
     """Meridian bound 3 + 3t/c - 6/c from crossing and twist counts."""
     if c < 1 or not 1 <= t <= c:
-        raise BadDiagramCounts(f"need 1 <= t <= c, got t={t}, c={c}")
+        raise BadDiagramCounts(f"need 1 <= t <= c, got t={cut(t)}, c={cut(c)}")
     return {"meridian": Fraction(3 * c + 3 * t - 6, c)}
 
 
@@ -172,7 +172,7 @@ class PretzelParams(namedtuple("PretzelParams", "a b c")):
     def __new__(cls, a: int, b: int, c: int) -> PretzelParams:
         for value in (a, b, c):
             if value <= 1 or value % 2 == 0:
-                raise NotOddOrTooSmall(f"pretzel parameters must be odd and > 1: {_cut(value)}")
+                raise NotOddOrTooSmall(f"pretzel parameters must be odd and > 1: {cut(value)}")
         return tuple.__new__(cls, (a, b, c))
 
 
@@ -204,10 +204,11 @@ def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> str:
     prime, the knot is hyperbolic with meridian length under four. Without
     the primality flag the verdict downgrades to adequacy only. Mixed signs
     or a unit exponent give no verdict.
+
+    The word's closure must be a knot. That is not checked here:
+    ``run_analyze`` builds the closure first, and :func:`diagram.braid_closure`
+    raises ``ClosureIsLink`` for a link.
     """
-    n_comp = word.closure_component_count()
-    if n_comp != 1:
-        raise ClosureIsLink(f"closure has {n_comp} components, expected a knot")
     exps = [r for _, r in word.syllables]
     same_sign = all(r > 0 for r in exps) or all(r < 0 for r in exps)
     if not same_sign or any(abs(r) < 2 for r in exps):

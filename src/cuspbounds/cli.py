@@ -19,7 +19,7 @@ try:
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-from .errors import CuspBoundsError, FileUnreadable
+from .errors import CuspBoundsError, FileUnreadable, cut, read_int
 from .pipeline import (
     STATUS_INAPPLICABLE,
     AnalysisRequest,
@@ -48,14 +48,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {cut(text)!r}") from None
+
+
 def _parse_triple(text: str) -> tuple[int, int, int]:
     try:
-        # Decimal digits after an optional minus, as a braid's strand count:
-        # int() alone would also read "+3" and "3_5".
-        a, b, c = (int(part if part.removeprefix("-").isdecimal() else "")
-                   for part in text.replace(",", " ").split())
-    except ValueError:  # not three parts, or one that int() refuses
-        raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}") from None
+        a, b, c = map(read_int, text.replace(",", " ").split())
+    except ValueError:  # not three parts, or one that read_int refuses
+        raise argparse.ArgumentTypeError(f"expected three integers, got {cut(text)!r}") from None
     return a, b, c
 
 
@@ -63,9 +67,9 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {cut(text)!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {cut(text)!r}")
     return value
 
 
@@ -86,7 +90,7 @@ def _finite_fraction(text: str) -> Fraction:
         value = Fraction(text)
         float(value)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise argparse.ArgumentTypeError(f"not a number with a finite float: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number with a finite float: {cut(text)!r}") from None
     return value
 
 
@@ -293,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_surgery = sub.add_parser("surgery", help="per-slope exclusion and volume windows")
     group = p_surgery.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta", type=_finite_fraction, help="the rational (2g-2)/c")
-    group.add_argument("--crossings", type=int, help="crossing count (with --genus)")
-    group.add_argument("--montesinos", type=int, help="Montesinos twist number t")
-    p_surgery.add_argument("--genus", type=int, help="diagram genus (with --crossings)")
+    group.add_argument("--crossings", type=_int, help="crossing count (with --genus)")
+    group.add_argument("--montesinos", type=_int, help="Montesinos twist number t")
+    p_surgery.add_argument("--genus", type=_int, help="diagram genus (with --crossings)")
     _add_common(p_surgery)
 
     p_batch = sub.add_parser("batch", help="cross-check a CSV of tabulated meridian lengths")
@@ -361,9 +365,6 @@ def _run(argv: list[str] | None) -> int:
             return EXIT_ERROR if report["summary"]["fail"] else EXIT_OK
     except CuspBoundsError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error[ValueError]: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _emit(report, args.format, out)
     return EXIT_INAPPLICABLE if report.get("status") == STATUS_INAPPLICABLE else EXIT_OK

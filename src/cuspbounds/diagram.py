@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadGeneratorIndex,
@@ -49,25 +49,21 @@ from .errors import (
     NonPlanarDiagram,
     TooManyCrossings,
     ZeroExponent,
+    cut,
+    read_int,
 )
 
 # Crossings a PD code may list, or a braid word ask for (counted as the sum of
 # |r| over its syllables as written). Traced peaks per crossing: about 0.5 KB to
 # parse PD text, about 0.4 KB to parse a braid word and build its closure.
 MAX_CROSSINGS = 100_000
-# int() and str() convert numbers of at most 4,300 digits.
-_STR_LIMIT = 10**4300
-
-
-def _cut(n: int) -> str:
-    """``n`` cut to 20 characters, without asking str() for more than 4,300 digits."""
-    return str(n)[:20] if abs(n) < _STR_LIMIT else "<over 4300 digits>"
 
 
 def _pair_darts(labels: Sequence[int]) -> list[int]:
     """The involution pairing the two darts that carry each edge label, built in
-    one pass over the labels. A label used other than twice is named by its rank
-    in order of first appearance, the number ``PlanarDiagram.slots`` gives it."""
+    one pass over the labels. The first few labels used other than twice are
+    named by their rank in order of first appearance, the number
+    ``PlanarDiagram.slots`` gives them."""
     partner = [-1] * len(labels)
     first: dict[int, int] = {}
     for d, label in enumerate(labels):
@@ -79,7 +75,8 @@ def _pair_darts(labels: Sequence[int]) -> list[int]:
     if -1 in partner or 2 * len(first) != len(labels):
         # Counter keeps the order of first appearance.
         bad = [i for i, k in enumerate(Counter(labels).values(), 1) if k != 2]
-        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad}")
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise EdgeLabelUsedOtherThanTwice(f"edge labels not used exactly twice: {bad[:5]}{more}")
     return partner
 
 
@@ -242,88 +239,67 @@ def parse_pd(text: str) -> PlanarDiagram:
 # --------------------------------------------------------------------------
 
 class BraidWord(namedtuple("BraidWord", "strands syllables")):
-    """A braid word as (generator index, nonzero exponent) syllables."""
+    """A braid word as (generator index, nonzero exponent) syllables, no two
+    adjacent ones on the same generator."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, strands: int, syllables: tuple[tuple[int, int], ...]) -> BraidWord:
+    def __new__(cls, strands: int, syllables: Iterable[tuple[int, int]]) -> BraidWord:
+        """Check and merge ``syllables`` in one pass. Adjacent syllables on one
+        generator are merged, and a merge that cancels drops the syllable. The
+        first syllable past ``MAX_CROSSINGS`` crossings, counted as written, raises
+        ``TooManyCrossings`` before the rest is read."""
         if strands < 2:
-            raise FewerThanTwoStrands(f"need at least 2 strands, got {_cut(strands)}")
-        # The caps of parse_braid, for words built without it.
+            raise FewerThanTwoStrands(f"need at least 2 strands, got {cut(strands)}")
+        # A knot closure on n strands has at least n - 1 crossings.
         if strands > MAX_CROSSINGS + 1:
-            raise TooManyCrossings(f"strand count exceeds {MAX_CROSSINGS + 1}")
-        if sum(abs(r) for _, r in syllables) > MAX_CROSSINGS:
-            raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
+            raise TooManyCrossings(f"strand count {cut(strands)!r} exceeds {MAX_CROSSINGS + 1}")
+        merged: list[tuple[int, int]] = []
+        crossings = 0
         for i, r in syllables:
-            if not 1 <= i <= strands - 1:
-                raise BadGeneratorIndex(f"generator s{_cut(i)} outside 1..{strands - 1}")
             if r == 0:
-                raise ZeroExponent(f"syllable s{i}^0 is empty")
-        for (i, _), (j, _) in zip(syllables, syllables[1:]):
-            if i == j:
-                raise MalformedToken("adjacent syllables share a generator; merge them first")
-        return tuple.__new__(cls, (strands, syllables))
-
-    def permutation(self) -> list[int]:
-        """Where each starting position ends up (0-based positions)."""
-        perm = list(range(self.strands))
-        for i, r in self.syllables:
-            if r % 2 == 1:
-                a = i - 1
-                perm[a], perm[a + 1] = perm[a + 1], perm[a]
-        return perm
+                raise ZeroExponent(f"syllable {cut(f's{cut(i)}^0')!r} has exponent zero")
+            if not 0 < i < strands:
+                raise BadGeneratorIndex(f"generator s{cut(i)} outside 1..{strands - 1}")
+            crossings += abs(r)
+            if crossings > MAX_CROSSINGS:
+                raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
+            if merged and merged[-1][0] == i:
+                r += merged.pop()[1]
+                if r == 0:
+                    continue
+            merged.append((i, r))
+        if not merged:
+            raise MalformedToken("braid word cancels to the empty word" if crossings
+                                 else "braid word has no syllables")
+        return tuple.__new__(cls, (strands, tuple(merged)))
 
     def closure_component_count(self) -> int:
-        """Cycles of the underlying permutation = components of the closure."""
-        perm = self.permutation()
-        seen = [False] * self.strands
+        """Components of the closure: the cycles of the permutation the word
+        takes positions through, walked once, marking each visited position -1."""
+        perm = list(range(self.strands))
+        for i, r in self.syllables:
+            if r & 1:
+                perm[i - 1], perm[i] = perm[i], perm[i - 1]
         cycles = 0
         for s in range(self.strands):
-            if seen[s]:
-                continue
-            cycles += 1
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
+            if perm[s] >= 0:
+                cycles += 1
+                while perm[s] >= 0:
+                    perm[s], s = -1, perm[s]
         return cycles
 
 
 _BRAID_SYLLABLE = re.compile(r"s(\d+)\^(-?\d+)$")
 
 
-def parse_braid(text: str) -> BraidWord:
-    """Parse braid text like ``3: s1^3 s2^-3`` (strand count, then syllables).
-
-    Adjacent syllables on the same generator are merged; a merge that cancels
-    to exponent zero drops the syllable and merging continues. Words asking for
-    more than ``MAX_CROSSINGS`` crossings, or more strands than a knot closure
-    with that many crossings has, raise ``TooManyCrossings`` before any
-    diagram is built.
-    """
-    head, sep, body = text.partition(":")
-    if not sep:
-        raise MalformedToken("braid text must look like 'n: s1^2 s2^-1 ...'")
-    count = head.strip()
-    try:
-        # Digits (\d, as in a syllable), maybe after a minus that BraidWord reports
-        # as FewerThanTwoStrands: int() alone would also read "+3" and "3_0". It
-        # raises on "" and on more than 4,300 digits.
-        strands = int(count if count.removeprefix("-").isdecimal() else "")
-    except ValueError:
-        raise MalformedToken(f"bad strand count {count[:20]!r}") from None
-    # A knot closure on n strands has at least n - 1 crossings.
-    if strands > MAX_CROSSINGS + 1:
-        raise TooManyCrossings(f"strand count {count[:20]!r} exceeds {MAX_CROSSINGS + 1}")
-    tokens = body.split()
-    if not tokens:
-        raise MalformedToken("braid word has no syllables")
-    merged: list[list[int]] = []
-    crossings = 0
+def _read_syllables(tokens: list[str]) -> Iterable[tuple[int, int]]:
+    """Each token as (generator index, exponent), read only when asked for."""
     for tok in tokens:
         m = _BRAID_SYLLABLE.match(tok)
         if m is None:
-            raise MalformedToken(f"unrecognized braid syllable {tok[:20]!r}")
+            raise MalformedToken(f"unrecognized braid syllable {cut(tok)!r}")
         index, power = m.groups()
         # int() refuses more than 4,300 digits, far past both limits.
         try:
@@ -334,20 +310,24 @@ def parse_braid(text: str) -> BraidWord:
             r = int(power)
         except ValueError:
             raise TooManyCrossings(f"exponent of {len(power)} digits exceeds {MAX_CROSSINGS}") from None
-        if r == 0:
-            raise ZeroExponent(f"syllable {tok[:20]!r} has exponent zero")
-        crossings += abs(r)
-        if crossings > MAX_CROSSINGS:
-            raise TooManyCrossings(f"braid word asks for more than {MAX_CROSSINGS} crossings")
-        if merged and merged[-1][0] == i:
-            merged[-1][1] += r
-            if merged[-1][1] == 0:
-                merged.pop()
-        else:
-            merged.append([i, r])
-    if not merged:
-        raise MalformedToken("braid word cancels to the empty word")
-    return BraidWord(strands, tuple((i, r) for i, r in merged))
+        yield i, r
+
+
+def parse_braid(text: str) -> BraidWord:
+    """Parse braid text like ``3: s1^3 s2^-3`` (strand count, then syllables).
+
+    Reading only: :class:`BraidWord` checks and merges the syllables as they
+    are read, so a text is refused at its first fault, whether in grammar or
+    in a syllable.
+    """
+    head, sep, body = text.partition(":")
+    if not sep:
+        raise MalformedToken("braid text must look like 'n: s1^2 s2^-1 ...'")
+    try:
+        strands = read_int(head)
+    except ValueError:
+        raise MalformedToken(f"bad strand count {cut(head.strip())!r}") from None
+    return BraidWord(strands, _read_syllables(body.split()))
 
 
 def braid_closure(word: BraidWord) -> PlanarDiagram:

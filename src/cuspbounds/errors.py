@@ -7,6 +7,24 @@ can report failures uniformly; messages are for humans.
 from __future__ import annotations
 
 
+def cut(value) -> str:
+    """``str(value)`` cut to 20 characters, for echoing a user's number or text
+    in a message; an int past the 4,300 digits str() converts is named instead."""
+    try:
+        return str(value)[:20]
+    except ValueError:
+        return "<over 4300 digits>"
+
+
+def read_int(text: str) -> int:
+    """``text`` as an int when it is decimal digits after an optional minus,
+    with whitespace around it; int() alone would also read "+1" and "1_0".
+    Otherwise the ``ValueError`` int() raises, echoing ``text`` cut."""
+    if text.strip().removeprefix("-").isdecimal():
+        return int(text)  # raises past 4,300 digits
+    raise ValueError(f"invalid literal for int() with base 10: {cut(text)!r}")
+
+
 class CuspBoundsError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -126,8 +144,7 @@ class BadDiagramCounts(CuspBoundsError, ValueError):
 
 
 class InvalidSlope(CuspBoundsError, ValueError):
-    """A slope p/q needs q != 0 and p, q coprime, each written as decimal
-    digits after an optional minus."""
+    """A slope p/q needs q != 0 and p, q coprime, each read by ``read_int``."""
 
 
 class NotOneInputSource(CuspBoundsError, ValueError):

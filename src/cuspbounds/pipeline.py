@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import bounds as bd
 from . import states as st
 from . import surgery as sg
-from .diagram import PlanarDiagram, _cut, braid_closure, parse_braid, parse_pd
+from .diagram import PlanarDiagram, braid_closure, parse_braid, parse_pd
 from .errors import (
     BoundOutOfRange,
     BudgetOutOfRange,
@@ -28,6 +28,8 @@ from .errors import (
     NonAlternatingBigon,
     NotAdequate,
     NotOneInputSource,
+    cut,
+    read_int,
 )
 
 STATUS_OK = "ok"
@@ -36,8 +38,8 @@ STATUS_INAPPLICABLE = "inapplicable"
 
 def parse_slope_list(text: str) -> tuple:
     """Parse ``p/q[,p/q...]``; invalid slopes become per-slope error entries
-    instead of aborting the whole request. ``p`` and ``q`` are decimal digits
-    after an optional minus, as a braid's strand count."""
+    instead of aborting the whole request. ``p`` and ``q`` are read by
+    :func:`errors.read_int`."""
     out: list = []
     for part in text.split(","):
         part = part.strip()
@@ -45,10 +47,7 @@ def parse_slope_list(text: str) -> tuple:
             continue
         num, sep, den = part.partition("/")
         try:
-            p, q = int(num), int(den) if sep else 1
-            # What int() reads past an optional minus and digits: "+1", "1_0".
-            if "+" in part or "_" in part:
-                raise InvalidSlope(f"slope {part[:20]!r} is not written in decimal digits")
+            p, q = read_int(num), read_int(den) if sep else 1
             out.append(sg.Slope(p, q))
         except ValueError as exc:
             out.append({"slope": part, "error": {"code": "InvalidSlope", "message": str(exc)}})
@@ -148,7 +147,7 @@ def _surface_report(
         bounds = None
     # Every surface bound is positive, so a 0 is a float that underflowed.
     if bounds is None or 0 in [entry["value"] for entry in bounds["candidates"]]:
-        raise BoundOutOfRange(f"{kind} {','.join(map(_cut, value))}: "
+        raise BoundOutOfRange(f"{kind} {','.join(map(cut, value))}: "
                               f"a {rule[0]} bound has no finite, non-zero float")
     report = {
         "status": STATUS_OK,

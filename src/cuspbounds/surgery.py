@@ -40,7 +40,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bounds import SIX, adequate_bounds_from_counts
-from .diagram import _cut
 from .errors import (
     DeltaOutOfRange,
     InvalidSlope,
@@ -48,6 +47,7 @@ from .errors import (
     NonPositiveVolume,
     SlopeTooSmall,
     TooFewTwistRegions,
+    cut,
 )
 
 Rational = int | Fraction
@@ -73,7 +73,7 @@ class Slope(namedtuple("Slope", "p q")):
         if q == 0:
             raise InvalidSlope("meridional slope q = 0 is excluded")
         if math.gcd(p, q) != 1:
-            raise InvalidSlope(f"slope {p}/{q} is not in lowest terms")
+            raise InvalidSlope(f"slope {cut(p)}/{cut(q)} is not in lowest terms")
         return tuple.__new__(cls, (p, q))
 
 
@@ -96,7 +96,7 @@ class SlopeThresholds:
         one = Fraction(meridian) / 3
         n, m = one.numerator, one.denominator  # the denominator is positive
         if n <= 0:
-            raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {one - 1}")
+            raise DeltaOutOfRange(f"the slope bounds need 1 + delta > 0, got delta = {cut(one - 1)}")
         self.m = m
         self.six_n = SIX * n
         self.n36 = self.six_n * self.six_n
@@ -126,8 +126,8 @@ class SlopeThresholds:
         ``SlopeTooSmall`` when |q| < 6(1 + delta)."""
         qm = q * self.m
         if qm < self.six_n:
-            floor = self.floor_text or f"6(1 + delta) = {Fraction(self.six_n, self.m)}"
-            raise SlopeTooSmall(f"|q| = {q} below {floor}")
+            floor = self.floor_text or f"6(1 + delta) = {cut(Fraction(self.six_n, self.m))}"
+            raise SlopeTooSmall(f"|q| = {cut(q)} below {floor}")
         qm2 = qm * qm
         return vol * ((qm2 - self.n36) / qm2) ** 1.5, qm == self.six_n
 
@@ -168,10 +168,10 @@ def montesinos_scale(t: int) -> tuple[float, float]:
     """(max(0, (v8/4)(t - 9)), 2 v8 t): the window is [scale (1 - 36/q^2)^(3/2), upper).
     A t whose 2 v8 t has no finite float raises ``NonFiniteVolume``."""
     if t < 2:
-        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {_cut(t)}")
+        raise TooFewTwistRegions(f"need t >= 2 twist regions, got {cut(t)}")
     upper = 2.0 * V8 * t if t < 1e308 else math.inf  # float(t) overflows past 1.8e308
     if upper == math.inf:
-        raise NonFiniteVolume(f"the window's upper end 2 v8 t overflows a float at t = {_cut(t)}")
+        raise NonFiniteVolume(f"the window's upper end 2 v8 t overflows a float at t = {cut(t)}")
     return max(0.0, (V8 / 4.0) * (t - 9)), upper
 
 

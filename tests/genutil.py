@@ -370,7 +370,7 @@ def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> l
         elif volume <= 0:
             entry["windowError"] = _err("NonPositiveVolume", f"volume must be positive, got {volume}")
         elif aq < 6 * one:
-            message = f"|q| = {aq} below 6(1 + delta) = {6 * one}"
+            message = f"|q| = {str(aq)[:20]} below 6(1 + delta) = {str(6 * one)[:20]}"
             entry["windowError"] = _err("SlopeTooSmall", message)
         else:
             factor = 1 - 36 * one**2 / Fraction(aq) ** 2

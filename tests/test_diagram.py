@@ -541,7 +541,7 @@ class TestParseBraid:
         calls = [
             (lambda: BraidWord(2, ((huge, 1),)), BadGeneratorIndex),
             (lambda: BraidWord(2, ((-huge, 1),)), BadGeneratorIndex),
-            (lambda: BraidWord(huge, ((1, 1),)).permutation(), TooManyCrossings),
+            (lambda: BraidWord(huge, ((1, 1),)), TooManyCrossings),
             (lambda: BraidWord(-huge, ((1, 1),)), FewerThanTwoStrands),
             (lambda: BraidWord(cap + 2, ((1, 1),)), TooManyCrossings),
             (lambda: BraidWord(2, ((1, huge),)), TooManyCrossings),
@@ -553,6 +553,47 @@ class TestParseBraid:
             assert isinstance(excinfo.value, CuspBoundsError)
             assert len(str(excinfo.value)) < 80
         assert BraidWord(cap + 1, ((1, cap),)).strands == cap + 1
+
+    @pytest.mark.parametrize(
+        "strands, syllables, error, message",
+        [
+            (3, ((1, 0),), ZeroExponent, "syllable 's1^0' has exponent zero"),
+            (10**30, ((1, 1),), TooManyCrossings, "strand count '10000000000000000000' exceeds 100001"),
+            (3, ((2, 1), (3, 1)), BadGeneratorIndex, "generator s3 outside 1..2"),
+        ],
+    )
+    def test_built_words_report_as_parsed_words_do(self, strands, syllables, error, message):
+        with pytest.raises(error) as excinfo:
+            BraidWord(strands, syllables)
+        assert str(excinfo.value) == message
+
+    def test_braid_word_merges_adjacent_syllables(self):
+        assert BraidWord(3, [(1, 2), (1, 1), (2, -1)]).syllables == ((1, 3), (2, -1))
+        # a merge that cancels drops the syllable, and merging goes on across it
+        word = BraidWord(3, iter([(2, 1), (1, 2), (1, -2), (2, 2), (1, 1)]))
+        assert word.syllables == ((2, 3), (1, 1))
+        for syllables in ([(1, 2), (1, -2)], [(2, 1), (1, 3), (1, -3), (2, -1)]):
+            with pytest.raises(MalformedToken) as excinfo:
+                BraidWord(3, syllables)
+            assert str(excinfo.value) == "braid word cancels to the empty word"
+        with pytest.raises(MalformedToken) as excinfo:
+            BraidWord(3, ())
+        assert str(excinfo.value) == "braid word has no syllables"
+
+    @settings(max_examples=200, deadline=None)
+    @given(strands=st.integers(2, 4),
+           syllables=st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=10))
+    def test_parse_braid_is_the_braid_word_of_its_syllables(self, strands, syllables):
+        # Few generators, so that adjacent syllables often share one; outside
+        # indices and zero exponents as well. Reading the text adds nothing.
+        def outcome(call):
+            try:
+                return call()
+            except CuspBoundsError as exc:
+                return exc.code, str(exc)
+
+        text = f"{strands}: " + " ".join(f"s{i}^{r}" for i, r in syllables)
+        assert outcome(lambda: parse_braid(text)) == outcome(lambda: BraidWord(strands, syllables))
 
     def test_merge_adjacent(self):
         w = parse_braid("3: s1^2 s1^1 s2^-1")

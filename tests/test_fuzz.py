@@ -3,7 +3,8 @@
 Whatever the input, ``cli.main`` returns 0, 1 or 2, or argparse exits with
 status 1 for a usage mistake; nothing else escapes. Every ``error[...]``
 line names a ``CuspBoundsError`` subclass, and every JSON report is strict
-JSON, without NaN or Infinity. The CLI's JSON writer writes what
+JSON, without NaN or Infinity. Echoed input is cut, so every stderr line
+stays within 250 characters and every JSON ``message`` within 200. The CLI's JSON writer writes what
 ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` does, and
 refuses any other value before it writes anything.
 """
@@ -37,8 +38,9 @@ BRAIDS = ["3: s1^3 s2^-3", "3: s1^3 s2^3 s1^3 s2^3", "2: s1^3", "4: s1^3 s2^3 s3
 NUMBERS = st.one_of(
     st.integers(-12, 40).map(str),
     # "9" * 400: past a float's range, and still converted by int()
+    # "+1" and "1_0": int() reads them, the CLI does not
     st.sampled_from(["0", "", "-", "1.5", "1e400", "nan", "inf", str(10**12), "9" * 400,
-                     NINES]),
+                     NINES, "+1", "1_0"]),
 )
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -117,6 +119,16 @@ ROWS = st.lists(
 )
 
 
+def messages(value):
+    """Every ``message`` string in a JSON report."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from [item] if key == "message" else messages(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from messages(item)
+
+
 def run(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -124,9 +136,10 @@ def run(argv: list[str]) -> None:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             assert exc.code == 1, argv
-            return
+            code = 1
     assert code in (0, 1, 2), argv
     for line in err.getvalue().splitlines():
+        assert len(line) <= 250, line[:300]
         if line.startswith("error["):
             assert line[len("error["):line.index("]")] in CODES, line
     if "json" in argv and out.getvalue():
@@ -134,7 +147,8 @@ def run(argv: list[str]) -> None:
         def reject(constant):
             raise AssertionError(f"non-finite number {constant} in JSON output")
 
-        json.loads(out.getvalue(), parse_constant=reject)
+        for message in messages(json.loads(out.getvalue(), parse_constant=reject)):
+            assert len(message) <= 200, message[:300]
 
 
 @SETTINGS

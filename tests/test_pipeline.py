@@ -730,13 +730,54 @@ class TestCli:
         assert capsys.readouterr().err.endswith(f": expected three integers, got {argv[-1]!r}\n")
 
     def test_slopes_are_decimal_digits(self):
-        entries = parse_slope_list("1_0/3,+1/3,1/+3,1/3_0, -1 / 3 ,\u0663/7,+2/4")
-        for entry, part in zip(entries, ["1_0/3", "+1/3", "1/+3", "1/3_0"]):
-            message = f"slope {part!r} is not written in decimal digits"
+        # int() alone reads "1_0" as 10 and "+1" as 1; the entry names the part
+        # that read_int refused, as int() names a part it refuses
+        entries = parse_slope_list("1_0/3,+1/3,1/+3,1/3_0, -1 / 3 ,\u0663/7,+2/4," + "1" * 30 + "_/3")
+        for entry, part, number in zip(entries, ["1_0/3", "+1/3", "1/+3", "1/3_0"],
+                                       ["1_0", "+1", "+3", "3_0"]):
+            message = f"invalid literal for int() with base 10: {number!r}"
             assert entry == {"slope": part, "error": {"code": "InvalidSlope", "message": message}}
         assert entries[4:6] == (Slope(-1, 3), Slope(3, 7))
         # the digits are checked before the slope
-        assert entries[6]["error"]["message"] == "slope '+2/4' is not written in decimal digits"
+        assert entries[6]["error"]["message"] == "invalid literal for int() with base 10: '+2'"
+        # the refused part is echoed cut to 20 characters
+        assert entries[7]["error"]["message"] == f"invalid literal for int() with base 10: {'1' * 20!r}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surgery", "--montesinos", "1_0", "--slopes", "1/7"],
+            ["surgery", "--crossings", "+1_0", "--genus", "1", "--slopes", "1/7"],
+            ["surgery", "--crossings", "10", "--genus", "1_0", "--slopes", "1/7"],
+            ["surgery", "--crossings", "0", "--genus", "9" * 1001, "--slopes", "1/7"],
+            ["surgery", "--montesinos", "9" * 5000, "--slopes", "1/7"],
+            ["analyze", "--pair", "1,1," + "9" * 5000],
+            ["analyze", "--pair", "1,1,2", "--budget=-1e300"],
+            ["surgery", "--delta=-1e300", "--slopes", "1/7"],
+        ],
+        ids=["montesinos-1_0", "crossings-+1_0", "genus-1_0", "genus-1001-digits",
+             "montesinos-5000-digits", "pair-5000-digits", "budget", "delta"],
+    )
+    def test_integer_options_are_decimal_digits_and_echoes_are_cut(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, after the usage line
+            code = exc.code
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()[-1]) <= 200
+
+    def test_long_slope_is_cut_in_its_entry(self):
+        [entry] = parse_slope_list("2" + "0" * 400 + "/4")
+        message = "slope 20000000000000000000/4 is not in lowest terms"
+        assert entry["error"] == {"code": "InvalidSlope", "message": message}
+
+    def test_labels_used_once_give_a_short_error_line(self, capsys):
+        pd = " ".join(f"X[{4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4}]" for i in range(2000))
+        assert main(["analyze", pd]) == 1
+        error = "edge labels not used exactly twice: [1, 2, 3, 4, 5] and 7995 more"
+        assert capsys.readouterr() == ("", f"error[EdgeLabelUsedOtherThanTwice]: {error}\n")
 
     @pytest.mark.parametrize("digits", [309, 400])
     def test_montesinos_window_past_a_float_is_a_coded_entry(self, capsys, digits):
