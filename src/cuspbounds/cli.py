@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -34,10 +35,25 @@ EXIT_ERROR = 1
 EXIT_INAPPLICABLE = 2
 
 
+# A str as repr() quotes it, the way argparse echoes a user's argument; compiled
+# by the first usage error, not at import.
+_QUOTED = r"""(['"])((?:(?!\1)[^\\]|\\.)*)\1"""
+
+
+def _cut_quoted(match: re.Match) -> str:
+    """The str that ``match`` quotes, cut and quoted again by repr(); a run that
+    does not decode as the inside of a repr() is left as it is."""
+    try:
+        return repr(cut(match[2].encode("latin-1", "backslashreplace").decode("unicode_escape")))
+    except UnicodeDecodeError:
+        return match[0]
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage mistakes exit 1, since status 2 is reserved for "bounds
     inapplicable". Usage and help lines are not wrapped, so that an error reads
-    the same at any terminal width and on every Python version."""
+    the same at any terminal width and on every Python version. Each argument
+    an error quotes is cut to 20 characters, as ``errors.cut`` cuts numbers."""
 
     def __init__(self, **kwargs):
         super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=1 << 16),
@@ -45,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {re.sub(_QUOTED, _cut_quoted, message)}\n")
 
 
 def _int(text: str) -> int:
@@ -325,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args, unknown = parser.parse_known_args(argv)
-    if unknown:  # with the usage of the subcommand that refused them
-        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:  # with the usage of the subcommand that refused them, the first few cut
+        more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+        args.command_parser.error(f"unrecognized arguments: {' '.join(map(cut, unknown[:5]))}{more}")
     out = sys.stdout
     try:
         if args.command in ("analyze", "braid", "pretzel"):

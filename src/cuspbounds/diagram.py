@@ -18,8 +18,11 @@ Strand components are the orbits of both involutions: the diagram is a knot
 when the walk ``d -> partner[d ^ 2]`` from dart 0 takes 2c steps. Faces are
 the cycles of turn-left, "rotate after partner" (``(p & ~3) | ((p + 1) & 3)``
 for ``p = partner[d]``), and the face walk follows its inverse, which has the
-same cycles. It keeps the dart pairs of the degree-2 faces, no list per face:
-c + 2 lists alive at once would start cyclic garbage collections.
+same cycles. As it closes each degree-2 face it counts the alternating bigons
+and keeps the crossing pair of the first non-alternating one (a clasp), which
+is all the twist count needs. It keeps no object per face: thousands of
+containers alive at once would start cyclic garbage collections, each of which
+traverses the young 4c-long lists again.
 
 Parsing pairs the labels as written and keeps only that pairing; a braid
 closure pairs its darts as it stacks the crossings. Edge labels are derived
@@ -80,30 +83,11 @@ def _pair_darts(labels: Sequence[int]) -> list[int]:
     return partner
 
 
-def arc_orbits(partner: Sequence[int], flips: Sequence[int]) -> tuple[int, list[int]]:
-    """Number and per-dart index of the orbits alternating ``partner`` with the arc
-    ``d ^ flips[d >> 2]`` inside each crossing: flips 1 and 3 (A and B smoothings) give
-    the state circles, and flip 2 (straight across) the strand components, counted only
-    for the message of a diagram that validation found is not one strand. Marking both
-    ends of every arc crossed lets one walk cover an orbit."""
-    orbit = [-1] * len(partner)
-    count = 0
-    for start in range(len(partner)):
-        if orbit[start] >= 0:
-            continue
-        d = start
-        while orbit[d] < 0:
-            orbit[d] = count
-            e = d ^ flips[d >> 2]
-            orbit[e] = count
-            d = partner[e]
-        count += 1
-    return count, orbit
-
-
 class PlanarDiagram:
     """A validated one-component 4-valent diagram with rotation system: the edge
-    involution ``partner`` on darts, and the dart pairs of the degree-2 faces.
+    involution ``partner`` on darts, the number ``bigons`` of alternating bigon
+    faces, and ``clasp``, the crossing pair of the first non-alternating bigon
+    in face-walk order (``None`` when there is none).
     Only :func:`parse_pd` and :func:`braid_closure` build one. Immutable;
     equality and hash use ``partner`` alone, the same relation as comparing
     ``slots``, which is numbered from it."""
@@ -159,28 +143,42 @@ def _validated(partner: list[int], one_component: bool = False) -> PlanarDiagram
             d = partner[d ^ 2]
             steps += 1
         if steps != 2 * c:
-            n_comp = arc_orbits(partner, [2] * c)[0]
-            raise MultiComponentLink(f"strand trace gives {n_comp} components, expected a knot")
+            # Each component is two cycles of d -> partner[d ^ 2], one each way.
+            seen = bytearray(4 * c)
+            cycles = 0
+            for start in range(4 * c):
+                if not seen[start]:
+                    cycles += 1
+                    d = start
+                    while not seen[d]:
+                        seen[d] = 1
+                        d = partner[d ^ 2]
+            raise MultiComponentLink(f"strand trace gives {cycles // 2} components, expected a knot")
     # Faces are the cycles of turn-left (cross the edge, rotate one slot counterclockwise)
     # and of its inverse: ``partner`` at the slot before d. A walk marks back[d] = -1.
     back = partner.copy()
     back[1::4], back[2::4], back[3::4], back[0::4] = (
         partner[0::4], partner[1::4], partner[2::4], partner[3::4])
-    faces = 0
-    degree_two = []
+    faces = bigons = 0
+    clasp = None
     for start, d in enumerate(back):
         if d < 0:
             continue
         faces += 1
-        if d != start and back[d] == start:
-            degree_two.append((start, d))
+        # A face of two darts at two crossings is a bigon; its strands alternate
+        # when both darts are under slots (even) or both over slots (odd).
+        if back[d] == start and d ^ start > 3:
+            if not (d ^ start) & 1:
+                bigons += 1
+            elif clasp is None:
+                clasp = (start >> 2, d >> 2)
         while d != start:
             back[d], d = -1, back[d]
     if faces != c + 2:
         raise NonPlanarDiagram(f"face traversal gives {faces} faces, expected c + 2 = {c + 2}")
     diagram = PlanarDiagram.__new__(PlanarDiagram)
     # Written past __setattr__, which refuses every assignment.
-    diagram.__dict__.update(partner=tuple(partner), degree_two_faces=tuple(degree_two))
+    diagram.__dict__.update(partner=tuple(partner), bigons=bigons, clasp=clasp)
     return diagram
 
 

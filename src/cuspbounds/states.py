@@ -5,12 +5,11 @@ from the incoming under-strand, the A-smoothing joins slots (0,1) and (2,3)
 and the B-smoothing joins slots (0,3) and (1,2); on integer darts the arc
 is ``d ^ 1`` for A and ``d ^ 3`` for B. A state is a string of c letters
 A/B, one per crossing. A state circle alternates the smoothing arc with the
-edge ``partner``, so :func:`resolve` counts the circles by one orbit walk
-over the darts (``diagram.arc_orbits``, which also counts the strand
-components) and returns the circle of every dart. The state joins a circle
-to itself at crossing ci exactly when darts 4ci and 4ci + 2 lie on one
-circle; a diagram with no such crossing in both the all-A and the all-B
-state is adequate.
+edge ``partner``, so :func:`resolve` counts the circles by one walk per
+circle, each started from an even dart, and returns the circle of every
+dart. The state joins a circle to itself at crossing ci exactly when darts
+4ci and 4ci + 2 lie on one circle; a diagram with no such crossing in both
+the all-A and the all-B state is adequate.
 
 Derived quantities: vA and vB are the all-A/all-B circle counts, the
 checkerboard Euler characteristics are vA - c and vB - c, the diagram genus
@@ -21,10 +20,11 @@ is the JSON-shaped dict that a report prints.
 
 Twist regions are maximal chains of alternating bigon faces (a lone crossing
 counts as a region of its own), so the twist number is t = c - (number of
-alternating bigons), read off the degree-2 faces that diagram validation
-recorded. When the bigons close into a single cycle through every
-crossing the diagram belongs to a (2, p) torus knot; that degenerate case is
-flagged and t is reported as 1.
+alternating bigons). Diagram validation counts those bigons as its face walk
+closes each degree-2 face, and keeps no tuple per face (see ``diagram``), so
+this module only reads the count. When the bigons close into a single cycle
+through every crossing the diagram belongs to a (2, p) torus knot; that
+degenerate case is flagged and t is reported as 1.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from __future__ import annotations
 from math import gcd
 from operator import eq
 
-from .diagram import PlanarDiagram, arc_orbits
+from .diagram import PlanarDiagram
 from .errors import NonAlternatingBigon, NonIntegerGenus, StateLengthMismatch
-
-# The smoothing arc of dart d is d ^ 1 in an A crossing and d ^ 3 in a B crossing.
-_FLIP = bytes.maketrans(b"AB", b"\x01\x03")
 
 
 def _loop_free(circle: list[int]) -> bool:
@@ -46,10 +43,31 @@ def _loop_free(circle: list[int]) -> bool:
 
 def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
     """Smooth crossing ci by letter ``state[ci]`` (A or B): the number of state
-    circles and the circle index of every dart, as ``arc_orbits`` numbers them."""
+    circles and the circle index of every dart, numbered in order of each
+    circle's first even dart.
+
+    A circle alternates a smoothing arc with an edge, so one walk that marks
+    both ends of every arc it crosses covers a circle. Every arc joins an even
+    dart to an odd one, so each circle has an even dart and the walks start
+    from even darts only."""
     if not isinstance(state, str) or len(state) != diagram.c or state.strip("AB"):
         raise StateLengthMismatch(f"a state is {diagram.c} letters A or B, got {state!r:.40}")
-    return arc_orbits(diagram.partner, state.encode().translate(_FLIP))
+    # The smoothing arc of dart d is d ^ arcs[d]: d ^ 1 at an A crossing, d ^ 3 at a B one.
+    arcs = state.encode().replace(b"A", b"\1\1\1\1").replace(b"B", b"\3\3\3\3")
+    partner = diagram.partner
+    circle = [-1] * len(partner)
+    count = 0
+    for start in range(0, len(partner), 2):
+        if circle[start] >= 0:
+            continue
+        d = start
+        while circle[d] < 0:
+            circle[d] = count
+            e = d ^ arcs[d]
+            circle[e] = count
+            d = partner[e]
+        count += 1
+    return count, circle
 
 
 def invariants(diagram: PlanarDiagram) -> dict:
@@ -79,22 +97,17 @@ TWIST_KEYS = ("t", "vBi", "vNb", "torusDegenerate")
 
 
 def twist_analysis(diagram: PlanarDiagram, inv: dict) -> dict:
-    """Count alternating bigons and twist regions (t = c - bigons), as the
-    ``TWIST_KEYS`` entries of the report's invariants.
+    """Twist regions (t = c - bigons) from the alternating bigons that diagram
+    validation counted, as the ``TWIST_KEYS`` entries of the report's invariants.
 
     ``inv`` is the diagram's :func:`invariants`, which supply vA + vB. A
     degree-2 face between two distinct crossings whose strands do not
     alternate is a reducible clasp; that aborts the analysis because the
     twist count of a non-reduced diagram is meaningless.
     """
-    v_bi = 0
-    for d1, d2 in diagram.degree_two_faces:
-        c1, c2 = d1 >> 2, d2 >> 2
-        if c1 == c2:
-            continue
-        if (d1 ^ d2) & 1:  # one under slot (0, 2) and one over slot (1, 3): no alternation
-            raise NonAlternatingBigon(f"non-alternating bigon between crossings {c1} and {c2}")
-        v_bi += 1
+    if diagram.clasp is not None:
+        raise NonAlternatingBigon("non-alternating bigon between crossings %d and %d" % diagram.clasp)
+    v_bi = diagram.bigons
     torus_degenerate = v_bi == diagram.c
     t = 1 if torus_degenerate else diagram.c - v_bi
     return dict(zip(TWIST_KEYS, (t, v_bi, inv["vA"] + inv["vB"] - v_bi, torus_degenerate)))

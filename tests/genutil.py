@@ -145,6 +145,21 @@ def traced_faces(diagram: PlanarDiagram) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def traced_bigons(diagram: PlanarDiagram) -> tuple[int, tuple[int, int] | None]:
+    """The number of alternating bigons and the crossing pair of the first
+    non-alternating one, read off :func:`traced_faces`: a bigon is a face of two
+    darts at two crossings, alternating when their slots share parity."""
+    bigons, clasp = 0, None
+    for face in traced_faces(diagram):
+        if len(face) == 2 and face[0][0] != face[1][0]:
+            (c1, s1), (c2, s2) = face
+            if (s1 - s2) % 2 == 0:
+                bigons += 1
+            elif clasp is None:
+                clasp = (c1, c2)
+    return bigons, clasp
+
+
 _PD_TOKENS = re.compile(
     r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
 )

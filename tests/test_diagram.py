@@ -42,6 +42,7 @@ from genutil import (
     pd_text,
     random_braid_word,
     random_knot_diagram,
+    traced_bigons,
     traced_faces,
     weaving_braid,
 )
@@ -83,11 +84,6 @@ def one_cycle_word(rng: random.Random, strands: int) -> BraidWord:
         word = BraidWord(strands, tuple(syllables))
         if permutation_cycles(word) == 1:
             return word
-
-
-def alternating_bigons(d: PlanarDiagram) -> int:
-    """Degree-2 faces between two crossings whose slots share parity."""
-    return sum(d1 >> 2 != d2 >> 2 and (d1 - d2) % 2 == 0 for d1, d2 in d.degree_two_faces)
 
 
 class TestParsePd:
@@ -225,6 +221,13 @@ class TestParsePd:
         assert any(slots[d] == slots[d ^ 2] for d in range(len(slots)))
         with pytest.raises(MultiComponentLink, match="^strand trace gives 2 components,"):
             parse_pd(text)
+
+    def test_component_through_over_slots_only_is_counted(self):
+        # One component runs through the under slots (even darts) of both
+        # crossings, the other through the over slots, all odd darts: walks
+        # started from even darts alone would count one component.
+        with pytest.raises(MultiComponentLink, match="^strand trace gives 2 components,"):
+            parse_pd("X[1,3,2,4] X[2,4,1,3]")
 
     def test_round_trip(self):
         for text in (TREFOIL, FIG8, KINK):
@@ -392,12 +395,11 @@ class TestRelabelPass:
         partner = [0] * len(slots)
         for a, b in darts.values():
             partner[a], partner[b] = b, a
-        degree_two = tuple(tuple(4 * ci + si for ci, si in b) for b in traced_faces(d) if len(b) == 2)
-        assert (d.partner, d.degree_two_faces) == (tuple(partner), degree_two)
+        assert (d.partner, (d.bigons, d.clasp)) == (tuple(partner), traced_bigons(d))
         assert findall_parse_pd(text) == slots, text[:80]
         parsed = parse_pd(text)
-        assert (parsed.slots, parsed.partner, parsed.degree_two_faces) == (
-            slots, d.partner, d.degree_two_faces), text[:80]
+        assert (parsed.slots, parsed.partner, parsed.bigons, parsed.clasp) == (
+            slots, d.partner, d.bigons, d.clasp), text[:80]
 
     def test_random_diagrams_from_scrambled_text(self):
         rng = random.Random(5150)
@@ -457,19 +459,18 @@ class TestFaces:
     def test_trefoil_faces(self):
         d = parse_pd(TREFOIL)
         assert face_degrees(d) == [2, 2, 2, 3, 3]
-        assert alternating_bigons(d) == 3
+        assert (d.bigons, d.clasp) == traced_bigons(d) == (3, None)
 
     def test_fig8_faces(self):
         d = parse_pd(FIG8)
         assert face_degrees(d) == [2, 2, 3, 3, 3, 3]
-        assert alternating_bigons(d) == 2
+        assert (d.bigons, d.clasp) == traced_bigons(d) == (2, None)
 
     def test_kink_faces(self):
         d = parse_pd(KINK)
         assert face_degrees(d) == [1, 1, 2]
         # the degree-2 face sits at a single crossing, so it is no bigon
-        assert len(d.degree_two_faces) == 1
-        assert alternating_bigons(d) == 0
+        assert (d.bigons, d.clasp) == traced_bigons(d) == (0, None)
 
     def test_euler_and_degree_sum_on_random_diagrams(self):
         rng = random.Random(20240811)
@@ -698,7 +699,8 @@ class TestBraidClosure:
             closed, parsed = braid_closure(word), parse_pd(closure_pd_text(word))
             assert closed.slots == parsed.slots
             assert closed.partner == parsed.partner
-            assert closed.degree_two_faces == parsed.degree_two_faces
+            assert (closed.bigons, closed.clasp) == (parsed.bigons, parsed.clasp) \
+                == traced_bigons(closed)
 
     def test_weaving_closures_are_knots(self):
         for k in (2, 4, 5, 7):

@@ -3,10 +3,12 @@
 Whatever the input, ``cli.main`` returns 0, 1 or 2, or argparse exits with
 status 1 for a usage mistake; nothing else escapes. Every ``error[...]``
 line names a ``CuspBoundsError`` subclass, and every JSON report is strict
-JSON, without NaN or Infinity. Echoed input is cut, so every stderr line
-stays within 250 characters and every JSON ``message`` within 200. The CLI's JSON writer writes what
-``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` does, and
-refuses any other value before it writes anything.
+JSON, without NaN or Infinity. Echoed input is cut, argparse's echo of an
+unknown argument or a refused choice included, so every stderr line stays
+within 250 characters and every JSON ``message`` within 200. The CLI's JSON
+writer writes what ``json.dumps(value, indent=2, sort_keys=True,
+allow_nan=False)`` does, and refuses any other value before it writes
+anything.
 """
 
 import contextlib
@@ -71,7 +73,13 @@ BUDGETS = st.one_of(
         st.one_of(st.integers(-400, 400), st.sampled_from([-999999999, 999999999])),
     ),
 )
-FORMATS = st.sampled_from(["json", "text"])
+# Mostly a valid format; otherwise a choice that argparse refuses and echoes.
+FORMATS = st.sampled_from(["json", "text"] * 3 + ["JSON", "a" * 5000, NINES, "it's" * 1000])
+# Arguments that no subcommand takes (--prime is braid's alone), echoed as refused.
+UNKNOWN = st.one_of(
+    st.builds("--x={}".format, NUMBERS),
+    st.sampled_from(["--prime", "-q", "--" + "z" * 5000, "y" * 5000, "'" + "b" * 300 + "'"]),
+)
 
 
 def options(draw, names) -> list[str]:
@@ -81,6 +89,8 @@ def options(draw, names) -> list[str]:
             value = draw(BUDGETS if name in ("--budget", "--delta") else
                          SLOPES if name == "--slopes" else NUMBERS)
             argv.append(f"{name}={value}")
+    if draw(st.integers(0, 3)) == 0:
+        argv += draw(st.lists(UNKNOWN, min_size=1, max_size=7))
     return argv
 
 

@@ -24,7 +24,7 @@ from cuspbounds import (
     run_surgery,
 )
 from cuspbounds.cli import main
-from cuspbounds.diagram import BraidWord, braid_closure
+from cuspbounds.diagram import BraidWord, braid_closure, parse_braid
 from cuspbounds.errors import (
     BadDiagramCounts,
     BudgetOutOfRange,
@@ -36,6 +36,7 @@ from cuspbounds.errors import (
     NonPositiveBudget,
     NoSlopeSource,
     NotOneInputSource,
+    read_int,
 )
 from cuspbounds.pipeline import parse_slope_list
 from cuspbounds.surgery import surgery_volume_window
@@ -708,6 +709,20 @@ class TestCli:
         assert error == "cuspbounds pretzel: error: unrecognized arguments: --prime"
 
     @pytest.mark.parametrize(
+        "extra, error",
+        [(["--x=" + "9" * 5000], "unrecognized arguments: --x=9999999999999999"),
+         (["a", "b", "c", "d", "e", "f", "g"], "unrecognized arguments: a b c d e and 2 more"),
+         (["--format=" + "a" * 5000],
+          "argument --format: invalid choice: 'aaaaaaaaaaaaaaaaaaaa' (choose from"),
+         (["--format=it's" * 100], "argument --format: invalid choice: \"it's--format=it's--f\"")],
+    )
+    def test_argparse_echoes_are_cut(self, capsys, extra, error):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pretzel", "3,5,7", *extra])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"cuspbounds pretzel: error: {error}")
+
+    @pytest.mark.parametrize(
         "argv, where",
         [(["pretzel", "3,5"], "pretzel: error: argument params"),
          (["pretzel", "3,x,5"], "pretzel: error: argument params"),
@@ -742,6 +757,19 @@ class TestCli:
         assert entries[6]["error"]["message"] == "invalid literal for int() with base 10: '+2'"
         # the refused part is echoed cut to 20 characters
         assert entries[7]["error"]["message"] == f"invalid literal for int() with base 10: {'1' * 20!r}"
+
+    def test_any_unicode_decimal_digit_is_read(self, capsys):
+        # "Decimal digits" are those str.isdecimal and int() accept: Arabic-Indic
+        # \u0661\u0660 is 10 and \u0663 is 3, in integers, braid words and slopes
+        ten, one, three, seven = "\u0661\u0660", "\u0661", "\u0663", "\u0667"
+        assert read_int(ten) == 10 and read_int(f" -{three} ") == -3
+        assert parse_braid(f"{three}: s{one}^{three} s2^-{three}") == parse_braid("3: s1^3 s2^-3")
+        assert parse_slope_list(f"{one}/{seven},{three}") == (Slope(1, 7), Slope(3, 1))
+        outputs = []
+        for t, slopes in ((ten, f"{one}/{seven}"), ("10", "1/7")):
+            assert main(["surgery", "--montesinos", t, "--slopes", slopes, "--format", "json"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "argv",

@@ -24,6 +24,7 @@ from cuspbounds.errors import (
     ZeroExponent,
 )
 from cuspbounds.pipeline import BatchResult
+from genutil import traced_bigons
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -118,8 +119,8 @@ def test_construction_errors_are_coded(call, error):
 def test_planar_diagram_compares_and_prints_slots_only():
     d = parse_pd(TREFOIL)
     assert repr(d) == f"PlanarDiagram(slots={d.slots!r})"
-    assert set(vars(d)) == {"partner", "degree_two_faces"}
-    assert d.partner and d.degree_two_faces
+    assert vars(d) == {"partner": d.partner, "bigons": 3, "clasp": None}
+    assert (d.bigons, d.clasp) == traced_bigons(d)
     assert d != d.slots
     for args in ((), (d.slots,)):
         with pytest.raises(TypeError, match="no public constructor"):

@@ -1,5 +1,6 @@
 """Resolutions, adequacy, invariants, twist analysis."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -12,14 +13,16 @@ from cuspbounds import (
     resolve,
     twist_analysis,
 )
-from cuspbounds.diagram import braid_closure, parse_braid
+from cuspbounds.diagram import BraidWord, braid_closure, parse_braid
 from cuspbounds.errors import ClosureIsLink, NonAlternatingBigon, StateLengthMismatch
 from genutil import (
+    closure_pd_text,
     is_alternating_diagram,
     mirror,
     path_following_circle_count,
     pretzel_pd,
     random_knot_diagram,
+    traced_bigons,
     traced_faces,
     union_find_circle_count,
     weaving_braid,
@@ -256,17 +259,15 @@ class TestKernelAgainstOracles:
             assert adequate == (not any(loops))
         boundaries = traced_faces(d)
         assert len(boundaries) == d.c + 2
-        assert d.degree_two_faces == tuple(
-            tuple(4 * ci + si for ci, si in b) for b in boundaries if len(b) == 2
-        )
-        bigons = [b for b in boundaries if len(b) == 2 and b[0][0] != b[1][0]]
-        if any(b[0][1] % 2 != b[1][1] % 2 for b in bigons):
-            with pytest.raises(NonAlternatingBigon):
+        bigons, clasp = traced_bigons(d)
+        assert (d.bigons, d.clasp) == (bigons, clasp)
+        if clasp is not None:
+            with pytest.raises(NonAlternatingBigon, match=f"crossings {clasp[0]} and {clasp[1]}$"):
                 twist_analysis(d, inv)
             return
         tw = twist_analysis(d, inv)
-        assert tw["vBi"] == len(bigons)
-        assert tw["t"] == (1 if len(bigons) == d.c else d.c - len(bigons))
+        assert tw["vBi"] == bigons
+        assert tw["t"] == (1 if bigons == d.c else d.c - bigons)
 
     def test_random_diagrams(self):
         rng = random.Random(4096)
@@ -293,6 +294,25 @@ class TestKernelAgainstOracles:
             count, circle = resolve(d, state)
             assert count == circles
             assert loops == tuple(circle[4 * ci] == circle[4 * ci + 2] for ci in range(d.c))
+
+
+def test_large_diagrams_start_no_garbage_collection():
+    # Validation keeps no object per face, so building and analysing a diagram
+    # of 20,004 crossings leaves too few tracked objects alive to start a
+    # cyclic collection, which would traverse the young 4c-long lists again.
+    word = BraidWord(3, ((1, 3), (2, -3)) * 3334)
+    text = closure_pd_text(word)
+
+    def pd_analysis():
+        d = parse_pd(text)
+        assert twist_analysis(d, invariants(d))["t"] == 6668
+
+    assert gc.isenabled()
+    for run in (pd_analysis, lambda: braid_closure(word)):
+        gc.collect()
+        before = [generation["collections"] for generation in gc.get_stats()]
+        run()
+        assert [generation["collections"] for generation in gc.get_stats()] == before
 
 
 class TestSerialization:
