@@ -20,6 +20,7 @@ try:
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
+from . import bounds as bd
 from .errors import CuspBoundsError, FileUnreadable, cut, read_int
 from .pipeline import (
     STATUS_INAPPLICABLE,
@@ -344,11 +345,11 @@ def _run(argv: list[str] | None) -> int:
     if unknown:  # with the usage of the subcommand that refused them, the first few cut
         more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
         args.command_parser.error(f"unrecognized arguments: {' '.join(map(cut, unknown[:5]))}{more}")
-    out = sys.stdout
+    usage, out = args.command_parser.error, sys.stdout
     try:
         if args.command in ("analyze", "braid", "pretzel"):
             if args.command == "analyze" and (args.pd is None) == (args.pair is None):
-                parser.error("analyze needs a PD code or --pair, not both")
+                usage("analyze needs a PD code or --pair, not both")
             # Each subcommand stores its input under the request field it sets.
             sources = {k: getattr(args, k, None) for k in ("pd", "braid", "pretzel", "pair")}
             for key in ("pd", "braid"):
@@ -363,18 +364,17 @@ def _run(argv: list[str] | None) -> int:
             )
             report = run_analyze(request)
         elif args.command == "surgery":
-            if args.crossings is not None and args.genus is None:
-                parser.error("--crossings needs --genus")
+            if (args.crossings is None) != (args.genus is None):
+                usage("--crossings needs --genus" if args.genus is None else "--genus needs --crossings")
             if not args.slopes:
-                parser.error("surgery needs --slopes")
-            verdicts = run_surgery(
-                slopes=args.slopes,
-                delta=args.delta,
-                c=args.crossings,
-                g_t=args.genus,
-                montesinos_t=args.montesinos,
-                volume=args.volume,
-            )
+                usage("surgery needs --slopes")
+            meridian = None  # --montesinos
+            if args.delta is not None:
+                meridian = 3 * (1 + args.delta)
+            elif args.crossings is not None:
+                meridian = bd.adequate_bounds_from_counts(args.crossings, args.genus)["meridian"]
+            verdicts = run_surgery(args.slopes, meridian, args.montesinos, args.volume,
+                                   lengths=args.crossings is not None)
             report = {"status": "ok", "diagnostics": [], "slopes": verdicts}
         else:  # batch
             report = run_batch(args.csv_path).to_dict()

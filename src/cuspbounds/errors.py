@@ -153,7 +153,7 @@ class NotOneInputSource(CuspBoundsError, ValueError):
 
 
 class NoSlopeSource(CuspBoundsError, ValueError):
-    """A slope sweep needs delta, the counts (c, g), or a Montesinos twist number."""
+    """A slope sweep needs exactly one of a meridian bound and a Montesinos twist number."""
 
 
 class DeltaOutOfRange(CuspBoundsError):

@@ -131,7 +131,8 @@ def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
         pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
         _add_criterion(report, pair, request.budget)
     if request.slopes:
-        report["slopes"] = run_surgery(request.slopes, c=inv["c"], g_t=inv["gT"], volume=request.volume)
+        meridian = min(values["meridian"] for _, values in rules if "meridian" in values)
+        report["slopes"] = run_surgery(request.slopes, meridian, volume=request.volume)
     return report
 
 
@@ -151,13 +152,15 @@ def _surface_report(
                               f"a {rule[0]} bound has no finite, non-zero float")
     report = {
         "status": STATUS_OK,
-        "diagnostics": ["slope analysis needs a diagram source"] if request.slopes else [],
+        "diagnostics": [],
         "input": {"kind": kind, "value": list(value)},
         "invariants": None,
         "bounds": bounds,
         "slopes": None,
     }
     _add_criterion(report, pair, request.budget)
+    if request.slopes:
+        report["slopes"] = run_surgery(request.slopes, rule[1]["meridian"], volume=request.volume)
     return report
 
 
@@ -195,33 +198,28 @@ def run_analyze(request: AnalysisRequest) -> dict:
 
 def run_surgery(
     slopes: tuple,
-    delta: Fraction | None = None,
-    c: int | None = None,
-    g_t: int | None = None,
+    meridian: Fraction | int | None = None,
     montesinos_t: int | None = None,
     volume: float | None = None,
+    lengths: bool = True,
 ) -> list[dict]:
-    """One entry per slope, with thresholds from a Montesinos twist number, else
-    an explicit delta, else (c, g) counts, which also give length floors: the
-    filter verdicts and the window of the twist number or of ``volume``. A
-    window refused for a slope is its entry's ``error`` for Montesinos knots,
-    which rest on it, and its ``windowError`` elsewhere; an |q| whose length
-    floor is too large for a float is refused (``InvalidSlope``) as the
-    entry's ``error``. Error entries from :func:`parse_slope_list` in
-    ``slopes`` pass through untouched.
+    """One entry per slope, with thresholds from exactly one of ``meridian``,
+    an exact upper bound M on the meridian length, and a Montesinos twist
+    number (M = 3). Past the filter verdicts, M gives the length floor
+    3.35 |q| / M unless ``lengths`` is false, and the window of ``volume``; a
+    twist number gives its own window and no length floor. A window refused
+    for a slope is its entry's ``error`` for Montesinos knots, which rest on
+    it, and its ``windowError`` elsewhere; an |q| whose length floor is too
+    large for a float is refused (``InvalidSlope``) as the entry's ``error``.
+    Error entries from :func:`parse_slope_list` in ``slopes`` pass through
+    untouched.
 
     An entry past ``p`` and ``q`` depends on |q| alone, so each distinct |q|
     is decided once per call; entries copy their nested dicts and share none."""
     montesinos = montesinos_t is not None
-    if montesinos:
-        tests = sg.MONTESINOS
-    elif delta is not None:
-        tests = sg.SlopeThresholds(3 * (1 + Fraction(delta)))
-    elif c is None or g_t is None:
-        raise NoSlopeSource("need delta, (c, g), or a Montesinos twist number")
-    else:
-        tests = sg.SlopeThresholds(bd.adequate_bounds_from_counts(c, g_t)["meridian"])
-    lengths = not montesinos and delta is None
+    if montesinos == (meridian is not None):
+        raise NoSlopeSource("need exactly one of a meridian bound and a Montesinos twist number")
+    tests = sg.MONTESINOS if montesinos else sg.SlopeThresholds(meridian)
     rule = "montesinos_window" if montesinos else "surgery_window"
     scale = refused = None
     try:
@@ -249,7 +247,7 @@ def run_surgery(
                 except CuspBoundsError as exc:
                     error = _error(exc)
             try:
-                length = bd.sig12(tests.length(q)) if lengths else None
+                length = bd.sig12(tests.length(q)) if lengths and not montesinos else None
             except InvalidSlope as exc:
                 error, fatal = _error(exc), True
             if error is not None and fatal:

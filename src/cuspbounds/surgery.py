@@ -6,9 +6,10 @@ floor of 3.35 (Cao-Meyerhoff) turns M into a slope-length floor
 
     length(p/q) > 3.35 |q| / M = (3.35/3) |q| / (1 + delta),  1 + delta = M/3.
 
-For an adequate knot with crossing number c and diagram genus g, M is the
-``adequate`` bound 3 + (6g - 6)/c, so delta = (2g - 2)/c and the floor is
-3.35 |q| c / (3c + 6g - 6).
+Any bound of ``bounds`` serves as M: the ``general`` bound 6(|chi1| +
+|chi2|)/i of a surface pair, 3 for a pretzel, and for an adequate diagram
+with c crossings and genus g the ``adequate`` bound 3 + (6g - 6)/c, so that
+delta = (2g - 2)/c and the floor is 3.35 |q| c / (3c + 6g - 6).
 
 Consequences, each decided in exact rational arithmetic:
 

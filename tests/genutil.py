@@ -350,12 +350,15 @@ def _err(code: str, message: str) -> dict:
 HUGE_Q = "|q| too large: its length floor 3.35 |q| / M overflows a float"
 
 
-def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> list:
-    """Expected sweep entries from ``delta``, or from the counts (c, g), which
-    also give the length floor 3.35 |q| c / (3c + 6g - 6); a floor too large
+def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None, meridian=None) -> list:
+    """Expected sweep entries from one of ``delta``, the counts (c, g) or a
+    meridian bound M. The counts give M = (3c + 6g - 6)/c, and M gives the
+    length floor 3.35 |q| / M, which ``delta`` does not; a floor too large
     for a float makes the entry an ``InvalidSlope`` error. ``slopes`` holds
     objects with ``p`` and ``q``, and error dicts, which pass through."""
-    one = 1 + (Fraction(delta) if delta is not None else Fraction(2 * g - 2, c))
+    if c is not None:
+        meridian = Fraction(3 * c + 6 * g - 6, c)
+    one = 1 + Fraction(delta) if delta is not None else Fraction(meridian) / 3
     out = []
     for slope in slopes:
         if isinstance(slope, dict):
@@ -365,7 +368,7 @@ def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None) -> l
         length = None
         if delta is None:
             try:
-                length = _sig(float(Fraction(67, 20) * aq * c / (3 * c + 6 * g - 6)))
+                length = _sig(float(Fraction(67, 20) * aq / meridian))
             except OverflowError:
                 out.append({"p": slope.p, "q": slope.q, "error": _err("InvalidSlope", HUGE_Q)})
                 continue

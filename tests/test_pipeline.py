@@ -1,6 +1,6 @@
 """End-to-end pipelines, JSON round trips, batch cross-checks, CLI."""
 
-import copy
+import contextlib
 import csv
 import io
 import json
@@ -23,10 +23,10 @@ from cuspbounds import (
     run_batch,
     run_surgery,
 )
+from cuspbounds.bounds import adequate_bounds_from_counts
 from cuspbounds.cli import main
 from cuspbounds.diagram import BraidWord, braid_closure, parse_braid
 from cuspbounds.errors import (
-    BadDiagramCounts,
     BudgetOutOfRange,
     CuspBoundsError,
     DeltaOutOfRange,
@@ -169,20 +169,23 @@ class TestRunAnalyze:
 
 class TestRunSurgery:
     def test_delta_zero_thresholds(self):
-        verdicts = run_surgery(parse_slope_list("1/5,1/6,1/7,1/8"), delta=Fraction(0))
+        verdicts = run_surgery(parse_slope_list("1/5,1/6,1/7,1/8"), meridian=3)
         assert [v["nonExceptional"] for v in verdicts] == [False, True, True, True]
 
     def test_counts_mode_has_length_floor(self):
-        verdicts = run_surgery(parse_slope_list("1/6"), c=10, g_t=1)
-        assert verdicts[0]["lengthLower"] == pytest.approx(6.7)
+        # M = 3 + (6g - 6)/c = 3 at c = 10, g = 1: the floor is 3.35 x 6 / 3
+        meridian = adequate_bounds_from_counts(10, 1)["meridian"]
+        assert run_surgery(parse_slope_list("1/6"), meridian)[0]["lengthLower"] == pytest.approx(6.7)
+        assert run_surgery(parse_slope_list("1/6"), meridian, lengths=False)[0]["lengthLower"] is None
 
     def test_montesinos_mode(self):
         verdicts = run_surgery(parse_slope_list("1/7,1/5"), montesinos_t=10)
         assert verdicts[0]["volumeWindow"]["upper"] == pytest.approx(73.2772475342)
+        assert verdicts[0]["lengthLower"] is None
         assert verdicts[1]["error"]["code"] == "SlopeTooSmall"
 
     def test_invalid_slope_entries_pass_through(self):
-        verdicts = run_surgery(parse_slope_list("1/0,2/4,1/6"), delta=Fraction(0))
+        verdicts = run_surgery(parse_slope_list("1/0,2/4,1/6"), meridian=Fraction(3))
         assert verdicts[0]["error"]["code"] == "InvalidSlope"
         assert verdicts[1]["error"]["code"] == "InvalidSlope"
         assert verdicts[2]["nonExceptional"] is True
@@ -192,32 +195,33 @@ class TestRunSurgery:
             run_surgery((Slope(1, 6),))
 
     def test_missing_source_is_coded(self):
-        for kwargs in ({}, {"c": 10}, {"g_t": 1}):
+        for kwargs in ({}, {"volume": 5.0}, {"lengths": False}):
             with pytest.raises(NoSlopeSource):
                 run_surgery((Slope(1, 6),), **kwargs)
 
-    def test_explicit_delta_takes_precedence_over_counts(self):
-        verdicts = run_surgery(parse_slope_list("1/6"), delta=Fraction(1, 2), c=10, g_t=1)
-        assert verdicts[0]["nonExceptional"] is False  # 6 < (360/67)(3/2)
-        assert verdicts[0]["lengthLower"] is None
+    def test_both_sources_are_refused(self):
+        # no precedence between the two: a sweep keys on one number
+        for meridian in (3, Fraction(7, 2)):
+            with pytest.raises(NoSlopeSource):
+                run_surgery((Slope(1, 6),), meridian=meridian, montesinos_t=10)
 
     def test_huge_q_is_an_invalid_slope_entry(self):
         huge = 10**400  # the floor 67 |q| / 60 at M = 3 is past the largest float
         slopes = (Slope(1, huge), Slope(-3, -huge), Slope(1, 7))
-        verdicts = run_surgery(slopes, c=10, g_t=1, volume=2.0)
+        verdicts = run_surgery(slopes, meridian=3, volume=2.0)
         error = {"code": "InvalidSlope", "message": HUGE_Q}
         assert verdicts[:2] == [{"p": 1, "q": huge, "error": error},
                                 {"p": -3, "q": -huge, "error": error}]
         assert verdicts[2]["rule"] == "surgery_window"
-        # without counts there is no length floor, and the slope is decided as usual
-        assert run_surgery(slopes, delta=0)[0]["nonExceptional"] is True
+        # without a length floor the slope is decided as usual
+        assert run_surgery(slopes, meridian=3, lengths=False)[0]["nonExceptional"] is True
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"delta": 0, "volume": 5.0},  # volumeWindow, and windowError below |q| = 6
-            {"delta": 0, "volume": -1.0},  # a refused volume: windowError everywhere
-            {"c": 10, "g_t": 1, "volume": 5.0},  # error for the huge |q|
+            {"meridian": 3, "lengths": False, "volume": 5.0},  # volumeWindow, and windowError below |q| = 6
+            {"meridian": 3, "lengths": False, "volume": -1.0},  # a refused volume: windowError everywhere
+            {"meridian": 3, "volume": 5.0},  # error for the huge |q|
             {"montesinos_t": 10},  # volumeWindow, and error below |q| = 6
             {"montesinos_t": 1},  # a refused twist number: error everywhere
         ],
@@ -285,6 +289,22 @@ def deltas_for(draw, slopes):
     return (Fraction(67 * q, 360) if kind == "exclusion" else Fraction(q, 6)) - 1
 
 
+@st.composite
+def pairs_for(draw, slopes):
+    """A surface pair (|chi1|, |chi2|, i), whose meridian bound is M = 6s/i
+    for s = |chi1| + |chi2|; half of the draws put some slope exactly on the
+    exclusion threshold (120/67) M or on 2M = 6(1 + delta)."""
+    qs = [abs(s.q) for s in slopes if isinstance(s, Slope) and abs(s.q) < 10**20]
+    kind = draw(st.sampled_from(["free", "exclusion", "six"] if qs else ["free"]))
+    if kind == "free":
+        s, i = draw(st.integers(2, 400)), draw(st.integers(1, 2000))
+    else:
+        q, k = draw(st.sampled_from(qs)), draw(st.integers(2, 4))
+        s, i = (67 * q * k, 720 * k) if kind == "exclusion" else (q * k, 12 * k)
+    chi1 = draw(st.integers(1, s - 1))
+    return chi1, s - chi1, i
+
+
 class TestSweepsAgainstFractionOracle:
     """``run_surgery`` and the analyze slope list against the ``Fraction``
     oracles of ``genutil``, entry for entry and float for float."""
@@ -294,7 +314,8 @@ class TestSweepsAgainstFractionOracle:
     def test_delta_sweep(self, data, slopes, volume):
         delta = data.draw(deltas_for(slopes))
         expected = fraction_slope_entries(slopes, delta=delta, volume=volume)
-        assert run_surgery(tuple(slopes), delta=delta, volume=volume) == expected
+        meridian = 3 * (1 + delta)  # what `surgery --delta` passes
+        assert run_surgery(tuple(slopes), meridian, volume=volume, lengths=False) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,7 +328,8 @@ class TestSweepsAgainstFractionOracle:
     def test_counts_sweep(self, counts, slopes, volume):
         c, g = counts
         expected = fraction_slope_entries(slopes, volume=volume, c=c, g=g)
-        assert run_surgery(tuple(slopes), c=c, g_t=g, volume=volume) == expected
+        meridian = adequate_bounds_from_counts(c, g)["meridian"]  # what `surgery --crossings` passes
+        assert run_surgery(tuple(slopes), meridian, volume=volume) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(t=st.integers(-2, 40), slopes=SLOPE_LISTS)
@@ -330,6 +352,31 @@ class TestSweepsAgainstFractionOracle:
             return
         c, g = report["invariants"]["c"], report["invariants"]["gT"]
         assert report["slopes"] == fraction_slope_entries(slopes, volume=volume, c=c, g=g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), slopes=SLOPE_LISTS.filter(bool), volume=VOLUMES)
+    def test_pair_sweep(self, data, slopes, volume):
+        triple = data.draw(pairs_for(slopes))
+        report = run_analyze(AnalysisRequest(pair=triple, slopes=tuple(slopes), volume=volume))
+        meridian = Fraction(6 * (triple[0] + triple[1]), triple[2])  # 6(|chi1| + |chi2|)/i
+        assert report["diagnostics"] == []
+        assert report["slopes"] == fraction_slope_entries(slopes, volume=volume, meridian=meridian)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        triple=st.tuples(*[st.integers(1, 40).map(lambda n: 2 * n + 1)] * 3),
+        slopes=SLOPE_LISTS.filter(bool),
+        volume=VOLUMES,
+    )
+    def test_pretzel_sweep(self, triple, slopes, volume):
+        report = run_analyze(AnalysisRequest(pretzel=triple, slopes=tuple(slopes), volume=volume))
+        # P(a, -b, -c): the all-A surface, |chi| = b + c - 1, against a spanning
+        # surface with |chi| = 1, meeting it 2b + 2c times
+        _, b, c = triple
+        meridian = Fraction(6 * (b + c - 1 + 1), 2 * b + 2 * c)
+        assert meridian == 3
+        assert report["diagnostics"] == []
+        assert report["slopes"] == fraction_slope_entries(slopes, volume=volume, meridian=meridian)
 
 
 class TestNonFiniteInput:
@@ -629,13 +676,47 @@ class TestCli:
 
     def test_delta_is_checked_before_any_slope(self):
         # every slope is an error entry here, so no slope filter ever runs
-        with pytest.raises(DeltaOutOfRange):
-            run_surgery(parse_slope_list("1/0,2/4"), delta=Fraction(-1))
+        for meridian in (0, Fraction(-3, 7)):
+            with pytest.raises(DeltaOutOfRange):
+                run_surgery(parse_slope_list("1/0,2/4"), meridian)
 
-    def test_counts_are_checked_before_delta(self):
-        for c, g in ((0, 0), (-3, 1), (5, -1)):
-            with pytest.raises(BadDiagramCounts):
-                run_surgery(parse_slope_list("1/5"), c=c, g_t=g)
+    def test_counts_are_checked_before_delta(self, capsys):
+        # each of these also has 3c + 6g - 6 <= 0, which DeltaOutOfRange would name
+        for c, g in (("0", "0"), ("-3", "1"), ("5", "-1")):
+            argv = ["surgery", "--crossings", c, "--genus", g, "--slopes", "1/0,1/5"]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error[BadDiagramCounts]: need c >= 1 and g >= 0, got c={c}, g={g}\n")
+
+    @pytest.mark.parametrize("source", [["--delta", "0"], ["--montesinos", "10"]])
+    def test_genus_needs_crossings(self, capsys, source):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["surgery", *source, "--genus", "3", "--slopes", "1/7"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cuspbounds surgery ")
+        assert captured.err.endswith("cuspbounds surgery: error: --genus needs --crossings\n")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_analyze_sweep_is_the_counts_sweep(self, seed):
+        # a diagram's slope entries are those of `surgery` with its own (c, gT)
+        diagram = random_adequate_knot_diagram(random.Random(seed))
+        options = ["--volume", "7.5", "--format", "json",
+                   "--slopes=1/0,2/4,1/1,-3/5,7/6,1/7,5/-12,1/13,2/25,1/1000003"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["analyze", diagram.pd_string(), *options])
+        report = strict_json(out.getvalue())
+        if code == 2:  # torus-degenerate: no slope analysis
+            assert report["slopes"] is None
+            return
+        c, g = report["invariants"]["c"], report["invariants"]["gT"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["surgery", "--crossings", str(c), "--genus", str(g), *options]) == 0
+        assert report["slopes"] == strict_json(out.getvalue())["slopes"]
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # like `cuspbounds surgery ... --format json | head -1`: the reader
