@@ -373,8 +373,8 @@ def _run(argv: list[str] | None) -> int:
                 meridian = 3 * (1 + args.delta)
             elif args.crossings is not None:
                 meridian = bd.adequate_bounds_from_counts(args.crossings, args.genus)["meridian"]
-            verdicts = run_surgery(args.slopes, meridian, args.montesinos, args.volume,
-                                   lengths=args.crossings is not None)
+            verdicts = run_surgery(args.slopes, meridian, montesinos_t=args.montesinos,
+                                   volume=args.volume, lengths=args.crossings is not None)
             report = {"status": "ok", "diagnostics": [], "slopes": verdicts}
         else:  # batch
             report = run_batch(args.csv_path).to_dict()
