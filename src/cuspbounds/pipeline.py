@@ -76,119 +76,100 @@ def _error(exc: CuspBoundsError) -> dict:
     return {"code": exc.code, "message": str(exc)}
 
 
-def _add_criterion(report: dict, pair: bd.SurfacePairData, budget: Fraction | None) -> None:
-    """Report the criterion with its budget as a float, which must be finite,
-    and non-zero for a non-zero budget, as the CLI's ``--budget`` demands."""
-    if budget is None:
-        return
-    try:
-        value = float(budget)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value) or (value == 0) != (budget == 0):
-        raise BudgetOutOfRange("the budget's float overflows or underflows to zero")
-    report["criterion"] = {"budget": value, "satisfied": bd.criterion_check(pair, budget)}
-
-
-def _diagram_report(diagram: PlanarDiagram, request: AnalysisRequest) -> dict:
-    inv = st.invariants(diagram)
-    report: dict = {
-        "status": STATUS_OK,
-        "diagnostics": [],
-        "invariants": inv,
-        "bounds": None,
-        "slopes": None,
-    }
+def _diagram_rules(diagram: PlanarDiagram, report: dict) -> list | None:
+    """The ``(rule id, values)`` pairs that bound ``diagram``, or ``None`` if no
+    rule applies; its invariants, twist counts and diagnostics go into ``report``."""
+    inv = report["invariants"] = st.invariants(diagram)
     try:
         inv.update(st.twist_analysis(diagram, inv))
     except NonAlternatingBigon as exc:
         report["diagnostics"].append(f"{exc.code}: {exc}")
         inv.update(dict.fromkeys(st.TWIST_KEYS))
-
     if inv["torusDegenerate"]:
         report["status"] = STATUS_INAPPLICABLE
-        report["diagnostics"].append(
-            "torus-degenerate / non-hyperbolic: bigons form a cycle through every crossing"
-        )
-        return report
+        report["diagnostics"].append("torus-degenerate / non-hyperbolic: "
+                                     "bigons form a cycle through every crossing")
+        return None
     try:
         rules = [("adequate", bd.adequate_bounds(inv))]
     except (NotAdequate, MoebiusBand) as exc:
         report["diagnostics"].append(str(exc))
         if isinstance(exc, MoebiusBand):
             report["status"] = STATUS_INAPPLICABLE
-        elif request.budget is not None or request.slopes:
-            report["diagnostics"].append("budget and slope analysis need an adequate diagram")
-        return report
+        return None
     t = inv["t"]
     if t is not None:
         rules.append(("twist", bd.twist_bound(diagram.c, t)))
         if t >= 2:
             rules.append(("twist_area", bd.twist_area_bound(t)))
-    report["bounds"] = bd.best_bounds(rules)
+    return rules
 
-    if request.budget is not None:
+
+def _report(request: AnalysisRequest, diagram: PlanarDiagram | None = None) -> dict:
+    """The report of ``diagram``, or else of the request's pair or pretzel triple.
+    Each is bounded through a surface pair (an adequate diagram's checkerboard
+    pair), which decides the criterion; the least exact meridian bound keys the
+    slope sweep. Surface bounds must have finite, non-zero floats, and so must a
+    non-zero budget, as the CLI's ``--budget`` demands."""
+    report: dict = {"status": STATUS_OK, "diagnostics": [], "invariants": None,
+                    "bounds": None, "slopes": None}
+    if diagram is not None:
+        rules = _diagram_rules(diagram, report)
+        if rules is None:
+            if report["status"] == STATUS_OK and (request.budget is not None or request.slopes):
+                report["diagnostics"].append("budget and slope analysis need an adequate diagram")
+            return report
+        inv = report["invariants"]
         pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
-        _add_criterion(report, pair, request.budget)
+    elif request.pair is not None:
+        kind, value = "pair", request.pair
+        pair = bd.SurfacePairData(*value)
+        rules = [("general", bd.general_bounds(pair))]
+    else:
+        kind, value = "pretzel", request.pretzel
+        pair, values = bd.pretzel_bounds(bd.PretzelParams(*value))
+        rules = [("pretzel", values)]
+        report["surfacePair"] = dict(zip(("absChi1", "absChi2", "intersection"), pair))
+    try:
+        report["bounds"] = bd.best_bounds(rules)
+    except OverflowError:
+        if diagram is not None:
+            raise
+    if diagram is None:
+        report["input"] = {"kind": kind, "value": list(value)}
+        # Every surface bound is positive, so a 0 is a float that underflowed.
+        if report["bounds"] is None or 0 in [e["value"] for e in report["bounds"]["candidates"]]:
+            raise BoundOutOfRange(f"{kind} {','.join(map(cut, value))}: "
+                                  f"a {rules[0][0]} bound has no finite, non-zero float")
+    budget = request.budget
+    if budget is not None:
+        try:
+            as_float = float(budget)
+        except OverflowError:
+            as_float = math.inf
+        if not math.isfinite(as_float) or (as_float == 0) != (budget == 0):
+            raise BudgetOutOfRange("the budget's float overflows or underflows to zero")
+        report["criterion"] = {"budget": as_float, "satisfied": bd.criterion_check(pair, budget)}
     if request.slopes:
         meridian = min(values["meridian"] for _, values in rules if "meridian" in values)
         report["slopes"] = run_surgery(request.slopes, meridian, volume=request.volume)
     return report
 
 
-def _surface_report(
-    request: AnalysisRequest, kind: str, value, pair: bd.SurfacePairData, rule: tuple[str, dict]
-) -> dict:
-    """Report for an input given by its surface pair rather than a diagram,
-    bounded by the one ``(rule id, values)`` pair ``rule``, whose values must
-    have finite, non-zero floats."""
-    try:
-        bounds = bd.best_bounds([rule])
-    except OverflowError:
-        bounds = None
-    # Every surface bound is positive, so a 0 is a float that underflowed.
-    if bounds is None or 0 in [entry["value"] for entry in bounds["candidates"]]:
-        raise BoundOutOfRange(f"{kind} {','.join(map(cut, value))}: "
-                              f"a {rule[0]} bound has no finite, non-zero float")
-    report = {
-        "status": STATUS_OK,
-        "diagnostics": [],
-        "input": {"kind": kind, "value": list(value)},
-        "invariants": None,
-        "bounds": bounds,
-        "slopes": None,
-    }
-    _add_criterion(report, pair, request.budget)
-    if request.slopes:
-        report["slopes"] = run_surgery(request.slopes, rule[1]["meridian"], volume=request.volume)
-    return report
-
-
 def run_analyze(request: AnalysisRequest) -> dict:
     """Full analysis chain for one input; returns a JSON-shaped report."""
-    if request.pair is not None:
-        pair = bd.SurfacePairData(*request.pair)
-        rule = ("general", bd.general_bounds(pair))
-        return _surface_report(request, "pair", request.pair, pair, rule)
-    if request.pretzel is not None:
-        pair, values = bd.pretzel_bounds(bd.PretzelParams(*request.pretzel))
-        report = _surface_report(request, "pretzel", request.pretzel, pair, ("pretzel", values))
-        report["surfacePair"] = {
-            "absChi1": pair.abs_chi_1,
-            "absChi2": pair.abs_chi_2,
-            "intersection": pair.intersection,
-        }
-        return report
+    word = diagram = None
     if request.braid is not None:
         word = parse_braid(request.braid)
         diagram = braid_closure(word)
-        report = _diagram_report(diagram, request)
+    elif request.pd is not None:
+        diagram = parse_pd(request.pd)
+    report = _report(request, diagram)
+    if word is not None:
         report["input"] = {"kind": "braid", "value": request.braid}
         report["braidVerdict"] = bd.braid_criterion(word, request.prime_asserted)
-        return report
-    diagram = parse_pd(request.pd)
-    report = _diagram_report(diagram, request)
-    report["input"] = {"kind": "pd", "value": diagram.pd_string()}
+    elif diagram is not None:
+        report["input"] = {"kind": "pd", "value": diagram.pd_string()}
     return report
 
 
@@ -315,7 +296,7 @@ def _check_row(row: dict) -> dict:
     # its "input" entry, which a row does not print.
     request = AnalysisRequest(pd=row.get("pd") or "")
     try:
-        report = _diagram_report(parse_pd(request.pd), request)
+        report = _report(request, parse_pd(request.pd))
     except CuspBoundsError as exc:
         result["note"] = f"{exc.code}: {exc}"
         return result

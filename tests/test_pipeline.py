@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cuspbounds import (
     AnalysisRequest,
     Slope,
+    invariants,
     run_analyze,
     run_batch,
     run_surgery,
@@ -377,6 +378,35 @@ class TestSweepsAgainstFractionOracle:
         assert meridian == 3
         assert report["diagnostics"] == []
         assert report["slopes"] == fraction_slope_entries(slopes, volume=volume, meridian=meridian)
+
+
+class TestOneBuilder:
+    """A diagram is bounded through its checkerboard pair, so that pair given
+    as ``pair`` must report what the diagram does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 10**6),
+        slopes=SLOPE_LISTS.filter(bool),
+        volume=VOLUMES,
+    )
+    def test_diagram_and_its_checkerboard_pair_agree(self, data, seed, slopes, volume):
+        diagram = random_adequate_knot_diagram(random.Random(seed))
+        inv = invariants(diagram)
+        pair = (-inv["chiA"], -inv["chiB"], 2 * diagram.c)
+        meridian = Fraction(6 * (pair[0] + pair[1]), pair[2])
+        # half of the budgets sit exactly on the meridian bound
+        budget = data.draw(st.one_of(st.just(meridian), st.fractions(Fraction(1, 10), 10)))
+        options = {"budget": budget, "slopes": tuple(slopes), "volume": volume}
+        own = run_analyze(AnalysisRequest(pd=diagram.pd_string(), **options))
+        if own["status"] != "ok":  # torus-degenerate: no bounds
+            return
+        given_pair = run_analyze(AnalysisRequest(pair=pair, **options))
+        assert own["criterion"] == given_pair["criterion"]
+        assert own["criterion"]["satisfied"] == (meridian <= budget)
+        assert own["slopes"] == given_pair["slopes"]
+        assert own["bounds"]["meridian"]["value"] == given_pair["bounds"]["meridian"]["value"]
 
 
 class TestNonFiniteInput:
