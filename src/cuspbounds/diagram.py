@@ -186,16 +186,11 @@ def _validated(partner: list[int], one_component: bool = False) -> PlanarDiagram
 # PD-code text
 # --------------------------------------------------------------------------
 
-# A run of at most 1,000 whole tokens, each with its trailing separators; no token
-# starts with a separator, so runs split the text between tokens. ``match`` takes
-# the longest run and stops at the first bad token without backtracking, so a run
-# that stops short ends at the error position. Whitespace before a bracket is
-# allowed only after an X, which keeps every split of the text unambiguous. Runs
-# are bounded because the regex engine keeps backtracking state for every
-# repetition of the group, about 1 KB a crossing over a whole text. Once
-# requires-python reaches 3.11, a possessive ``(?:...)*+`` can replace the loop.
+# Whole tokens, each with its trailing separators; whitespace before a bracket
+# is allowed only after an X. The possessive ``*+`` keeps no backtracking state
+# between tokens, so ``match`` ends at the first bad token in constant memory.
 _PD_TOKENS = re.compile(
-    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*){0,1000}"
+    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*+"
 )
 _NOT_DIGITS = str.maketrans("Xx[](),", "       ")
 
@@ -211,12 +206,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
-    pos = 0
-    while pos < len(stripped):
-        end = _PD_TOKENS.match(stripped, pos).end()
-        if end == pos:
-            raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
-        pos = end
+    pos = _PD_TOKENS.match(stripped).end()
+    if pos < len(stripped):
+        raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
     # Every token of the grammar opens with one bracket.
     crossings = stripped.count("[") + stripped.count("(")
     if crossings > MAX_CROSSINGS:

@@ -236,9 +236,10 @@ class TestParsePd:
 
 
 class TestPdTokenRuns:
-    """``parse_pd`` checks the grammar in runs of at most 1,000 tokens; the
-    ``genutil`` oracle matches the whole text at once. Run boundaries must not
-    change which texts parse, nor where an error is reported."""
+    """``parse_pd`` matches the grammar with one possessive repetition; the
+    ``genutil`` oracle with a plain greedy one. Around 1,000 and 2,000 tokens,
+    where an earlier parser split the text into runs, both must accept the same
+    texts and report an error at the same position."""
 
     FORMS = ("X[%s]", "x [%s]", "(%s)")
     SEPARATORS = (" ", ", ", ",", "\n")
@@ -277,9 +278,8 @@ class TestPdTokenRuns:
             assert str(excinfo.value) == message
 
     def test_peak_memory_of_a_large_parse(self):
-        # A whole-text match kept about 1 KB of regex state per crossing: a
-        # 21 MB peak at c = 20,000 (33 MB on Python 3.10), against 9-10 MB in
-        # bounded runs.
+        # A greedy whole-text match keeps about 1 KB of regex state per
+        # crossing, a 21 MB peak at c = 20,000; the possessive match keeps none.
         text = closure_pd_text(weaving_braid(10_000))
         tracemalloc.start()
         try:
