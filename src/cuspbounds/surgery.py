@@ -93,7 +93,7 @@ class SlopeThresholds:
     |q| m > k n. Floats are int true divisions, correctly rounded like
     ``float(Fraction)``."""
 
-    def __init__(self, meridian: Rational, floor_text: str | None = None) -> None:
+    def __init__(self, meridian: Rational) -> None:
         one = Fraction(meridian) / 3
         n, m = one.numerator, one.denominator  # the denominator is positive
         if n <= 0:
@@ -106,7 +106,6 @@ class SlopeThresholds:
         self.m67 = CUSP_AREA_FLOOR.numerator * m
         self.n60 = 3 * CUSP_AREA_FLOOR.denominator * n
         self.n360 = SIX * self.n60
-        self.floor_text = floor_text
 
     def filter(self, q: int) -> tuple[bool, bool]:
         """(|q| > (360/67)(1 + delta): not exceptional, |q| > 6(1 + delta): length > 2 pi)."""
@@ -124,17 +123,16 @@ class SlopeThresholds:
 
     def window(self, q: int, vol: float) -> tuple[float, bool]:
         """(vol (1 - 36 (1 + delta)^2 / q^2)^(3/2), whether |q| = 6(1 + delta));
-        ``SlopeTooSmall`` when |q| < 6(1 + delta)."""
+        ``SlopeTooSmall`` when |q| < 6(1 + delta) = 2M."""
         qm = q * self.m
         if qm < self.six_n:
-            floor = self.floor_text or f"6(1 + delta) = {cut(Fraction(self.six_n, self.m))}"
-            raise SlopeTooSmall(f"|q| = {cut(q)} below {floor}")
+            raise SlopeTooSmall(f"|q| = {cut(q)} below 2M = {cut(Fraction(self.six_n, self.m))}")
         qm2 = qm * qm
         return vol * ((qm2 - self.n36) / qm2) ** 1.5, qm == self.six_n
 
 
 # The Montesinos window asks |q| >= 6: the thresholds at M = 3, 1 + delta = 1.
-MONTESINOS = SlopeThresholds(3, floor_text="6")
+MONTESINOS = SlopeThresholds(3)
 
 
 def slope_length_lower(c: int, g_t: int, slope: Slope) -> float:

@@ -388,7 +388,7 @@ def fraction_slope_entries(slopes, delta=None, volume=None, c=None, g=None, meri
         elif volume <= 0:
             entry["windowError"] = _err("NonPositiveVolume", f"volume must be positive, got {volume}")
         elif aq < 6 * one:
-            message = f"|q| = {str(aq)[:20]} below 6(1 + delta) = {str(6 * one)[:20]}"
+            message = f"|q| = {str(aq)[:20]} below 2M = {str(6 * one)[:20]}"
             entry["windowError"] = _err("SlopeTooSmall", message)
         else:
             factor = 1 - 36 * one**2 / Fraction(aq) ** 2
@@ -413,7 +413,7 @@ def fraction_montesinos_entries(slopes, t: int) -> list:
         if t < 2:
             error = _err("TooFewTwistRegions", f"need t >= 2 twist regions, got {t}")
         elif aq < 6:
-            error = _err("SlopeTooSmall", f"|q| = {aq} below 6")
+            error = _err("SlopeTooSmall", f"|q| = {aq} below 2M = 6")
         else:
             factor = float(1 - Fraction(36, aq * aq)) ** 1.5
             lower = max(0.0, (OCTAHEDRON_VOLUME / 4.0) * (t - 9) * factor)
