@@ -181,6 +181,8 @@ def _print_text(report: dict, out) -> None:
         )
         length = slope.get("lengthLower")
         length_text = f" length > {_sig(length)}" if length is not None else ""
+        if "windowError" in slope:
+            window_text = f" window error {slope['windowError']['message']}"
         print(
             f"  slope {slope['p']}/{slope['q']}: nonExceptional={slope['nonExceptional']} "
             f"twoPi={slope['twoPiExceeded']}{length_text}{window_text}",

@@ -667,6 +667,26 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert [v["nonExceptional"] for v in report["slopes"]] == [False, True]
 
+    @pytest.mark.parametrize("argv", [
+        ["surgery", "--delta", "0", "--volume", "0", "--slopes", "1/7,1/5"],
+        ["surgery", "--crossings", "7", "--genus", "2", "--volume", "2", "--slopes", "1/5,1/8"],
+        ["analyze", "--pair", "4,3,5", "--volume", "4", "--slopes", "1/16,-1/17,2/4"],
+        ["analyze", FIG8, "--volume", "2.03", "--slopes", "1/1,1/5"],
+    ])
+    def test_text_names_each_window_error(self, capsys, argv):
+        # each slope line ends with its entry's window error, as JSON gives it
+        assert main([*argv, "--format", "json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["slopes"]
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "  slope " in line]
+        assert len(lines) == len(entries)
+        assert any("windowError" in entry for entry in entries)
+        for line, entry in zip(lines, entries):
+            if "windowError" in entry:
+                assert line.endswith(f" window error {entry['windowError']['message']}")
+            else:
+                assert "window error" not in line
+
     def test_surgery_montesinos(self, capsys):
         assert main(["surgery", "--montesinos", "10", "--slopes", "1/7", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
