@@ -1,7 +1,8 @@
 """Analysis pipelines behind the CLI: single inputs, slope sweeps, batch CSV.
 
-Reports are plain JSON-shaped dicts (str-keyed dicts, lists, str, int, float,
-bool, None; no tuples or float subclasses), with floats rounded to 12
+One builder, :func:`_report`, writes the report of every input and batch
+row. Reports are plain JSON-shaped dicts (str-keyed dicts, lists, str, int,
+float, bool, None; no tuples or float subclasses), with floats rounded to 12
 significant digits. The CLI's writer prints them as ``json.dumps(report,
 indent=2, sort_keys=True)`` does, byte for byte.
 """
