@@ -88,8 +88,9 @@ def _diagram_rules(diagram: PlanarDiagram, report: dict) -> list | None:
         inv.update(dict.fromkeys(st.TWIST_KEYS))
     if inv["torusDegenerate"]:
         report["status"] = STATUS_INAPPLICABLE
-        report["diagnostics"].append("torus-degenerate / non-hyperbolic: "
-                                     "bigons form a cycle through every crossing")
+        report["diagnostics"].append(
+            "torus-degenerate / non-hyperbolic: bigons form a cycle through every crossing"
+        )
         return None
     try:
         rules = [("adequate", bd.adequate_bounds(inv))]
@@ -130,7 +131,8 @@ def _report(request: AnalysisRequest, diagram: PlanarDiagram | None = None) -> d
         kind, value = "pretzel", request.pretzel
         pair, values = bd.pretzel_bounds(bd.PretzelParams(*value))
         rules = [("pretzel", values)]
-        report["surfacePair"] = dict(zip(("absChi1", "absChi2", "intersection"), pair))
+        report["surfacePair"] = {"absChi1": pair.abs_chi_1, "absChi2": pair.abs_chi_2,
+                                 "intersection": pair.intersection}
     try:
         report["bounds"] = bd.best_bounds(rules)
     except OverflowError:
