@@ -79,17 +79,24 @@ class Sqrt(float):
         return root
 
 
-def _signed_square(x) -> Numeric:
-    """x |x| exactly, which orders values as x does."""
-    return x.square if isinstance(x, Sqrt) else x * abs(x)
+def _signed_square(x) -> tuple[int, int]:
+    """x |x| exactly, as a numerator and a positive denominator; it orders
+    values as x does."""
+    if isinstance(x, Sqrt):
+        return x.square, 1
+    n, d = x.numerator, x.denominator
+    return n * abs(n), d * d
 
 
 def _less(x, y) -> bool:
-    """x < y exactly: rational values compare directly, and a :class:`Sqrt`
-    by its exact square."""
+    """x < y exactly for ints, Fractions and :class:`Sqrt` values, decided by
+    integer cross-multiplication of numerators and positive denominators; with
+    a Sqrt on either side both sides compare by their signed squares."""
     if isinstance(x, Sqrt) or isinstance(y, Sqrt):
-        return _signed_square(x) < _signed_square(y)
-    return x < y
+        (a, b), (c, d) = _signed_square(x), _signed_square(y)
+    else:
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    return a * d < c * b
 
 
 class SurfacePairData(namedtuple("SurfacePairData", "abs_chi_1 abs_chi_2 intersection")):
@@ -240,5 +247,5 @@ def best_bounds(rules: Iterable[tuple[str, dict]]) -> dict:
         report[q] = None if held is None else {"value": held[1], "rule": held[2]}
     report["candidates"] = candidates
     meridian = best.get("meridian")
-    report["sixTheoremConsistent"] = meridian is not None and meridian[0] < SIX
+    report["sixTheoremConsistent"] = meridian is not None and _less(meridian[0], SIX)
     return report

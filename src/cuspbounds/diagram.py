@@ -38,6 +38,7 @@ the all-B smoothing of a positive braid closure reproduces the braid-strand
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -62,13 +63,13 @@ from .errors import (
 MAX_CROSSINGS = 100_000
 
 
-def _pair_darts(labels: Sequence[int]) -> list[int]:
+def _pair_darts(labels: Sequence[int | str]) -> list[int]:
     """The involution pairing the two darts that carry each edge label, built in
-    one pass over the labels. The first few labels used other than twice are
-    named by their rank in order of first appearance, the number
-    ``PlanarDiagram.slots`` gives them."""
+    one pass over the labels, which are compared as given. The first few labels
+    used other than twice are named by their rank in order of first appearance,
+    the number ``PlanarDiagram.slots`` gives them."""
     partner = [-1] * len(labels)
-    first: dict[int, int] = {}
+    first: dict[int | str, int] = {}
     for d, label in enumerate(labels):
         other = first.setdefault(label, d)
         if other != d:
@@ -189,10 +190,13 @@ def _validated(partner: list[int], one_component: bool = False) -> PlanarDiagram
 # Whole tokens, each with its trailing separators; whitespace before a bracket
 # is allowed only after an X. The possessive ``*+`` keeps no backtracking state
 # between tokens, so ``match`` ends at the first bad token in constant memory.
+# Inside a token every quantifier is possessive too: each run is followed by a
+# character it cannot match, so giving some of it back never helps.
 _PD_TOKENS = re.compile(
-    r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*+"
+    r"(?:(?:[Xx]\s*+)?+[\[\(]\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+[\]\)][\s,]*+)*+"
 )
-_NOT_DIGITS = str.maketrans("Xx[](),", "       ")
+# The grammar's brackets, commas and X marks, and ASCII whitespace, as spaces.
+_TO_SPACES = str.maketrans(dict.fromkeys("Xx[](), \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", " "))
 
 
 def parse_pd(text: str) -> PlanarDiagram:
@@ -202,6 +206,11 @@ def parse_pd(text: str) -> PlanarDiagram:
     and/or commas. Edge labels are normalized to 1..2c on parse. Text listing
     more than ``MAX_CROSSINGS`` crossings raises ``TooManyCrossings`` before
     any label is converted.
+
+    Labels written canonically (ASCII digits, no leading zero, no more digits
+    than ``int()`` converts) name the same edge exactly when they are the same
+    string, so they are paired as written. Any other text has its labels
+    converted by ``int()``, which reads every Unicode decimal digit.
     """
     stripped = text.strip()
     if not stripped:
@@ -214,13 +223,19 @@ def parse_pd(text: str) -> PlanarDiagram:
     if crossings > MAX_CROSSINGS:
         raise TooManyCrossings(f"PD code lists {crossings} crossings, more than {MAX_CROSSINGS}")
     # The grammar leaves only edge labels, four per token, once its brackets,
-    # commas and X marks turn into whitespace.
-    try:
-        labels = list(map(int, stripped.translate(_NOT_DIGITS).split()))
-    except ValueError:  # a label with more digits than int() converts
-        raise MalformedToken("an edge label has more digits than int() converts") from None
-    if min(labels) < 1:
-        raise MalformedToken("edge labels must be positive")
+    # commas, X marks and ASCII whitespace turn into spaces. The text opens with
+    # an X or a bracket, so in ASCII text every label follows a space.
+    spaced = stripped.translate(_TO_SPACES)
+    labels = spaced.split()
+    limit = sys.get_int_max_str_digits()
+    if not stripped.isascii() or " 0" in spaced or (
+            0 < limit < len(stripped) and limit < max(map(len, labels))):
+        try:
+            labels = list(map(int, labels))
+        except ValueError:  # a label with more digits than int() converts
+            raise MalformedToken("an edge label has more digits than int() converts") from None
+        if min(labels) < 1:
+            raise MalformedToken("edge labels must be positive")
     return _validated(_pair_darts(labels))
 
 

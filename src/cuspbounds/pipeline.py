@@ -121,8 +121,7 @@ def _report(request: AnalysisRequest, diagram: PlanarDiagram | None = None) -> d
             if report["status"] == STATUS_OK and (request.budget is not None or request.slopes):
                 report["diagnostics"].append("budget and slope analysis need an adequate diagram")
             return report
-        inv = report["invariants"]
-        pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
+        pair = None  # the checkerboard pair, built only for a budget
     elif request.pair is not None:
         kind, value = "pair", request.pair
         pair = bd.SurfacePairData(*value)
@@ -152,6 +151,9 @@ def _report(request: AnalysisRequest, diagram: PlanarDiagram | None = None) -> d
             as_float = math.inf
         if not math.isfinite(as_float) or (as_float == 0) != (budget == 0):
             raise BudgetOutOfRange("the budget's float overflows or underflows to zero")
+        if pair is None:
+            inv = report["invariants"]
+            pair = bd.SurfacePairData(-inv["chiA"], -inv["chiB"], 2 * diagram.c)
         report["criterion"] = {"budget": as_float, "satisfied": bd.criterion_check(pair, budget)}
     if request.slopes:
         meridian = min(values["meridian"] for _, values in rules if "meridian" in values)
@@ -273,6 +275,10 @@ class BatchResult(namedtuple("BatchResult", "rows")):
         return {"rows": self.rows, "summary": {s: counts[s] for s in ("pass", "fail", "skip")}}
 
 
+# The request of every batch row: PD text, with no budget, volume or slopes.
+_ROW_REQUEST = AnalysisRequest(pd="")
+
+
 def _check_row(row: dict) -> dict:
     """The batch report row of one CSV row: ``pass`` or ``fail`` with the
     computed meridian bound against the reference, or ``skip`` with a note."""
@@ -297,9 +303,8 @@ def _check_row(row: dict) -> dict:
             return result
     # run_analyze's two steps for PD text, without the canonical PD text of
     # its "input" entry, which a row does not print.
-    request = AnalysisRequest(pd=row.get("pd") or "")
     try:
-        report = _report(request, parse_pd(request.pd))
+        report = _report(_ROW_REQUEST, parse_pd(row.get("pd") or ""))
     except CuspBoundsError as exc:
         result["note"] = f"{exc.code}: {exc}"
         return result

@@ -49,14 +49,30 @@ def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
     A circle alternates a smoothing arc with an edge, so one walk that marks
     both ends of every arc it crosses covers a circle. Every arc joins an even
     dart to an odd one, so each circle has an even dart and the walks start
-    from even darts only."""
+    from even darts only. A uniform state (all A or all B, the two that
+    :func:`invariants` asks for) smooths every crossing by one arc, ``d ^ 1``
+    or ``d ^ 3``, so its walk xors a constant; a mixed one looks the arc up
+    per dart."""
     if not isinstance(state, str) or len(state) != diagram.c or state.strip("AB"):
         raise StateLengthMismatch(f"a state is {diagram.c} letters A or B, got {state!r:.40}")
-    # The smoothing arc of dart d is d ^ arcs[d]: d ^ 1 at an A crossing, d ^ 3 at a B one.
-    arcs = state.encode().replace(b"A", b"\1\1\1\1").replace(b"B", b"\3\3\3\3")
     partner = diagram.partner
     circle = [-1] * len(partner)
     count = 0
+    arc = 1 if "B" not in state else 3 if "A" not in state else 0
+    if arc:
+        for start in range(0, len(partner), 2):
+            if circle[start] >= 0:
+                continue
+            d = start
+            while circle[d] < 0:
+                circle[d] = count
+                e = d ^ arc
+                circle[e] = count
+                d = partner[e]
+            count += 1
+        return count, circle
+    # The smoothing arc of dart d is d ^ arcs[d]: d ^ 1 at an A crossing, d ^ 3 at a B one.
+    arcs = state.encode().replace(b"A", b"\1\1\1\1").replace(b"B", b"\3\3\3\3")
     for start in range(0, len(partner), 2):
         if circle[start] >= 0:
             continue

@@ -291,39 +291,58 @@ class TestPdTokenRuns:
         assert peak < 15_000_000, f"parse_pd peaked at {peak / 1e6:.1f} MB"
 
 
+# Label errors in ASCII text, whose labels parse_pd pairs as written unless
+# one is 0; tuples are written as PD text.
+LABEL_ERRORS = [
+    ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,7]", EdgeLabelUsedOtherThanTwice,
+     "edge labels not used exactly twice: [5, 7]"),
+    ("X[1,1,1,2] X[2,3,3,4]", EdgeLabelUsedOtherThanTwice,
+     "edge labels not used exactly twice: [1, 4]"),
+    ("X[1,1,1,1] X[2,2,3,3]", EdgeLabelUsedOtherThanTwice,
+     "edge labels not used exactly twice: [1]"),
+    ("X[0,1,1,0]", MalformedToken, "edge labels must be positive"),
+    # Sparse labels are named by their ranks in order of first
+    # appearance, the numbers slots gives them, not as written.
+    ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 70), EdgeLabelUsedOtherThanTwice,
+     "edge labels not used exactly twice: [5, 7]"),
+    ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 30, 10, 20, 30, 40),
+     EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [1, 2, 3, 5]"),
+    ((1, 4, 2, 5, 3, 6, 4, 1, 5, 2, 6, 3, 7, 7, 7, 7), EdgeLabelUsedOtherThanTwice,
+     "edge labels not used exactly twice: [7]"),
+    ((1, 4, 2, 5, 3, 6, 0, 1), MalformedToken, "edge labels must be positive"),
+    # 90 (thrice) and 70 (once) come last: they are named by their
+    # ranks 7 and 8 in order of first appearance, not as written
+    ("X[10,40,20,50] X[30,60,40,10] X[50,20,60,90] X[90,90,30,70]",
+     EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [7, 8]"),
+]
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def respelled(cases):
+    """Each case again in Arabic-Indic digits and with a zero before every
+    label, which parse_pd reads through int(): same values, same errors."""
+    for source, error, message in cases:
+        text = source if isinstance(source, str) else pd_text(source)
+        yield text.translate(_ARABIC_INDIC), error, message
+        yield re.sub(r"\d+", r"0\g<0>", text), error, message
+
+
 class TestFlatLabels:
     """Edge labels: the checks on PD labels, and the ``slots`` view of a diagram."""
 
-    @pytest.mark.parametrize(
-        "source, error, message",
-        [
-            ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,7]", EdgeLabelUsedOtherThanTwice,
-             "edge labels not used exactly twice: [5, 7]"),
-            ("X[1,1,1,2] X[2,3,3,4]", EdgeLabelUsedOtherThanTwice,
-             "edge labels not used exactly twice: [1, 4]"),
-            ("X[1,1,1,1] X[2,2,3,3]", EdgeLabelUsedOtherThanTwice,
-             "edge labels not used exactly twice: [1]"),
-            ("X[0,1,1,0]", MalformedToken, "edge labels must be positive"),
-            # Sparse labels are named by their ranks in order of first
-            # appearance, the numbers slots gives them, not as written.
-            ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 70), EdgeLabelUsedOtherThanTwice,
-             "edge labels not used exactly twice: [5, 7]"),
-            ((10, 40, 20, 50, 30, 60, 40, 10, 50, 20, 60, 30, 10, 20, 30, 40),
-             EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [1, 2, 3, 5]"),
-            ((1, 4, 2, 5, 3, 6, 4, 1, 5, 2, 6, 3, 7, 7, 7, 7), EdgeLabelUsedOtherThanTwice,
-             "edge labels not used exactly twice: [7]"),
-            ((1, 4, 2, 5, 3, 6, 0, 1), MalformedToken, "edge labels must be positive"),
-            # 90 (thrice) and 70 (once) come last: they are named by their
-            # ranks 7 and 8 in order of first appearance, not as written
-            ("X[10,40,20,50] X[30,60,40,10] X[50,20,60,90] X[90,90,30,70]",
-             EdgeLabelUsedOtherThanTwice, "edge labels not used exactly twice: [7, 8]"),
-        ],
-    )
+    # The respelled twins come last, so that the ASCII cases keep their ids.
+    @pytest.mark.parametrize("source, error, message", LABEL_ERRORS + list(respelled(LABEL_ERRORS)))
     def test_label_errors(self, source, error, message):
         # Tuples are written as PD text first, as given.
         with pytest.raises(error) as excinfo:
             parse_pd(source if isinstance(source, str) else pd_text(source))
         assert str(excinfo.value) == message
+
+    def test_a_leading_zero_after_any_ascii_whitespace_is_read_as_int(self):
+        # Labels are paired as written only with no leading zero, which parse_pd
+        # finds once every ASCII whitespace character has become a space.
+        for space in filter(str.isspace, map(chr, range(128))):
+            assert parse_pd(f"X[1,4,2,5] X[3,6,4,{space}01] X[5,2,6,3]") == parse_pd(TREFOIL)
 
     def test_views_and_serialization_on_random_diagrams(self):
         rng = random.Random(31337)

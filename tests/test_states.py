@@ -289,11 +289,13 @@ class TestKernelAgainstOracles:
         rng = random.Random(8128)
         for _ in range(100):
             d = random_knot_diagram(rng, 12)
-            state = "".join(rng.choice("AB") for _ in range(d.c))
-            circles, loops = union_find_circle_count(d, state)
-            count, circle = resolve(d, state)
-            assert count == circles
-            assert loops == tuple(circle[4 * ci] == circle[4 * ci + 2] for ci in range(d.c))
+            mixed = "".join(rng.choice("AB") for _ in range(d.c))
+            # the all-A and all-B states take the walk with one constant arc
+            for state in (mixed, "A" * d.c, "B" * d.c):
+                circles, loops = union_find_circle_count(d, state)
+                count, circle = resolve(d, state)
+                assert count == circles
+                assert loops == tuple(circle[4 * ci] == circle[4 * ci + 2] for ci in range(d.c))
 
 
 def test_large_diagrams_start_no_garbage_collection():
