@@ -91,12 +91,14 @@ def _finite_float(text: str) -> float:
 
 
 def _finite_fraction(text: str) -> Fraction:
-    """``text`` as an exact Fraction (``7/2``, ``0.25``, ``1e3``), refused unless its
-    float is finite, and non-zero for a non-zero number. A decimal is read as a
-    float first, so that ``1e-999999999`` never builds the power of ten that
-    Fraction would."""
+    """``text`` as an exact Fraction (``7/2``, ``1 / 3``, ``0.25``, ``1e3``), refused
+    unless its float is finite, and non-zero for a non-zero number. Whitespace
+    around ``/`` is dropped, as Fraction drops it only from Python 3.12 on. A
+    decimal is read as a float first, so that ``1e-999999999`` never builds the
+    power of ten that Fraction would."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" not in text:
+        if not slash:
             approx = float(text)
             if not math.isfinite(approx):
                 raise OverflowError
@@ -104,7 +106,7 @@ def _finite_fraction(text: str) -> Fraction:
                 if text.lower().partition("e")[0].strip(" +-0."):
                     raise OverflowError  # a non-zero number whose float underflows
                 return Fraction(0)
-        value = Fraction(text)
+        value = Fraction(f"{num.rstrip()}/{den.lstrip()}" if slash else text)
         float(value)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a number with a finite float: {cut(text)!r}") from None
@@ -183,6 +185,8 @@ def _print_text(report: dict, out) -> None:
         length_text = f" length > {_sig(length)}" if length is not None else ""
         if "windowError" in slope:
             window_text = f" window error {slope['windowError']['message']}"
+        if slope.get("boundaryHit"):
+            window_text += " boundaryHit=True"
         print(
             f"  slope {slope['p']}/{slope['q']}: nonExceptional={slope['nonExceptional']} "
             f"twoPi={slope['twoPiExceeded']}{length_text}{window_text}",

@@ -687,6 +687,16 @@ class TestCli:
             else:
                 assert "window error" not in line
 
+    def test_text_shows_each_boundary_hit(self, capsys):
+        # |q| = 2M puts the window's lower end at 0, which JSON flags as boundaryHit
+        argv = ["surgery", "--delta", "0", "--volume", "2", "--slopes", "1/5,1/6,1/7,-1/6"]
+        assert main([*argv, "--format", "json"]) == 0
+        hits = ["boundaryHit" in entry for entry in json.loads(capsys.readouterr().out)["slopes"]]
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "  slope " in line]
+        assert [line.endswith(" boundaryHit=True") for line in lines] == hits
+        assert hits == [False, True, False, True]
+
     def test_surgery_montesinos(self, capsys):
         assert main(["surgery", "--montesinos", "10", "--slopes", "1/7", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -825,6 +835,29 @@ class TestCli:
             main(["analyze", "--pair", "1,1,2", f"--budget={budget}"])
         assert excinfo.value.code == 1
         assert "argument --budget: not a number with a finite float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, value", [("1 / 3", Fraction(1, 3)), ("1/ 3", Fraction(1, 3)),
+                                             (" 7 /2 ", Fraction(7, 2)), ("1 / 0", None),
+                                             ("1 / 3 / 4", None)])
+    def test_budget_and_delta_read_spaces_around_the_slash(self, capsys, text, value):
+        # Fraction() reads "1 / 3" only from Python 3.12 on; the CLI reads it on
+        # every supported version, as --slopes reads "-1 / 3"
+        for argv, option in ((["analyze", "--pair", "4,3,5", "--format", "json"], "--budget"),
+                             (["surgery", "--slopes", "1/7,1/30", "--format", "json"], "--delta")):
+            if value is None:
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*argv, f"{option}={text}"])
+                assert excinfo.value.code == 1
+                assert capsys.readouterr().err.endswith(
+                    f"argument {option}: not a number with a finite float: {text!r}\n")
+                continue
+            outputs = []
+            for spelled in (text, f"{value.numerator}/{value.denominator}"):
+                assert main([*argv, f"{option}={spelled}"]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+            if option == "--budget":
+                assert json.loads(outputs[0].out)["criterion"]["budget"] == float(value)
 
     def test_zero_budget_with_a_huge_exponent_is_read_as_a_float(self, capsys):
         # Fraction("0e-999999999") would build 10 ** 999999999 first
