@@ -224,7 +224,8 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise TooManyCrossings(f"PD code lists {crossings} crossings, more than {MAX_CROSSINGS}")
     # The grammar leaves only edge labels, four per token, once its brackets,
     # commas, X marks and ASCII whitespace turn into spaces. The text opens with
-    # an X or a bracket, so in ASCII text every label follows a space.
+    # an X or a bracket, so in ASCII text every label follows a space; and only
+    # a text longer than int()'s digit limit (0: none) can hold a longer label.
     spaced = stripped.translate(_TO_SPACES)
     labels = spaced.split()
     limit = sys.get_int_max_str_digits()
