@@ -8,7 +8,6 @@ torus-degenerate diagram), so pipelines can filter non-hyperbolic inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -21,7 +20,7 @@ except ImportError:
     from json.encoder import encode_basestring_ascii
 
 from . import bounds as bd
-from .errors import CuspBoundsError, FileUnreadable, cut, read_int
+from .errors import CuspBoundsError, FileUnreadable, cut, read_int, read_number
 from .pipeline import (
     STATUS_INAPPLICABLE,
     AnalysisRequest,
@@ -80,37 +79,11 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _finite_float(text: str) -> float:
+def _number(text: str) -> Fraction:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {cut(text)!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {cut(text)!r}")
-    return value
-
-
-def _finite_fraction(text: str) -> Fraction:
-    """``text`` as an exact Fraction (``7/2``, ``1 / 3``, ``0.25``, ``1e3``), refused
-    unless its float is finite, and non-zero for a non-zero number. Whitespace
-    around ``/`` is dropped, as Fraction drops it only from Python 3.12 on. A
-    decimal is read as a float first, so that ``1e-999999999`` never builds the
-    power of ten that Fraction would."""
-    num, slash, den = text.partition("/")
-    try:
-        if not slash:
-            approx = float(text)
-            if not math.isfinite(approx):
-                raise OverflowError
-            if approx == 0:
-                if text.lower().partition("e")[0].strip(" +-0."):
-                    raise OverflowError  # a non-zero number whose float underflows
-                return Fraction(0)
-        value = Fraction(f"{num.rstrip()}/{den.lstrip()}" if slash else text)
-        float(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise argparse.ArgumentTypeError(f"not a number with a finite float: {cut(text)!r}") from None
-    return value
+        return read_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_stdin() -> str:
@@ -283,7 +256,8 @@ def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--volume", type=_finite_float, help="complement volume for surgery windows")
+    parser.add_argument("--volume", type=lambda text: float(_number(text)),
+                        help="complement volume for surgery windows")
     parser.add_argument("--slopes", type=parse_slope_list, default=(), help="p/q[,p/q...]")
 
 
@@ -313,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p_diagram in (p_analyze, p_braid, p_pretzel):
         p_diagram.add_argument(
-            "--budget", type=_finite_fraction, help="length budget for the criterion check"
+            "--budget", type=_number, help="length budget for the criterion check"
         )
         _add_common(p_diagram)
 
     p_surgery = sub.add_parser("surgery", help="per-slope exclusion and volume windows")
     group = p_surgery.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=_finite_fraction, help="the rational (2g-2)/c")
+    group.add_argument("--delta", type=_number, help="the rational (2g-2)/c")
     group.add_argument("--crossings", type=_int, help="crossing count (with --genus)")
     group.add_argument("--montesinos", type=_int, help="Montesinos twist number t")
     p_surgery.add_argument("--genus", type=_int, help="diagram genus (with --crossings)")

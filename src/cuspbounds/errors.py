@@ -6,6 +6,9 @@ can report failures uniformly; messages are for humans.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 def cut(value) -> str:
     """``str(value)`` cut to 20 characters, for echoing a user's number or text
@@ -23,6 +26,31 @@ def read_int(text: str) -> int:
     if text.strip().removeprefix("-").isdecimal():
         return int(text)  # raises past 4,300 digits
     raise ValueError(f"invalid literal for int() with base 10: {cut(text)!r}")
+
+
+def read_number(text: str) -> Fraction:
+    """``text`` as an exact Fraction: an optional minus and decimal digits as
+    ``read_int`` reads them, then an optional decimal point and exponent, or
+    ``/`` and digits with whitespace around ``/``. Its float must be finite,
+    and non-zero for a non-zero number. Otherwise a ``ValueError`` echoing ``text`` cut."""
+    num, slash, den = text.partition("/")
+    try:
+        if "_" in text or num.lstrip()[:1] == "+":  # float() and Fraction() read "1_0" and "+2"
+            raise ValueError
+        if slash:  # Fraction() reads spaces around "/" only from Python 3.12 on
+            value = Fraction(f"{num.rstrip()}/{den.lstrip()}")
+            approx = float(value)  # OverflowError past the float range
+        else:  # float first, so that 1e-999999999 never builds 10 ** 999999999
+            approx = float(text)
+            if not math.isfinite(approx):
+                raise ValueError
+            # a zero float reads the mantissa alone: zero, or a number that underflowed
+            value = Fraction(text if approx else text.lower().partition("e")[0])
+        if (approx == 0) != (value == 0):
+            raise ValueError
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"not a number with a finite float: {cut(text)!r}") from None
+    return value
 
 
 class CuspBoundsError(Exception):

@@ -285,22 +285,19 @@ def _check_row(row: dict) -> dict:
     name = (row.get("name") or "").strip() or "<unnamed>"
     result = {"name": name, "status": "skip", "computedBound": None,
               "referenceMeridian": None, "slack": None, "note": ""}
-    try:
-        reference = float(row["reference_meridian"])
-        if not math.isfinite(reference) or reference <= 0:
-            raise ValueError
-    except (KeyError, TypeError, ValueError):
-        result["note"] = "bad reference_meridian value"
-        return result
-    volume_text = (row.get("reference_volume") or "").strip()
-    if volume_text:
+    reference = None  # the meridian; reference_volume may be empty, and is checked, not used
+    for column in ("reference_meridian", "reference_volume"):
+        text = row.get(column) or ""
+        if reference and not text.strip():
+            break
         try:
-            volume = float(volume_text)
-            if not math.isfinite(volume) or volume <= 0:
-                raise ValueError
+            value = float(text)  # with read_number's character rule, at float()'s cost
         except ValueError:
-            result["note"] = "bad reference_volume value"
+            value = 0.0
+        if not 0 < value < math.inf or "_" in text or text.lstrip()[:1] == "+":
+            result["note"] = f"bad {column} value"
             return result
+        reference = reference or value
     # run_analyze's two steps for PD text, without the canonical PD text of
     # its "input" entry, which a row does not print.
     try:
@@ -325,7 +322,7 @@ def run_batch(path: str) -> BatchResult:
     import csv  # here, not at the top: a cold start of the CLI has no use for it
 
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames
             if header is None or not {"name", "pd", "reference_meridian"}.issubset(header):

@@ -1,5 +1,6 @@
 """End-to-end pipelines, JSON round trips, batch cross-checks, CLI."""
 
+import codecs
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -427,7 +429,8 @@ class TestNonFiniteInput:
             assert excinfo.value.code == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "not a finite number" in captured.err
+            assert captured.err.endswith(
+                f"argument --volume: not a number with a finite float: {value!r}\n")
 
     def test_non_finite_references_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
@@ -438,6 +441,12 @@ class TestNonFiniteInput:
             f'inf_meridian,"{FIG8}",inf,\n'
             f'nan_volume,"{FIG8}",1.0,nan\n'
             f'inf_volume,"{FIG8}",1.0,inf\n'
+            # float() reads "1_0" as 10 and "+2" as 2; errors.read_number does not
+            f'underscore_meridian,"{FIG8}",1_0,\n'
+            f'plus_meridian,"{FIG8}",+2,\n'
+            f'underscore_volume,"{FIG8}",1.0,1_0\n'
+            f'plus_volume,"{FIG8}",1.0, +2\n'
+            f'exponent_plus,"{FIG8}",1e+0,2E+0\n'
         )
         rows = run_batch(os.fspath(path)).rows
         notes = {row["name"]: (row["status"], row["note"]) for row in rows}
@@ -447,10 +456,15 @@ class TestNonFiniteInput:
             "inf_meridian": ("skip", "bad reference_meridian value"),
             "nan_volume": ("skip", "bad reference_volume value"),
             "inf_volume": ("skip", "bad reference_volume value"),
+            "underscore_meridian": ("skip", "bad reference_meridian value"),
+            "plus_meridian": ("skip", "bad reference_meridian value"),
+            "underscore_volume": ("skip", "bad reference_volume value"),
+            "plus_volume": ("skip", "bad reference_volume value"),
+            "exponent_plus": ("pass", ""),
         }
         assert main(["batch", os.fspath(path), "--format", "json"]) == 0
         report = strict_json(capsys.readouterr().out)
-        assert report["summary"] == {"pass": 1, "fail": 0, "skip": 4}
+        assert report["summary"] == {"pass": 2, "fail": 0, "skip": 8}
 
     def test_every_json_output_is_strict_json(self, capsys):
         for argv in (
@@ -472,10 +486,9 @@ def row_from_run_analyze(name: str, pd: str, reference_text: str) -> dict:
     """The batch row of one CSV row, built from ``run_analyze``'s report."""
     row = {"name": name.strip() or "<unnamed>", "status": "skip", "computedBound": None,
            "referenceMeridian": None, "slack": None, "note": ""}
-    try:
-        reference = float(reference_text)
-    except ValueError:
-        reference = math.nan
+    # an optional minus, decimal digits, an optional point and exponent
+    decimal = re.fullmatch(r"\s*-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?\s*", reference_text)
+    reference = float(reference_text) if decimal else math.nan
     if not (math.isfinite(reference) and reference > 0):
         return {**row, "note": "bad reference_meridian value"}
     try:
@@ -508,7 +521,7 @@ def random_batch_row(rng: random.Random) -> tuple[str, str]:
         cut = rng.randrange(len(pd))
         pd = rng.choice([pd[:cut], pd[:cut] + "a" + pd[cut + 1:], pd + " X[1,2]", ""])
     elif kind == "bad_reference":
-        reference = rng.choice(["", "abc", "0", "-1.5", "nan", "inf"])
+        reference = rng.choice(["", "abc", "0", "-1.5", "nan", "inf", "1_0", "+2", "1e+0"])
     return pd, reference
 
 
@@ -567,6 +580,15 @@ class TestRunBatch:
         path.write_text("name,reference_meridian\nrow,1.0\n")
         with pytest.raises(MissingHeader):
             run_batch(os.fspath(path))
+
+    def test_a_byte_order_mark_is_read(self, tmp_path):
+        path = tmp_path / "table.csv"
+        reports = []
+        for bom in (b"", codecs.BOM_UTF8):
+            path.write_bytes(bom + f'name,pd,reference_meridian\nfig8,"{FIG8}",1.0\n'.encode())
+            reports.append(run_batch(os.fspath(path)).to_dict())
+        assert reports[0] == reports[1]
+        assert reports[0]["summary"] == {"pass": 1, "fail": 0, "skip": 0}
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(FileUnreadable):
@@ -838,12 +860,18 @@ class TestCli:
 
     @pytest.mark.parametrize("text, value", [("1 / 3", Fraction(1, 3)), ("1/ 3", Fraction(1, 3)),
                                              (" 7 /2 ", Fraction(7, 2)), ("1 / 0", None),
-                                             ("1 / 3 / 4", None)])
-    def test_budget_and_delta_read_spaces_around_the_slash(self, capsys, text, value):
+                                             ("1 / 3 / 4", None), ("\u0660", Fraction(0)),
+                                             ("\u0660.\u0660", Fraction(0)), ("-\u0660", Fraction(0)),
+                                             ("\u0660e5", Fraction(0)), ("\u0663", Fraction(3))])
+    def test_number_options_read_spaces_around_the_slash_and_every_zero(self, capsys, text, value):
         # Fraction() reads "1 / 3" only from Python 3.12 on; the CLI reads it on
-        # every supported version, as --slopes reads "-1 / 3"
+        # every supported version, as --slopes reads "-1 / 3". Arabic-Indic
+        # \u0660 is zero, as str.isdecimal and int() read it. --volume reads the
+        # exact number and rounds it to a float once: 7/2 prints what 3.5 prints.
+        sweep = ["--slopes", "1/7,1/30", "--format", "json"]
         for argv, option in ((["analyze", "--pair", "4,3,5", "--format", "json"], "--budget"),
-                             (["surgery", "--slopes", "1/7,1/30", "--format", "json"], "--delta")):
+                             (["surgery", *sweep], "--delta"),
+                             (["surgery", "--delta", "0", *sweep], "--volume")):
             if value is None:
                 with pytest.raises(SystemExit) as excinfo:
                     main([*argv, f"{option}={text}"])
@@ -851,13 +879,30 @@ class TestCli:
                 assert capsys.readouterr().err.endswith(
                     f"argument {option}: not a number with a finite float: {text!r}\n")
                 continue
-            outputs = []
-            for spelled in (text, f"{value.numerator}/{value.denominator}"):
-                assert main([*argv, f"{option}={spelled}"]) == 0
-                outputs.append(capsys.readouterr())
-            assert outputs[0] == outputs[1]
-            if option == "--budget":
-                assert json.loads(outputs[0].out)["criterion"]["budget"] == float(value)
+            spellings = [text, str(value)] + [repr(float(value))] * (option == "--volume")
+            outputs = [(main([*argv, f"{option}={spelled}"]), capsys.readouterr())
+                       for spelled in spellings]
+            assert all(output == outputs[0] for output in outputs)
+            code, captured = outputs[0]
+            if option == "--budget" and value == 0:
+                assert (code, captured.out) == (1, "")
+                assert captured.err.startswith("error[NonPositiveBudget]:")
+            elif option == "--budget":
+                assert json.loads(captured.out)["criterion"]["budget"] == float(value)
+            else:
+                assert code == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    def test_volume_window_ends_at_the_volume_as_typed(self, volume):
+        # --volume is read exactly and rounded once, so repr() of a float reads back as it
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["surgery", "--delta", "0", f"--volume={volume!r}", "--slopes", "1/13",
+                         "--format", "json"])
+        assert code == 0
+        [entry] = json.loads(out.getvalue())["slopes"]
+        assert entry["volumeWindow"]["upper"] == float(f"{volume:.12g}")
 
     def test_zero_budget_with_a_huge_exponent_is_read_as_a_float(self, capsys):
         # Fraction("0e-999999999") would build 10 ** 999999999 first
@@ -946,11 +991,16 @@ class TestCli:
             ["analyze", "--pair", "1,1," + "9" * 5000],
             ["analyze", "--pair", "1,1,2", "--budget=-1e300"],
             ["surgery", "--delta=-1e300", "--slopes", "1/7"],
+            # float() and Fraction() alone read "1_0" as 10 and "+2" as 2
+            ["surgery", "--delta", "0", "--slopes", "1/7", "--volume=1_0"],
+            ["analyze", "--pair", "4,3,5", "--budget=+2"],
+            ["surgery", "--delta=1_0/3", "--slopes", "1/7"],
         ],
         ids=["montesinos-1_0", "crossings-+1_0", "genus-1_0", "genus-1001-digits",
-             "montesinos-5000-digits", "pair-5000-digits", "budget", "delta"],
+             "montesinos-5000-digits", "pair-5000-digits", "budget", "delta",
+             "volume-1_0", "budget-+2", "delta-1_0/3"],
     )
-    def test_integer_options_are_decimal_digits_and_echoes_are_cut(self, capsys, argv):
+    def test_number_options_are_decimal_digits_and_echoes_are_cut(self, capsys, argv):
         try:
             code = main(argv)
         except SystemExit as exc:  # a usage error, after the usage line
@@ -958,7 +1008,7 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()[-1]) <= 200
+        assert len(captured.err.splitlines()[-1]) <= 100
 
     def test_long_slope_is_cut_in_its_entry(self):
         [entry] = parse_slope_list("2" + "0" * 400 + "/4")
