@@ -12,6 +12,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import eq, is_, itemgetter, sub
 
 # The C string encoder of json.encoder, without loading the json package.
 try:
@@ -184,59 +186,81 @@ def _print_batch_text(report: dict, out) -> None:
     )
 
 
-def _finite_repr(x: float) -> str:
-    if x - x:  # nan for nan and for either infinity
-        raise ValueError(f"out of range float value for JSON: {x!r}")
-    return float.__repr__(x)
-
-
 _LITERALS = {True: "true", False: "false", None: "null"}.__getitem__
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite_repr,
-            bool: _LITERALS, type(None): _LITERALS}
+# The writer of each exact scalar type but float. On slope sweep reports, a
+# float's repr took about three times as long as finding its text again by
+# id(), so each float object is written once; these types took less time than
+# that lookup, so each value is written.
+_SCALARS = {str: encode_basestring_ascii, int: repr, bool: _LITERALS, type(None): _LITERALS}
 
 
-def _json_parts(value, newline: str, parts: list, layouts: dict) -> None:
-    """Append to ``parts`` what ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` writes for the dict or list ``value`` at the depth whose
-    line break and indent are ``newline``. Types are matched exactly; any other
-    type raises ``TypeError`` before it is iterated.
+def _texts(columns: list, newline: str) -> list:
+    """What ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    writes for each value of each column in ``columns``: lists of values, all
+    at the depth whose line break and indent are ``newline``.
 
-    ``layouts`` maps a dict's key order and ``newline`` to its sorted keys,
-    each with its ready-made ``{``/``,``, line break, indent and encoded key,
-    so that a report's many dicts with one key set are laid out once."""
-    kind = type(value)
-    inner = newline + "  "
-    if kind is dict:
-        order = tuple(value)
-        layout = layouts.get((order, newline))
-        if layout is None:
-            separator, layout = "{" + inner, []
-            for key in sorted(order):
-                layout.append((key, separator + encode_basestring_ascii(key) + ": "))
-                separator = "," + inner
-            layouts[order, newline] = layout
-        for key, prefix in layout:
-            item = value[key]
-            encode = _SCALARS.get(type(item))  # scalars are written here, not in a call
-            if encode is not None:
-                parts.append(prefix + encode(item))
+    A report is written a depth at a time, and a depth a column at a time: a
+    column is the values under one key of dicts with one key order, or the
+    items of lists. A column is parted by exact type, and each part is written
+    in one ``map``. Each float object is written once, keyed by ``id()``: the
+    report keeps every object alive. Dicts with one key order share their key
+    lines and hand a column per key to one call a depth down; lists hand it
+    their items. Any other type raises ``TypeError`` before it is iterated,
+    and a non-finite float ``ValueError``. The first refusal is the one met
+    first depth by depth, then column by column, then by type in order of
+    first appearance in the column."""
+    inner, below, parted = newline + "  ", [], []
+    for values in columns:
+        kinds = dict.fromkeys(map(type, values))  # in order of first appearance
+        parts = []  # (kind, values of that kind, their texts or their keys)
+        for kind in kinds:
+            part = values if len(kinds) == 1 else list(
+                compress(values, map(is_, map(type, values), repeat(kind))))
+            if kind in _SCALARS:
+                parts.append((kind, part, list(map(_SCALARS[kind], part))))
+            elif kind is float:
+                if sum(map(sub, part, part)):  # nan for nan and either infinity
+                    bad = next(x for x in part if x - x)
+                    raise ValueError(f"out of range float value for JSON: {bad!r}")
+                distinct = dict(zip(map(id, part), part))
+                written = dict(zip(distinct, map(repr, distinct.values())))
+                parts.append((kind, part, list(map(written.__getitem__, map(id, part)))))
+            elif kind is dict:
+                orders = list(map(tuple, part))
+                for order in dict.fromkeys(orders):
+                    same = list(compress(part, map(eq, orders, repeat(order))))
+                    keys = sorted(order)
+                    below.extend(list(map(itemgetter(key), same)) for key in keys)
+                    parts.append((kind, same, list(map(encode_basestring_ascii, keys))))
+            elif kind is list:
+                below.append(list(chain.from_iterable(part)))
+                parts.append((kind, part, None))
             else:
-                parts.append(prefix)
-                _json_parts(item, inner, parts, layouts)
-        parts.append(newline + "}" if value else "{}")
-    elif kind is list:
-        separator = "[" + inner
-        for item in value:
-            encode = _SCALARS.get(type(item))
-            if encode is not None:
-                parts.append(separator + encode(item))
-            else:
-                parts.append(separator)
-                _json_parts(item, inner, parts, layouts)
-            separator = "," + inner
-        parts.append(newline + "]" if value else "[]")
-    else:
-        raise TypeError(f"{kind.__name__} is not a JSON report type")
+                raise TypeError(f"{kind.__name__} is not a JSON report type")
+        parted.append((values, parts))
+    done = iter(_texts(below, inner) if below else ())  # in the order ``below`` was filled
+    out = []
+    for values, parts in parted:
+        by_id = {}
+        for kind, part, texts in parts:
+            if kind is dict:  # each key line, then its column's texts
+                prefix, rows = "{" + inner, []
+                for key in texts:
+                    rows += repeat(prefix + key + ": "), next(done)
+                    prefix = "," + inner
+                rows.append(repeat(newline + "}") if rows else repeat("{}", len(part)))
+                texts = list(map("".join, zip(*rows)))
+            elif kind is list:
+                items, start, texts = next(done), 0, []
+                for value in part:
+                    end = start + len(value)
+                    texts.append("[" + inner + ("," + inner).join(items[start:end]) + newline + "]"
+                                 if value else "[]")
+                    start = end
+            if len(parts) > 1:
+                by_id.update(zip(map(id, part), texts))
+        out.append(texts if len(parts) == 1 else list(map(by_id.__getitem__, map(id, values))))
+    return out
 
 
 def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
@@ -247,9 +271,7 @@ def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
     if fmt != "json":
         print_text(report, out)
         return
-    parts: list = []
-    _json_parts(report, "\n", parts, {})
-    text = "".join(parts) + "\n"
+    text = _texts([[report]], "\n")[0][0] + "\n"
     for start in range(0, len(text), 8192):
         out.write(text[start:start + 8192])
 

@@ -280,3 +280,124 @@ def test_json_writer_refuses_non_str_keys_after_a_stored_layout(report):
     with pytest.raises(TypeError):
         _emit(report, "json", out)
     assert out.getvalue() == ""
+
+
+# The reports above hold at most a few dozen values. A slope sweep holds up to
+# thousands of entries in a few key orders, with one float or str object
+# repeated down a column; these long reports reach what the short ones do not.
+def sweep_shaped(n: int) -> list:
+    """Slope entries in five key orders, two of them with one key set, that
+    share 40 length floats, one window bound and one rule str."""
+    lengths, upper, rule = [q / 7 for q in range(40)], 17.25, "surgery_window"
+    entries = []
+    for i in range(n):
+        p, q, shape = i - n // 2, 1 + i % 40, i % 5
+        if shape == 4:
+            entries.append({"p": p, "q": q, "error": {"code": "InvalidSlope", "message": "refused"}})
+            continue
+        tail = {"lengthLower": lengths[q] if q % 3 else None, "nonExceptional": q > 20,
+                "twoPiExceeded": q > 10, "volumeWindow": {"lower": lengths[q], "upper": upper},
+                "rule": rule}
+        if shape == 1:
+            tail["boundaryHit"] = True
+        elif shape == 2:
+            tail["volumeWindow"], tail["windowError"] = None, {"code": "W", "message": "window"}
+        elif shape == 3:
+            tail = dict(reversed(tail.items()))
+        entries.append({"p": p, "q": q, **tail})
+    return entries
+
+
+SHARED_FLOATS = [0.1, 1e16, 5e-324, -2.5, 1.7976931348623157e308]
+SHARED_STRS = ["", "é", '"\\/', "\udcff", "\t\n\x00", "surgery_window"]
+LONG_REPORTS = {
+    "sweep-key-orders": {"diagnostics": [], "slopes": sweep_shaped(3000), "status": "ok"},
+    "repeated-objects": [
+        {"f": SHARED_FLOATS[i % 5], "s": SHARED_STRS[i % 6],
+         "both": [SHARED_FLOATS[i % 3], SHARED_STRS[i % 4]]}
+        for i in range(1000)
+    ],
+    "zeros-and-ones": [[0.0, -0.0, 1, 1.0, True, 0, False, None][i % 8] for i in range(800)]
+    + [{"v": [0.0, -0.0, 1, 1.0, True][i % 5]} for i in range(500)],
+    "empty-containers": [
+        [{}, [], {"a": {}}, {"a": []}, [[]], [{}], {"a": [{}, []], "b": {"c": {}}}, [[], [[]]]][i % 8]
+        for i in range(400)
+    ] + [{"a": {}, "b": []} for _ in range(300)] + [[[[]]] for _ in range(300)],
+    # keys that a writer filling %-templates would have to escape
+    "percent-keys": [
+        {"%s": i, "%%": "%d", "%(a)s": [i, "%s"], "a": {"%": None, "%(a)s": 1.5}} for i in range(600)
+    ],
+}
+
+
+@pytest.mark.parametrize("report", LONG_REPORTS.values(), ids=LONG_REPORTS)
+def test_json_writer_matches_json_dumps_on_long_reports(report):
+    out = io.StringIO()
+    _emit(report, "json", out)
+    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad, error", REFUSED)
+def test_json_writer_refuses_the_last_of_a_long_column(bad, error):
+    sweep = sweep_shaped(300)
+    last = {**sweep[-2], "volumeWindow": {"lower": 1.5, "upper": bad}}
+    for report in ([*range(300), bad], [1.5] * 299 + [bad], [{"a": 1.5}] * 299 + [{"a": bad}],
+                   sweep + [bad], {"slopes": sweep + [last]}, [[0.5, "x"]] * 250 + [[0.5, bad]]):
+        out = io.StringIO()
+        with pytest.raises(error):
+            _emit(report, "json", out)
+        assert out.getvalue() == ""
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "report, error, message",
+    [
+        # In a column, the first type to appear that holds a refused value is refused
+        ([1.5] * 200 + [(1, 2), NAN], ValueError, "nan"),
+        ([(1, 2)] + [1.5] * 200 + [NAN], TypeError, "tuple"),
+        ([1] * 200 + [Fraction(1, 3), (1, 2)], TypeError, "Fraction"),
+        # and its first refused value is named
+        ([1.5] * 200 + [-INF, NAN, INF], ValueError, "-inf"),
+        # Columns follow sorted keys, and a depth is refused before the next
+        ([{"b": NAN, "a": (1, 2)}] * 200, TypeError, "tuple"),
+        ([[[[NAN]]], [(1, 2)]] * 100, TypeError, "tuple"),
+    ],
+)
+def test_json_writer_refuses_in_a_fixed_order(report, error, message):
+    for _ in range(3):
+        out = io.StringIO()
+        with pytest.raises(error, match=message):
+            _emit(report, "json", out)
+        assert out.getvalue() == ""
+
+
+# 3,000 slopes, about a third of them not in lowest terms, so that parse errors
+# sit between the verdicts; q runs from -20 to 40.
+SWEEP_GRID = ",".join(f"{p}/{q}" for q in range(-20, 41) if q for p in range(-25, 25))
+# Each call with the entry keys that some entry of its sweep must hold
+SWEEPS = {
+    "delta": (["surgery", "--delta", "0", "--volume", "9"], [{"boundaryHit"}, {"windowError"}]),
+    "counts": (["surgery", "--crossings", "40", "--genus", "3", "--volume", "12.5"],
+               [{"lengthLower", "volumeWindow"}, {"windowError"}]),
+    "montesinos": (["surgery", "--montesinos", "10"], [{"p", "q", "error"}, {"slope", "error"}]),
+    "pd": (["analyze", "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]", "--volume", "2.029883212819"],
+           [{"boundaryHit"}, {"windowError"}]),
+    "pair": (["analyze", "--pair", "11,1,24"], [{"lengthLower", "volumeWindow"}]),
+    "pretzel": (["pretzel", "3,5,7", "--volume", "9"], [{"boundaryHit"}, {"windowError"}]),
+}
+
+
+@pytest.mark.parametrize("argv, keys", SWEEPS.values(), ids=SWEEPS)
+def test_sweep_reports_are_what_json_dumps_writes(argv, keys):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "json", f"--slopes={SWEEP_GRID}"]) == 0
+    text = out.getvalue()
+    report = json.loads(text, parse_constant=lambda constant: pytest.fail(constant))
+    assert len(report["slopes"]) == 3000
+    for wanted in keys:
+        assert any(wanted <= entry.keys() for entry in report["slopes"]), wanted
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
