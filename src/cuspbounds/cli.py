@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import eq, is_, itemgetter, sub
+from operator import eq, is_, itemgetter, not_, sub
 
 # The C string encoder of json.encoder, without loading the json package.
 try:
@@ -200,15 +200,17 @@ def _texts(columns: list, newline: str) -> list:
     at the depth whose line break and indent are ``newline``.
 
     A report is written a depth at a time, and a depth a column at a time: a
-    column is the values under one key of dicts with one key order, or the
+    column is the values under one key of dicts with one key set, or the
     items of lists. A column is parted by exact type, and each part is written
     in one ``map``. Each float object is written once, keyed by ``id()``: the
-    report keeps every object alive. Dicts with one key order share their key
-    lines and hand a column per key to one call a depth down; lists hand it
-    their items. Any other type raises ``TypeError`` before it is iterated,
-    and a non-finite float ``ValueError``. The first refusal is the one met
-    first depth by depth, then column by column, then by type in order of
-    first appearance in the column."""
+    report keeps every object alive. Dicts with one key set, in any key order,
+    share their sorted key lines and hand a column per key to one call a depth
+    down; lists hand it their items. The key sets are found by comparing
+    ``keys()`` views, so no object is kept per dict. Any other type raises
+    ``TypeError`` before it is iterated, and a non-finite float ``ValueError``.
+    The first refusal is the one met first depth by depth, then column by
+    column (key sets in order of first appearance, sorted keys within one),
+    then by type in order of first appearance in the column."""
     inner, below, parted = newline + "  ", [], []
     for values in columns:
         kinds = dict.fromkeys(map(type, values))  # in order of first appearance
@@ -225,11 +227,14 @@ def _texts(columns: list, newline: str) -> list:
                 distinct = dict(zip(map(id, part), part))
                 written = dict(zip(distinct, map(repr, distinct.values())))
                 parts.append((kind, part, list(map(written.__getitem__, map(id, part)))))
-            elif kind is dict:
-                orders = list(map(tuple, part))
-                for order in dict.fromkeys(orders):
-                    same = list(compress(part, map(eq, orders, repeat(order))))
-                    keys = sorted(order)
+            elif kind is dict:  # one key set at a time, in order of first appearance
+                rest = part
+                while rest:
+                    view = rest[0].keys()
+                    marks = list(map(eq, map(dict.keys, rest), repeat(view)))
+                    same, rest = (rest, ()) if all(marks) else (
+                        list(compress(rest, marks)), list(compress(rest, map(not_, marks))))
+                    keys = sorted(view)
                     below.extend(list(map(itemgetter(key), same)) for key in keys)
                     parts.append((kind, same, list(map(encode_basestring_ascii, keys))))
             elif kind is list:
@@ -280,7 +285,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--volume", type=lambda text: float(_number(text)),
                         help="complement volume for surgery windows")
-    parser.add_argument("--slopes", type=parse_slope_list, default=(), help="p/q[,p/q...]")
+    parser.add_argument("--slopes", type=parse_slope_list, help="p/q[,p/q...]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +366,7 @@ def _run(argv: list[str] | None) -> int:
                 **sources,
                 budget=args.budget,
                 volume=args.volume,
-                slopes=args.slopes,
+                slopes=args.slopes or (),
                 prime_asserted=getattr(args, "prime", False),
             )
             report = run_analyze(request)
@@ -369,7 +374,7 @@ def _run(argv: list[str] | None) -> int:
             if (args.crossings is None) != (args.genus is None):
                 usage("--crossings needs --genus" if args.genus is None else "--genus needs --crossings")
             if not args.slopes:
-                usage("surgery needs --slopes")
+                usage("surgery needs --slopes" if args.slopes is None else "--slopes lists no slope")
             meridian = None  # --montesinos
             if args.delta is not None:
                 meridian = 3 * (1 + args.delta)

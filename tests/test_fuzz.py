@@ -308,6 +308,29 @@ def sweep_shaped(n: int) -> list:
     return entries
 
 
+def one_key_set(n: int) -> list:
+    """Slope entries with one key set written in four key orders: p and q
+    first, p and q set last on a copy of the tail, reversed, and p last; the
+    window dicts also come in two orders."""
+    entries = []
+    for i in range(n):
+        p, q, shape = i - n // 2, 1 + i % 40, i % 4
+        window = {"lower": q / 7, "upper": 17.25} if i % 3 else {"upper": 17.25, "lower": q / 7}
+        tail = {"lengthLower": q / 7 if q % 3 else None, "nonExceptional": q > 20,
+                "twoPiExceeded": q > 10, "volumeWindow": window, "rule": "surgery_window"}
+        if shape == 0:
+            entry = {"p": p, "q": q, **tail}
+        elif shape == 1:
+            entry = tail.copy()
+            entry["p"], entry["q"] = p, q
+        elif shape == 2:
+            entry = dict(reversed({"p": p, "q": q, **tail}.items()))
+        else:
+            entry = {"q": q, **tail, "p": p}
+        entries.append(entry)
+    return entries
+
+
 SHARED_FLOATS = [0.1, 1e16, 5e-324, -2.5, 1.7976931348623157e308]
 SHARED_STRS = ["", "é", '"\\/', "\udcff", "\t\n\x00", "surgery_window"]
 LONG_REPORTS = {
@@ -326,6 +349,14 @@ LONG_REPORTS = {
     # keys that a writer filling %-templates would have to escape
     "percent-keys": [
         {"%s": i, "%%": "%d", "%(a)s": [i, "%s"], "a": {"%": None, "%(a)s": 1.5}} for i in range(600)
+    ],
+    # Dicts are grouped by key set: one set in four key orders is one group,
+    # and 300 sets, one per dict, are the most groups a column of 300 can have
+    "one-set-four-orders": {"diagnostics": [], "slopes": one_key_set(3000), "status": "ok"},
+    "300-sets": [
+        {"id": i, f"k{i:03d}": {"v": i / 3, **({"w": [i]} if i % 2 else {})},
+         **({"s": "x"} if i % 3 else {})}
+        for i in range(300)
     ],
 }
 
@@ -364,6 +395,8 @@ NAN, INF = float("nan"), float("inf")
         # Columns follow sorted keys, and a depth is refused before the next
         ([{"b": NAN, "a": (1, 2)}] * 200, TypeError, "tuple"),
         ([[[[NAN]]], [(1, 2)]] * 100, TypeError, "tuple"),
+        # Dicts with one key set share their columns, whatever their key order
+        ([{"a": 1, "b": (1, 2)}, {"b": 1, "a": NAN}], ValueError, "nan"),
     ],
 )
 def test_json_writer_refuses_in_a_fixed_order(report, error, message):

@@ -782,6 +782,21 @@ class TestCli:
         assert captured.err.startswith("usage: cuspbounds surgery ")
         assert captured.err.endswith("cuspbounds surgery: error: --genus needs --crossings\n")
 
+    @pytest.mark.parametrize("slopes, message", [
+        ([], "surgery needs --slopes"),
+        (["--slopes", ","], "--slopes lists no slope"),
+        (["--slopes", " , "], "--slopes lists no slope"),
+        (["--slopes="], "--slopes lists no slope"),
+    ])
+    def test_surgery_needs_a_slope(self, capsys, slopes, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["surgery", "--delta", "0", *slopes])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cuspbounds surgery ")
+        assert captured.err.endswith(f"cuspbounds surgery: error: {message}\n")
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_analyze_sweep_is_the_counts_sweep(self, seed):
