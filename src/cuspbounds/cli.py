@@ -353,6 +353,8 @@ def _run(argv: list[str] | None) -> int:
         more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
         args.command_parser.error(f"unrecognized arguments: {' '.join(map(cut, unknown[:5]))}{more}")
     usage, out = args.command_parser.error, sys.stdout
+    if getattr(args, "slopes", None) == ():  # given, but as "," or ""
+        usage("--slopes lists no slope")
     try:
         if args.command in ("analyze", "braid", "pretzel"):
             if args.command == "analyze" and (args.pd is None) == (args.pair is None):
@@ -373,8 +375,8 @@ def _run(argv: list[str] | None) -> int:
         elif args.command == "surgery":
             if (args.crossings is None) != (args.genus is None):
                 usage("--crossings needs --genus" if args.genus is None else "--genus needs --crossings")
-            if not args.slopes:
-                usage("surgery needs --slopes" if args.slopes is None else "--slopes lists no slope")
+            if args.slopes is None:
+                usage("surgery needs --slopes")
             meridian = None  # --montesinos
             if args.delta is not None:
                 meridian = 3 * (1 + args.delta)

@@ -220,26 +220,27 @@ def run_surgery(
     tails: dict = {}  # |q| -> (the entry past p and q, the key of its nested dict or None)
     out = []
     for slope in slopes:
-        if isinstance(slope, dict):
+        if type(slope) is dict:
             out.append(slope)
             continue
-        q = abs(slope.q)
-        known = tails.get(q)
+        p, q = slope
+        abs_q = abs(q)
+        known = tails.get(abs_q)
         if known is None:
             error, fatal = refused, montesinos  # fatal: the error is the whole entry
             if scale is not None:
                 try:
-                    lower, hit = tests.window(q, scale)
+                    lower, hit = tests.window(abs_q, scale)
                 except CuspBoundsError as exc:
                     error = _error(exc)
             try:
-                length = bd.sig12(tests.length(q)) if lengths and not montesinos else None
+                length = bd.sig12(tests.length(abs_q)) if lengths and not montesinos else None
             except InvalidSlope as exc:
                 error, fatal = _error(exc), True
             if error is not None and fatal:
                 tail, nested = {"error": error}, "error"
             else:
-                non_exc, two_pi = tests.filter(q)
+                non_exc, two_pi = tests.filter(abs_q)
                 found = scale is not None and error is None
                 window = {"lower": bd.sig12(lower), "upper": upper} if found else None
                 tail = {"lengthLower": length, "nonExceptional": non_exc, "twoPiExceeded": two_pi,
@@ -249,9 +250,10 @@ def run_surgery(
                     tail["windowError"], nested = error, "windowError"
                 elif found and hit:
                     tail["boundaryHit"] = True
-            known = tails[q] = tail, nested
+            known = tails[abs_q] = tail, nested
         tail, nested = known
-        entry = {"p": slope.p, "q": slope.q, **tail}
+        entry = tail.copy()
+        entry["p"], entry["q"] = p, q
         if nested is not None:
             entry[nested] = tail[nested].copy()
         out.append(entry)
@@ -320,16 +322,20 @@ def run_batch(path: str) -> BatchResult:
     A file that cannot be opened, decoded or parsed as CSV (a field longer
     than the ``csv`` module's limit, say) raises ``FileUnreadable``."""
     import csv  # here, not at the top: a cold start of the CLI has no use for it
+    from itertools import zip_longest
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames
+            reader = csv.reader(handle)
+            header = next(reader, None)
             if header is None or not {"name", "pd", "reference_meridian"}.issubset(header):
                 raise MissingHeader(
                     "CSV must have header columns name, pd, reference_meridian"
                 )
-            rows = [_check_row(row) for row in reader]
+            # csv.DictReader's row dicts but for extra fields, keyed None: blank
+            # rows are skipped, missing columns are None, and a repeated column
+            # is read at its last place.
+            rows = [_check_row(dict(zip_longest(header, row))) for row in reader if row]
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -65,9 +65,8 @@ def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
                 continue
             d = start
             while circle[d] < 0:
-                circle[d] = count
                 e = d ^ arc
-                circle[e] = count
+                circle[d] = circle[e] = count
                 d = partner[e]
             count += 1
         return count, circle
@@ -78,9 +77,8 @@ def resolve(diagram: PlanarDiagram, state: str) -> tuple[int, list[int]]:
             continue
         d = start
         while circle[d] < 0:
-            circle[d] = count
             e = d ^ arcs[d]
-            circle[e] = count
+            circle[d] = circle[e] = count
             d = partner[e]
         count += 1
     return count, circle

@@ -41,7 +41,7 @@ from cuspbounds.errors import (
     NotOneInputSource,
     read_int,
 )
-from cuspbounds.pipeline import parse_slope_list
+from cuspbounds.pipeline import _check_row, parse_slope_list
 from cuspbounds.surgery import surgery_volume_window
 from genutil import (
     HUGE_Q,
@@ -590,6 +590,33 @@ class TestRunBatch:
         assert reports[0] == reports[1]
         assert reports[0]["summary"] == {"pass": 1, "fail": 0, "skip": 0}
 
+    def test_rows_are_read_as_dict_reader_reads_them(self, tmp_path):
+        # a byte-order mark, CRLF line ends, blank lines before, between and
+        # after rows, a duplicated pd column (the last one is read), a quoted
+        # name with a comma and a line break, a row too short to reach the
+        # second pd column and a row with extra fields
+        lines = [
+            "name,pd,reference_meridian,pd,reference_volume", "", "",
+            f'fig8,X[1,2,"{FIG8}",2.0', "",
+            f'"comma, and\nbreak",,1.0,"{FIG8}",', f'short,"{FIG8}",1.0',
+            f'long,,0.5,"{FIG8}",3.0,extra,"X[1,1,2,2]"', "lonely", "", "",
+        ]
+        path = tmp_path / "table.csv"
+        path.write_bytes(codecs.BOM_UTF8 + "\r\n".join(lines).encode())
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            expected = [_check_row(row) for row in csv.DictReader(handle)]
+        rows = run_batch(os.fspath(path)).rows
+        assert rows == expected
+        assert [(row["name"], row["status"]) for row in rows] == [
+            ("fig8", "fail"), ("comma, and\nbreak", "pass"), ("short", "skip"),
+            ("long", "pass"), ("lonely", "skip")]
+        path.write_bytes(codecs.BOM_UTF8 + b"name,pd,reference_meridian\r\n\r\n")
+        assert run_batch(os.fspath(path)).rows == []
+        for text in (b"", b"\r\nname,pd,reference_meridian\r\nfig8,X[1,1,2,2],1.0\r\n"):
+            path.write_bytes(text)
+            with pytest.raises(MissingHeader):
+                run_batch(os.fspath(path))
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(FileUnreadable):
             run_batch(os.fspath(tmp_path / "nope.csv"))
@@ -796,6 +823,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage: cuspbounds surgery ")
         assert captured.err.endswith(f"cuspbounds surgery: error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--pair", "11,1,24"], ["braid", "3: s1^1 s2^-1 s1^1 s2^-1"], ["pretzel", "3,5,7"]])
+    @pytest.mark.parametrize("slopes", [["--slopes", ","], ["--slopes", " , "], ["--slopes="]])
+    def test_slopes_that_list_no_slope_are_refused(self, capsys, command, slopes):
+        # as surgery refuses them; with no --slopes at all the report has no sweep
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, *slopes])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: cuspbounds {command[0]} ")
+        assert captured.err.endswith(f"cuspbounds {command[0]}: error: --slopes lists no slope\n")
+        assert main([*command, "--format", "json"]) == 0
+        assert strict_json(capsys.readouterr().out)["slopes"] is None
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
