@@ -8,6 +8,12 @@ rotation system: it is all the embedding data needed to trace strands and
 traverse faces, and planarity is enforced through the Euler count (a
 connected knot diagram on the sphere has exactly c + 2 faces).
 
+``parse_pd`` does not check that slot 0 is the incoming end of the
+under-strand: it reads a crossing turned by 180 degrees, ``X[c,d,a,b]`` for
+``X[a,b,c,d]``, as well. No current output depends on that direction, since
+the turn keeps the cyclic order and so both smoothings, as
+``tests/test_pipeline.py::TestTurnedCrossings`` checks.
+
 Two involutions generate everything:
 
 * ``across``    -- ``d ^ 2``, the strand running straight through a crossing;

@@ -190,8 +190,8 @@ def findall_parse_pd(text: str) -> tuple[int, ...]:
 
 
 def closure_pd_text(word: BraidWord) -> str:
-    """PD text of the closure of ``word``, link or knot, labelled as the CI
-    step does: crossings stacked in word order, positive ones read (NE, NW, SW,
+    """PD text of the closure of ``word``, link or knot, labelled without the
+    package: crossings stacked in word order, positive ones read (NE, NW, SW,
     SE) and negative ones (NW, SW, SE, NE), and each position's bottom label
     replaced by its top label. A position no syllable touches leaves no label."""
     n = word.strands

@@ -213,10 +213,13 @@ def test_criterion_9_mirror_parity():
 
 
 def test_supplementary_reference_table_domination():
-    # computed upper bounds must dominate the tabulated geodesic lengths
+    # Computed upper bounds must dominate the reference meridian lengths. The
+    # figure-eight's 1.0 is the known meridian length of its maximal cusp; the
+    # four rows of 1.9 name no source and are placeholders, so this checks
+    # domination only, not agreement with any table.
     started = time.monotonic()
     table = Path(__file__).parent / "data" / "reference_meridians.csv"
     result = run_batch(os.fspath(table))
     summary = result.to_dict()["summary"]
     assert summary["fail"] == 0 and summary["skip"] == 0 and summary["pass"] >= 5
-    _report("supplementary", "vetted reference CSV dominated", started, 5.0)
+    _report("supplementary", "reference CSV dominated", started, 5.0)

@@ -47,6 +47,7 @@ from genutil import (
     HUGE_Q,
     fraction_montesinos_entries,
     closure_pd_text,
+    crossing_labels,
     fraction_slope_entries,
     pd_text,
     random_adequate_knot_diagram,
@@ -409,6 +410,36 @@ class TestOneBuilder:
         assert own["criterion"]["satisfied"] == (meridian <= budget)
         assert own["slopes"] == given_pair["slopes"]
         assert own["bounds"]["meridian"]["value"] == given_pair["bounds"]["meridian"]["value"]
+
+
+class TestTurnedCrossings:
+    """``parse_pd`` does not check that slot 0 is the incoming under-strand: a
+    crossing turned by 180 degrees, ``X[c,d,a,b]`` for ``X[a,b,c,d]``, is read
+    as well. The turn keeps the cyclic order, and so both smoothings, so every
+    report must stay the same but for the canonical text it echoes and the
+    crossing pair of a clasp, which the face walk may meet in another order."""
+
+    @staticmethod
+    def masked(report: dict) -> dict:
+        report["input"]["value"] = None
+        report["diagnostics"] = [re.sub(r"between crossings \d+ and \d+", "between crossings",
+                                        line) for line in report["diagnostics"]]
+        return report
+
+    def test_a_turned_crossing_changes_no_report(self):
+        rng = random.Random(180)
+        diagnostics = set()
+        for i in range(2000):
+            d = (random_knot_diagram if i % 2 else random_adequate_knot_diagram)(rng, 14)
+            labels = crossing_labels(d)
+            turned = [x[2:] + x[:2] if rng.random() < 0.5 else x for x in labels]
+            options = {"budget": Fraction(rng.randint(1, 40), 8), "volume": 5.5,
+                       "slopes": (Slope(1, 7), Slope(2, rng.randint(1, 30) | 1))}
+            texts = (pd_text([s for crossing in x for s in crossing]) for x in (labels, turned))
+            own, other = (run_analyze(AnalysisRequest(pd=text, **options)) for text in texts)
+            assert self.masked(own) == self.masked(other), d.pd_string()
+            diagnostics.update(line.split(":")[0] for line in own["diagnostics"])
+        assert "NonAlternatingBigon" in diagnostics  # some clasp pair was masked
 
 
 class TestNonFiniteInput:
@@ -986,7 +1017,9 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["pretzel", "3,5,7", *extra])
         assert excinfo.value.code == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith(f"cuspbounds pretzel: error: {error}")
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith(f"cuspbounds pretzel: error: {error}")
+        assert max(map(len, lines)) <= 120  # each echo is cut, the usage line included
 
     @pytest.mark.parametrize(
         "argv, where",
@@ -1119,11 +1152,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, text",
         [(["analyze"], FIG8), (["braid"], "3: s1^3 s2^3 s1^3 s2^3"), (["analyze"], "X[1,2"),
-         # past the 128 KiB that Linux allows a single argument
-         (["analyze"], closure_pd_text(weaving_braid(3500)))],
-        ids=["pd", "braid", "bad-pd", "pd-past-128KiB"],
+         # the PD text of weaving_braid(k), 2k crossings: past the 128 KiB that
+         # Linux allows a single argument, and at diagram.MAX_CROSSINGS, 100,000
+         (["analyze"], 3500), (["analyze"], 50_000)],
+        ids=["pd", "braid", "bad-pd", "pd-past-128KiB", "pd-at-the-cap"],
     )
     def test_dash_reads_the_diagram_from_stdin(self, capsys, monkeypatch, argv, text):
+        if isinstance(text, int):  # built here: a word past the cap fails this test alone
+            text = closure_pd_text(weaving_braid(text))
         options = ["--format", "json", "--slopes", "1/7"]
         code = main(argv + [text] + options)
         expected = capsys.readouterr()
@@ -1131,7 +1167,7 @@ class TestCli:
         assert main(argv + ["-"] + options) == code
         assert capsys.readouterr() == expected
         if len(text) > 128 * 1024:
-            assert code == 0 and strict_json(expected.out)["invariants"]["c"] == 7000
+            assert code == 0 and strict_json(expected.out)["invariants"]["c"] == text.count("X")
 
     def test_unreadable_stdin_is_coded(self, capsys, monkeypatch):
         class Unreadable:
