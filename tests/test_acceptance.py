@@ -43,6 +43,7 @@ from cuspbounds.bounds import (
 from cuspbounds.diagram import braid_closure, parse_braid
 from cuspbounds.surgery import exceptional_filter, montesinos_window, surgery_volume_window
 from genutil import (
+    is_alternating_diagram,
     mirror,
     path_following_circle_count,
     pretzel_pd,
@@ -80,9 +81,10 @@ def test_criterion_2_adequate_bound_identities():
         assert d.c <= 12
         inv = invariants(d)
         pair = SurfacePairData(abs(inv["chiA"]), abs(inv["chiB"]), 2 * d.c)
-        lhs = general_bounds(pair)["meridian"]
-        rhs = adequate_bounds_from_counts(d.c, inv["gT"])["meridian"]
-        assert lhs == rhs  # exact Fractions
+        general = general_bounds(pair)
+        assert set(general) == {"meridian", "lambda", "cuspArea"}
+        # exact Fractions
+        assert general == adequate_bounds(inv) == adequate_bounds_from_counts(d.c, inv["gT"])
         assert abs(inv["chiA"]) + abs(inv["chiB"]) == d.c + 2 * inv["gT"] - 2
     _report("2", "adequate == general on checkerboard pair", started, 5.0)
 
@@ -96,6 +98,7 @@ def test_criterion_3_resolution_oracle():
         for bits in itertools.product("AB", repeat=d.c):
             state = "".join(bits)
             assert resolve(d, state)[0] == path_following_circle_count(d, state)
+        d = random_knot_diagram(rng, 12)
         state = "".join(rng.choice("AB") for _ in range(d.c))
         base = resolve(d, state)[0]
         for i in range(d.c):
@@ -116,6 +119,7 @@ def test_criterion_4_alternating_calibration():
     ] + [braid_closure(weaving_braid(k)) for k in (2, 4, 5, 7)]
     assert len(diagrams) == 20
     for d in diagrams:
+        assert is_alternating_diagram(d)
         inv = invariants(d)
         assert inv["gT"] == 0
         bound = adequate_bounds(inv)["meridian"]
@@ -128,6 +132,7 @@ def test_criterion_5a_twist_identity_figure_eight():
     started = time.monotonic()
     tw = twist_analysis(FIG8, invariants(FIG8))
     assert tw["t"] == FIG8.c - tw["vBi"] == 2
+    assert (tw["vNb"], tw["torusDegenerate"]) == (4, False)
     _report("5a", "figure-eight t = c - bigons = 2", started, 1.0)
 
 
@@ -181,11 +186,10 @@ def test_criterion_7_surgery_thresholds():
     assert surgery_volume_window(0, Slope(1, 6), 1.0)[0] == 0.0
     lower12 = surgery_volume_window(0, Slope(1, 12), 1.0)[0]
     assert abs(lower12 - 0.75**1.5) < 1e-12
-    lowers = [
-        surgery_volume_window(0, Slope(1, q), 1.0)[0] for q in range(6, 200)
-    ]
-    assert all(a <= b for a, b in zip(lowers, lowers[1:]))
-    assert 1.0 - surgery_volume_window(0, Slope(1, 10**6), 1.0)[0] < 1e-6
+    for volume in (1.0, 2.029883212819):
+        lowers = [surgery_volume_window(0, Slope(1, q), volume)[0] for q in range(6, 200)]
+        assert all(a <= b for a, b in zip(lowers, lowers[1:]))
+        assert volume - surgery_volume_window(0, Slope(1, 10**6), volume)[0] < 1e-6 * volume
     _report("7", "delta = 0 thresholds and window factors", started, 1.0)
 
 

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -361,11 +362,22 @@ LONG_REPORTS = {
 }
 
 
+def assert_same_text(text: str, expected: str) -> None:
+    """``text == expected``, failing with the first line that differs: pytest's
+    own diff of two texts of thousands of lines takes minutes."""
+    if text == expected:
+        return
+    pairs = zip_longest(text.splitlines(True), expected.splitlines(True))  # None past an end
+    number, (got, want) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    pytest.fail(f"line {number} differs:\n  got:  {got!r}\n  want: {want!r}", pytrace=False)
+
+
 @pytest.mark.parametrize("report", LONG_REPORTS.values(), ids=LONG_REPORTS)
 def test_json_writer_matches_json_dumps_on_long_reports(report):
     out = io.StringIO()
     _emit(report, "json", out)
-    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert_same_text(out.getvalue(),
+                     json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 @pytest.mark.parametrize("bad, error", REFUSED)
@@ -433,4 +445,4 @@ def test_sweep_reports_are_what_json_dumps_writes(argv, keys):
     assert len(report["slopes"]) == 3000
     for wanted in keys:
         assert any(wanted <= entry.keys() for entry in report["slopes"]), wanted
-    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert_same_text(text, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -9,16 +9,18 @@ from pathlib import Path
 import pytest
 
 import cuspbounds
-from cuspbounds import AnalysisRequest, Slope, parse_pd
-from cuspbounds.bounds import PretzelParams, SurfacePairData
+from cuspbounds import AnalysisRequest, Slope, parse_pd, run_surgery
+from cuspbounds.bounds import PretzelParams, SurfacePairData, twist_bound
 from cuspbounds.diagram import BraidWord, PlanarDiagram
 from cuspbounds.errors import (
+    BadDiagramCounts,
     CuspBoundsError,
     DegenerateSurfacePair,
     EmptyDiagram,
     FewerThanTwoStrands,
     InvalidSlope,
     MultiComponentLink,
+    NoSlopeSource,
     NotOddOrTooSmall,
     NotOneInputSource,
     ZeroExponent,
@@ -44,6 +46,9 @@ RECORDS = {
     "BatchResult": (lambda: BatchResult([{"name": "a"}]), lambda: BatchResult(), "rows"),
 }
 HASHABLE = sorted(set(RECORDS) - {"BatchResult"})
+# The errors that are also a ValueError, so that callers catching one keep working
+VALUE_ERRORS = {InvalidSlope, NotOneInputSource, NoSlopeSource, DegenerateSurfacePair,
+                BadDiagramCounts}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -98,15 +103,18 @@ def test_copy_and_pickle_round_trip(name):
         (lambda: SurfacePairData(1, 1, 0), DegenerateSurfacePair),
         (lambda: PretzelParams(3, 3, 4), NotOddOrTooSmall),
         (lambda: Slope(1, 0), InvalidSlope),
-        (lambda: Slope(2, 4), InvalidSlope),
+        (lambda: Slope(2, 14), InvalidSlope),
         (lambda: AnalysisRequest(), NotOneInputSource),
-        (lambda: AnalysisRequest(pd=TREFOIL, braid="2: s1^3"), NotOneInputSource),
+        (lambda: AnalysisRequest(pd=FIG8, braid="2: s1^3"), NotOneInputSource),
         # _replace builds through the same checks
         (lambda: BraidWord(2, ((1, 3),))._replace(strands=1), FewerThanTwoStrands),
         (lambda: SurfacePairData(1, 1, 1)._replace(intersection=0), DegenerateSurfacePair),
         (lambda: PretzelParams(3, 3, 3)._replace(b=2), NotOddOrTooSmall),
         (lambda: Slope(1, 7)._replace(q=0), InvalidSlope),
         (lambda: AnalysisRequest(pd=TREFOIL)._replace(pd=None), NotOneInputSource),
+        # the two errors of VALUE_ERRORS that no record's construction raises
+        (lambda: run_surgery((Slope(1, 6),)), NoSlopeSource),
+        (lambda: twist_bound(4, 5), BadDiagramCounts),
     ],
 )
 def test_construction_errors_are_coded(call, error):
@@ -114,6 +122,7 @@ def test_construction_errors_are_coded(call, error):
         call()
     assert isinstance(info.value, CuspBoundsError)
     assert info.value.code == error.__name__
+    assert isinstance(info.value, ValueError) == (error in VALUE_ERRORS)
 
 
 def test_planar_diagram_compares_and_prints_slots_only():
