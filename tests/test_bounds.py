@@ -160,6 +160,17 @@ class TestAdequateBounds:
         with pytest.raises(MoebiusBand):
             adequate_bounds(invariants(trefoil))
 
+    def test_matches_general_on_checkerboard_pair(self):
+        rng = random.Random(1418)
+        for _ in range(60):
+            d = random_adequate_knot_diagram(rng, 12)
+            inv = invariants(d)
+            pair = SurfacePairData(abs(inv["chiA"]), abs(inv["chiB"]), 2 * d.c)
+            general = general_bounds(pair)
+            assert set(general) == {"meridian", "lambda", "cuspArea"}
+            assert general == adequate_bounds(inv) == adequate_bounds_from_counts(d.c, inv["gT"])
+            assert abs(inv["chiA"]) + abs(inv["chiB"]) == d.c + 2 * inv["gT"] - 2
+
     def test_meridian_monotonicity_in_c(self):
         for g, direction in ((0, "up"), (1, "flat"), (2, "down"), (5, "down")):
             values = [adequate_bounds_from_counts(c, g)["meridian"] for c in range(2, 60)]
@@ -171,6 +182,12 @@ class TestAdequateBounds:
             else:
                 assert all(diff < 0 for diff in diffs)
 
+    def test_finiteness_grid(self):
+        for g in range(2, 11):
+            for c in range(1, 201):
+                under_four = adequate_bounds_from_counts(c, g)["meridian"] <= 4
+                assert under_four == (c >= 6 * g - 6)
+
 
 class TestTwistBounds:
     def test_reference_values(self):
@@ -178,6 +195,10 @@ class TestTwistBounds:
         assert twist_bound(4, 2)["meridian"] == 3
         for t in range(1, 8):
             assert twist_bound(3 * t, t)["meridian"] == 4 - Fraction(6, 3 * t)
+
+    def test_bad_counts(self):
+        with pytest.raises(ValueError):
+            twist_bound(4, 5)
 
     def test_bad_counts_are_coded(self):
         for c, t in ((4, 5), (4, 0), (0, 0)):
@@ -227,6 +248,13 @@ class TestPretzelBounds:
             PretzelParams(3, 4, 5)
         with pytest.raises(NotOddOrTooSmall):
             PretzelParams(1, 3, 5)
+
+    def test_meridian_identically_three(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            a, b, c = (2 * rng.randint(1, 60) + 1 for _ in range(3))
+            _, rep = pretzel_bounds(PretzelParams(a, b, c))
+            assert rep["meridian"] == Fraction(3)
 
 
 class TestBraidCriterion:

@@ -38,6 +38,7 @@ from cuspbounds.errors import (
     NonFiniteVolume,
     NonPositiveBudget,
     NoSlopeSource,
+    NotOneInputSource,
     read_int,
 )
 from cuspbounds.pipeline import _check_row, parse_slope_list
@@ -147,6 +148,18 @@ class TestRunAnalyze:
         assert report["bounds"] is None
         assert any("not adequate" in d for d in report["diagnostics"])
 
+    def test_exactly_one_source_required(self):
+        with pytest.raises(ValueError):
+            AnalysisRequest(pd=FIG8, braid="2: s1^3")
+        with pytest.raises(ValueError):
+            AnalysisRequest()
+
+    def test_source_count_is_coded(self):
+        for kwargs in ({"pd": FIG8, "braid": "2: s1^3"}, {}):
+            with pytest.raises(NotOneInputSource) as info:
+                AnalysisRequest(**kwargs)
+            assert info.value.code == "NotOneInputSource"
+
     def test_json_round_trip(self):
         for request in (
             AnalysisRequest(pd=FIG8, slopes=parse_slope_list("1/5"), volume=2.03, budget=Fraction(2)),
@@ -180,6 +193,10 @@ class TestRunSurgery:
         assert verdicts[0]["error"]["code"] == "InvalidSlope"
         assert verdicts[1]["error"]["code"] == "InvalidSlope"
         assert verdicts[2]["nonExceptional"] is True
+
+    def test_needs_a_delta_source(self):
+        with pytest.raises(ValueError):
+            run_surgery((Slope(1, 6),))
 
     def test_missing_source_is_coded(self):
         for kwargs in ({}, {"volume": 5.0}, {"lengths": False}):
@@ -680,6 +697,11 @@ class TestCli:
         assert report["bounds"]["meridian"]["value"] == 1.5
         assert report["criterion"]["satisfied"] is True
 
+    def test_pair_mode(self, capsys):
+        assert main(["analyze", "--pair", "11,1,24", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bounds"]["meridian"]["value"] == 3.0
+
     @pytest.mark.parametrize(
         "pair, message",
         [
@@ -693,6 +715,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error[DegenerateSurfacePair]: {message}\n"
 
+    def test_braid_subcommand(self, capsys):
+        assert main(["braid", "4: s1^3 s2^3 s3^3", "--prime", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["braidVerdict"] == "MeridianUnderFour"
+
+    def test_braid_link_closure_errors(self, capsys):
+        assert main(["braid", "3: s1^3 s2^3 s1^3"]) == 1
+        assert "ClosureIsLink" in capsys.readouterr().err
+
     @pytest.mark.parametrize("word", ["2: s1^999999999999", "2: s1^-60000 s1^-60000",
                                       "999999999999: s1^3"])
     def test_braid_crossing_cap(self, capsys, monkeypatch, word):
@@ -704,6 +735,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[TooManyCrossings]: ")
+
+    def test_pretzel_subcommand(self, capsys):
+        assert main(["pretzel", "3,5,7", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bounds"]["meridian"]["rule"] == "pretzel"
 
     def test_surgery_subcommand(self, capsys):
         assert main(["surgery", "--delta", "0", "--slopes", "1/5,1/6", "--format", "json"]) == 0
@@ -753,6 +789,12 @@ class TestCli:
         bad.write_text(f'name,pd,reference_meridian\nx,"{FIG8}",5.0\n')
         assert main(["batch", os.fspath(bad)]) == 1
         capsys.readouterr()
+
+    def test_surgery_zero_crossings_exits_one(self, capsys):
+        assert main(["surgery", "--crossings", "0", "--genus", "0", "--slopes", "1/5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[BadDiagramCounts]:")
 
     @pytest.mark.parametrize(
         "source, delta",
@@ -953,6 +995,14 @@ class TestCli:
         # Fraction("0e-999999999") would build 10 ** 999999999 first
         assert main(["analyze", "--pair", "1,1,2", "--budget", "0e-999999999"]) == 1
         assert capsys.readouterr().err.startswith("error[NonPositiveBudget]:")
+
+    def test_unknown_option_shows_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pretzel", "3,5,7", "--prime"])
+        assert excinfo.value.code == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: cuspbounds pretzel [-h] [--budget BUDGET]")
+        assert error == "cuspbounds pretzel: error: unrecognized arguments: --prime"
 
     @pytest.mark.parametrize(
         "extra, error",

@@ -1,6 +1,7 @@
 """Resolutions, adequacy, invariants, twist analysis."""
 
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,10 @@ from genutil import (
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
 KINK = parse_pd("X[1,1,2,2]")
+
+
+def all_states(c):
+    return ["".join(bits) for bits in itertools.product("AB", repeat=c)]
 
 
 class TestResolve:
@@ -65,6 +70,25 @@ class TestResolve:
         for ci, choice in enumerate("ABAB"):
             a, b, c, d = circle[4 * ci:4 * ci + 4]
             assert (a, c) == ((b, d) if choice == "A" else (d, b))
+
+    def test_matches_path_following_oracle_exhaustively(self):
+        rng = random.Random(99)
+        for _ in range(12):
+            d = random_knot_diagram(rng, 8)
+            for state in all_states(d.c):
+                assert (
+                    resolve(d, state)[0] == path_following_circle_count(d, state)
+                )
+
+    def test_single_flip_changes_count_by_one(self):
+        rng = random.Random(4242)
+        for _ in range(25):
+            d = random_knot_diagram(rng, 12)
+            state = "".join(rng.choice("AB") for _ in range(d.c))
+            base = resolve(d, state)[0]
+            for i in range(d.c):
+                flipped = state[:i] + ("B" if state[i] == "A" else "A") + state[i + 1:]
+                assert abs(resolve(d, flipped)[0] - base) == 1
 
 
 class TestAdequacy:
@@ -120,6 +144,12 @@ class TestInvariants:
             genera.add(min(inv["gT"], 2))
         assert genera == {0, 1, 2}
 
+    def test_alternating_families_have_genus_zero(self):
+        diagrams = [pretzel_pd(3, 3, 5), pretzel_pd(5, 5, 7), braid_closure(weaving_braid(4))]
+        for d in diagrams:
+            assert invariants(d)["gT"] == 0
+            assert is_alternating_diagram(d)
+
     def test_alternating_implies_genus_zero(self):
         # the converse needs reduced diagrams: a nugatory kink can break
         # strand alternation while leaving the genus at zero
@@ -148,6 +178,10 @@ class TestInvariants:
 
 
 class TestTwistAnalysis:
+    def test_fig8(self):
+        tw = twist_analysis(FIG8, invariants(FIG8))
+        assert (tw["t"], tw["vBi"], tw["vNb"], tw["torusDegenerate"]) == (2, 2, 4, False)
+
     def test_trefoil_degenerate(self):
         tw = twist_analysis(TREFOIL, invariants(TREFOIL))
         assert tw["torusDegenerate"]
@@ -157,6 +191,11 @@ class TestTwistAnalysis:
     def test_kink(self):
         tw = twist_analysis(KINK, invariants(KINK))
         assert (tw["t"], tw["vBi"], tw["torusDegenerate"]) == (1, 0, False)
+
+    def test_three_syllable_positive_braid(self):
+        d = braid_closure(parse_braid("4: s1^3 s2^3 s3^3"))
+        tw = twist_analysis(d, invariants(d))
+        assert (d.c, tw["vBi"], tw["t"]) == (9, 6, 3)
 
     def test_cyclically_adjacent_syllables_merge_through_closure(self):
         # first and last s1 syllables meet around the closure, forming one

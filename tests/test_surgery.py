@@ -38,6 +38,23 @@ def deltas(den: int, max_num: int):
     return st.builds(Fraction, st.integers(max(-2, 1 - den), max_num), st.just(den))
 
 
+class TestSlope:
+    def test_rejects_meridian(self):
+        with pytest.raises(ValueError):
+            Slope(1, 0)
+
+    def test_rejects_common_factor(self):
+        with pytest.raises(ValueError):
+            Slope(2, 14)
+
+    def test_coded_error(self):
+        for p, q in ((1, 0), (2, 14)):
+            with pytest.raises(InvalidSlope) as info:
+                Slope(p, q)
+            assert info.value.code == "InvalidSlope"
+            assert isinstance(info.value, ValueError)
+
+
 class TestConstants:
     def test_exclusion_factor_is_exact(self):
         assert EXCLUSION_FACTOR == Fraction(360, 67)
@@ -49,6 +66,9 @@ class TestConstants:
 
 
 class TestSlopeLengthLower:
+    def test_formula_value(self):
+        assert slope_length_lower(10, 1, Slope(1, 6)) == pytest.approx(6.7, abs=1e-12)
+
     def test_genus_one_slope_six_beats_two_pi(self):
         import math
 
@@ -82,6 +102,11 @@ class TestExceptionalFilter:
         assert exceptional_filter(0, Slope(1, 6)) == (True, False)
         assert exceptional_filter(0, Slope(1, 5)) == (False, False)
         assert exceptional_filter(Fraction(1, 2), Slope(1, 9)) == (True, False)
+
+    def test_delta_zero_cutoff_is_six(self):
+        for q in range(1, 30):
+            non_exc, _ = exceptional_filter(0, Slope(1, q))
+            assert non_exc == (q >= 6)
 
     @given(q=st.integers(1, 400), delta=st.integers(1, 20).flatmap(lambda d: deltas(d, 40)))
     def test_monotone_in_q(self, q, delta):
@@ -130,6 +155,15 @@ class TestVolumeWindow:
                 surgery_volume_window(delta, Slope(1, 1), 1.0)
         # delta = -2/3 is the smallest value a knot has; it stays allowed
         assert surgery_volume_window(Fraction(-2, 3), Slope(1, 2), 1.0)[2]
+
+    def test_lower_bound_monotone_and_limits(self):
+        lowers = [
+            surgery_volume_window(0, Slope(1, q), FIG8_VOLUME)[0]
+            for q in range(6, 80)
+        ]
+        assert all(a <= b for a, b in zip(lowers, lowers[1:]))
+        far = surgery_volume_window(0, Slope(1, 10**6), FIG8_VOLUME)[0]
+        assert FIG8_VOLUME - far < 1e-6 * FIG8_VOLUME
 
     def test_two_pi_implies_window_applicable(self):
         for q in range(1, 40):
