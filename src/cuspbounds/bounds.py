@@ -31,7 +31,8 @@ of each quantity with the rule that gave it. The rules and their sources:
 Rational values are exact ``Fraction``s. The one irrational value,
 10 sqrt(3) (t - 1), is a :class:`Sqrt` that keeps its exact square, so the
 choice of each least value is exact as well; floats appear only in
-serialized output.
+serialized output. :func:`braid_criterion` reads a braid word's verdict, the
+primeness of its closure included, off the word alone.
 """
 
 from __future__ import annotations
@@ -202,15 +203,20 @@ class BraidVerdict:
     INAPPLICABLE = "Inapplicable"
 
 
-def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> str:
-    """Classify a braid word by the exponent conditions on its syllables.
+def braid_criterion(word: BraidWord) -> str:
+    """Classify a braid word by its exponents and its closure's primeness.
 
     Same-signed exponents, all of magnitude >= 2, make the closure an
-    adequate diagram. If additionally every magnitude is >= 3, the word uses
-    at least three strands, and the caller asserts the closure diagram is
-    prime, the knot is hyperbolic with meridian length under four. Without
-    the primality flag the verdict downgrades to adequacy only. Mixed signs
-    or a unit exponent give no verdict.
+    adequate, hence reduced, diagram. If also every magnitude is >= 3, the
+    word uses at least three strands, and the closure diagram is prime, the
+    knot is hyperbolic with meridian length under four; else the verdict is
+    adequacy only. A reduced diagram is composite iff two distinct faces share
+    two distinct edges, which in a closed braid takes a face between strands
+    j, j + 1 and one between j + 1, j + 2 whose spans wrap around each other:
+    s_j and s_j+1 form one block each in the cyclic word
+    (:meth:`BraidWord.closure_is_prime`). Such a diagram is prime iff its knot
+    is (Cromwell, *Positive braids are visually prime*, Proc. LMS 1993).
+    Mixed signs or a unit exponent give no verdict.
 
     The word's closure must be a knot. That is not checked here:
     ``run_analyze`` builds the closure first, and :func:`diagram.braid_closure`
@@ -220,7 +226,7 @@ def braid_criterion(word: BraidWord, prime_asserted: bool = False) -> str:
     same_sign = all(r > 0 for r in exps) or all(r < 0 for r in exps)
     if not same_sign or any(abs(r) < 2 for r in exps):
         return BraidVerdict.INAPPLICABLE
-    if all(abs(r) >= 3 for r in exps) and word.strands >= 3 and prime_asserted:
+    if all(abs(r) >= 3 for r in exps) and word.strands >= 3 and word.closure_is_prime():
         return BraidVerdict.MERIDIAN_UNDER_FOUR
     return BraidVerdict.ADEQUATE_ONLY
 

@@ -305,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_braid = sub.add_parser("braid", help="analyze a braid closure, e.g. '3: s1^3 s2^-3'")
     p_braid.add_argument("braid", metavar="word", help="braid word, or - for stdin")
-    p_braid.add_argument(
-        "--prime", action="store_true", help="assert the diagram is prime (caller's responsibility)"
-    )
 
     p_pretzel = sub.add_parser("pretzel", help="bounds for the pretzel P(a,-b,-c), a,b,c odd > 1")
     p_pretzel.add_argument("pretzel", metavar="params", type=_parse_triple, help="a,b,c")
@@ -369,7 +366,6 @@ def _run(argv: list[str] | None) -> int:
                 budget=args.budget,
                 volume=args.volume,
                 slopes=args.slopes or (),
-                prime_asserted=getattr(args, "prime", False),
             )
             report = run_analyze(request)
         elif args.command == "surgery":

@@ -302,6 +302,18 @@ class BraidWord(namedtuple("BraidWord", "strands syllables")):
                     perm[s], s = -1, perm[s]
         return cycles
 
+    def closure_is_prime(self) -> bool:
+        """Whether a reduced closure diagram is prime: no s_j, s_j+1 (1 <= j <= n - 2)
+        form one block each in the cyclic word, which is to change 1 or 2 times as
+        written. One pass counts the changes within each pair."""
+        n = self.strands
+        last, changes = [0] * n, [0] * n
+        for g, _ in self.syllables:
+            for j in (g - 1, g):  # the pairs s_j, s_j+1 that hold s_g
+                changes[j] += last[j] not in (0, g)
+                last[j] = g
+        return all(changes[j] not in (1, 2) for j in range(1, n - 1))
+
 
 _BRAID_SYLLABLE = re.compile(r"s(\d+)\^(-?\d+)$")
 

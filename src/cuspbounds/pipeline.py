@@ -56,7 +56,7 @@ def parse_slope_list(text: str) -> tuple:
 
 
 class AnalysisRequest(namedtuple(
-        "AnalysisRequest", "pd braid pretzel pair budget volume slopes prime_asserted")):
+        "AnalysisRequest", "pd braid pretzel pair budget volume slopes")):
     """One input source plus options; exactly one source must be set."""
 
     __slots__ = ()
@@ -65,12 +65,10 @@ class AnalysisRequest(namedtuple(
     def __new__(cls, pd: str | None = None, braid: str | None = None,
                 pretzel: tuple[int, int, int] | None = None,
                 pair: tuple[int, int, int] | None = None, budget: Fraction | None = None,
-                volume: float | None = None, slopes: tuple = (),
-                prime_asserted: bool = False) -> AnalysisRequest:
+                volume: float | None = None, slopes: tuple = ()) -> AnalysisRequest:
         if sum(s is not None for s in (pd, braid, pretzel, pair)) != 1:
             raise NotOneInputSource("exactly one input source must be given")
-        fields = pd, braid, pretzel, pair, budget, volume, slopes, prime_asserted
-        return tuple.__new__(cls, fields)
+        return tuple.__new__(cls, (pd, braid, pretzel, pair, budget, volume, slopes))
 
 
 def _error(exc: CuspBoundsError) -> dict:
@@ -172,7 +170,7 @@ def run_analyze(request: AnalysisRequest) -> dict:
     report = _report(request, diagram)
     if word is not None:
         report["input"] = {"kind": "braid", "value": request.braid}
-        report["braidVerdict"] = bd.braid_criterion(word, request.prime_asserted)
+        report["braidVerdict"] = bd.braid_criterion(word)
     elif diagram is not None:
         report["input"] = {"kind": "pd", "value": diagram.pd_string()}
     return report

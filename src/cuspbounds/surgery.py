@@ -58,8 +58,6 @@ Rational = int | Fraction
 # length, comes from ``bounds``.
 # Every knot cusp has area at least 3.35 (Cao-Meyerhoff).
 CUSP_AREA_FLOOR = Fraction(67, 20)
-# A slope is not exceptional when |q| > 18/3.35 (1 + delta) = (360/67)(1 + delta).
-EXCLUSION_FACTOR = 3 * SIX / CUSP_AREA_FLOOR
 # Volume of the regular ideal octahedron, 4 x Catalan's constant (double precision).
 V8 = 3.663862376708876
 

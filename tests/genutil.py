@@ -160,6 +160,19 @@ def traced_bigons(diagram: PlanarDiagram) -> tuple[int, tuple[int, int] | None]:
     return bigons, clasp
 
 
+def face_pair_prime(diagram: PlanarDiagram) -> bool:
+    """Whether no two distinct faces of :func:`traced_faces` share two edges, the
+    edges named by their labels: for a reduced diagram, whether it is prime. A
+    dart runs along the edge labelled at its slot, one side per dart."""
+    labels = crossing_labels(diagram)
+    sides: dict[int, list[int]] = {}
+    for face_id, face in enumerate(traced_faces(diagram)):
+        for ci, si in face:
+            sides.setdefault(labels[ci][si], []).append(face_id)
+    shared = Counter(frozenset(pair) for pair in sides.values() if pair[0] != pair[1])
+    return all(k < 2 for k in shared.values())
+
+
 _PD_TOKENS = re.compile(
     r"(?:(?:[Xx]\s*)?[\[\(]\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*[\]\)][\s,]*)*"
 )
@@ -309,6 +322,24 @@ def random_adequate_same_sign_word(rng: random.Random, max_crossings: int = 12) 
     if not syllables:
         syllables.append((1, sign * 2))
     return BraidWord(strands, tuple(syllables))
+
+
+def random_same_sign_knot(rng: random.Random, min_exponent: int = 2) -> tuple[BraidWord, PlanarDiagram]:
+    """A same-sign word on 3-8 strands with |r| in min_exponent..5 and n - 1 to
+    3(n - 1) syllables, rejection-sampled until its closure is a knot. About
+    half of the closures for ``min_exponent`` 2 are composite diagrams."""
+    while True:
+        n = rng.randint(3, 8)
+        sign = rng.choice((1, -1))
+        syllables, prev = [], 0
+        for _ in range(rng.randint(n - 1, 3 * (n - 1))):
+            prev = rng.choice([i for i in range(1, n) if i != prev])
+            syllables.append((prev, sign * rng.randint(min_exponent, 5)))
+        word = BraidWord(n, syllables)
+        try:
+            return word, braid_closure(word)
+        except ClosureIsLink:
+            continue
 
 
 def random_adequate_knot_diagram(rng: random.Random, max_crossings: int = 12) -> PlanarDiagram:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from cuspbounds.errors import (
     NotOddOrTooSmall,
     TooFewTwistRegions,
 )
-from genutil import random_adequate_knot_diagram
+from genutil import face_pair_prime, random_adequate_knot_diagram, random_same_sign_knot
 
 FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
 
@@ -257,32 +258,70 @@ class TestPretzelBounds:
             assert rep["meridian"] == Fraction(3)
 
 
+def braid_text(word) -> str:
+    return f"{word.strands}: " + " ".join(f"s{g}^{r}" for g, r in word.syllables)
+
+
 class TestBraidCriterion:
     def test_meridian_under_four(self):
-        word = parse_braid("4: s1^3 s2^3 s3^3")
-        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.MERIDIAN_UNDER_FOUR
+        word = parse_braid("3: s1^3 s2^3 s1^3 s2^3")
+        assert braid_criterion(word) == BraidVerdict.MERIDIAN_UNDER_FOUR
 
     def test_downgrade_without_primality(self):
-        word = parse_braid("4: s1^3 s2^3 s3^3")
-        assert braid_criterion(word) == BraidVerdict.ADEQUATE_ONLY
+        # three trefoils summed: the closure diagram is composite, whichever the sign
+        for text in ("4: s1^3 s2^3 s3^3", "4: s1^-3 s2^-3 s3^-3"):
+            assert braid_criterion(parse_braid(text)) == BraidVerdict.ADEQUATE_ONLY, text
 
     def test_adequate_only_for_magnitude_two(self):
         word = parse_braid("3: s1^2 s2^3 s1^3")
-        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.ADEQUATE_ONLY
+        assert braid_criterion(word) == BraidVerdict.ADEQUATE_ONLY
 
     def test_two_strand_words_downgrade(self):
         # a 2-strand closure is a (2, r) torus knot, never hyperbolic
-        assert braid_criterion(parse_braid("2: s1^3"), True) == BraidVerdict.ADEQUATE_ONLY
+        assert braid_criterion(parse_braid("2: s1^3")) == BraidVerdict.ADEQUATE_ONLY
 
     def test_mixed_signs_inapplicable(self):
-        assert braid_criterion(parse_braid("3: s1^3 s2^-3"), True) == BraidVerdict.INAPPLICABLE
+        assert braid_criterion(parse_braid("3: s1^3 s2^-3")) == BraidVerdict.INAPPLICABLE
 
     def test_unit_exponent_inapplicable(self):
-        assert braid_criterion(parse_braid("3: s1^1 s2^3"), True) == BraidVerdict.INAPPLICABLE
+        assert braid_criterion(parse_braid("3: s1^1 s2^3")) == BraidVerdict.INAPPLICABLE
 
     def test_negative_side(self):
-        word = parse_braid("4: s1^-3 s2^-3 s3^-3")
-        assert braid_criterion(word, prime_asserted=True) == BraidVerdict.MERIDIAN_UNDER_FOUR
+        word = parse_braid("3: s1^-3 s2^-3 s1^-3 s2^-3")
+        assert braid_criterion(word) == BraidVerdict.MERIDIAN_UNDER_FOUR
+
+    def test_primeness_matches_face_pair_oracle(self):
+        rng = random.Random(3887)
+        composite = 0
+        for _ in range(2000):
+            word, diagram = random_same_sign_knot(rng)
+            prime = face_pair_prime(diagram)
+            composite += not prime
+            assert word.closure_is_prime() == prime, word
+            if all(abs(r) >= 3 for _, r in word.syllables):
+                expected = BraidVerdict.MERIDIAN_UNDER_FOUR if prime else BraidVerdict.ADEQUATE_ONLY
+                assert braid_criterion(word) == expected, word
+        assert 500 < composite < 1500
+
+    def test_every_meridian_under_four_verdict_has_its_bound(self):
+        # the paper's claim; the 122 such reports drawn here peak at 27/8
+        rng = random.Random(4)
+        under_four = 0
+        for _ in range(300):
+            word, _ = random_same_sign_knot(rng, min_exponent=3)
+            report = run_analyze(AnalysisRequest(braid=braid_text(word)))
+            if report["braidVerdict"] == BraidVerdict.MERIDIAN_UNDER_FOUR:
+                under_four += 1
+                assert report["bounds"]["meridian"]["value"] < 4, word
+        assert under_four > 100
+
+    def test_long_prime_word_is_decided_in_one_pass(self):
+        word = parse_braid("3: " + " ".join(["s1^3 s2^3"] * 16666))
+        assert sum(abs(r) for _, r in word.syllables) == 99_996
+        started = time.monotonic()
+        assert braid_criterion(word) == BraidVerdict.MERIDIAN_UNDER_FOUR
+        # one pass takes milliseconds; a pass per syllable would take minutes
+        assert time.monotonic() - started < 1.0
 
 
 class TestBestBounds:

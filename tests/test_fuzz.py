@@ -76,7 +76,8 @@ BUDGETS = st.one_of(
 )
 # Mostly a valid format; otherwise a choice that argparse refuses and echoes.
 FORMATS = st.sampled_from(["json", "text"] * 3 + ["JSON", "a" * 5000, NINES, "it's" * 1000])
-# Arguments that no subcommand takes (--prime is braid's alone), echoed as refused.
+# Arguments that no subcommand takes (--prime, which braid took once, among them),
+# echoed as refused.
 UNKNOWN = st.one_of(
     st.builds("--x={}".format, NUMBERS),
     st.sampled_from(["--prime", "-q", "--" + "z" * 5000, "y" * 5000, "'" + "b" * 300 + "'"]),
@@ -102,8 +103,6 @@ def diagram_calls(draw):
         argv = ["analyze", draw(mutated(PDS, "X[](),- 0123456789"))]
     elif kind == "braid":
         argv = ["braid", draw(mutated(BRAIDS, ":s^- 0123456789"))]
-        if draw(st.booleans()):
-            argv.append("--prime")
     else:
         triple = ",".join(draw(st.lists(NUMBERS, min_size=2, max_size=4)))
         argv = ["pretzel", triple] if kind == "pretzel" else ["analyze", "--pair", triple]

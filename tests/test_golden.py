@@ -3,9 +3,10 @@
 Each line of ``data/golden_cli.jsonl`` holds an argv list with the stdout,
 stderr and exit code recorded for it, in process and from the repository
 root. A refactor must leave every entry unchanged. A deliberate change of
-behaviour re-records the entries it changes and names them in CHANGES.md;
-``PYTHONPATH=src python tests/test_golden.py`` rewrites every entry's
-outputs from its argv.
+behaviour re-records the entries it changes and names them in CHANGES.md:
+``PYTHONPATH=src python tests/test_golden.py 26 27 92`` rewrites the outputs
+of the entries with those indices from their argv and leaves every other line
+as it is; with no index it rewrites every entry.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,7 +50,8 @@ def test_cli_output_is_unchanged(entry, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    recorded = [run_cli(entry["argv"]) for entry in ENTRIES]
+    for index in [int(arg) for arg in sys.argv[1:]] or range(len(ENTRIES)):
+        ENTRIES[index] = run_cli(ENTRIES[index]["argv"])
     with open(CORPUS, "w", encoding="utf-8") as handle:
-        for entry in recorded:
+        for entry in ENTRIES:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -115,8 +115,11 @@ class TestRunAnalyze:
             run_analyze(AnalysisRequest(**source, budget=budget))
 
     def test_braid_report_includes_verdict(self):
-        report = run_analyze(AnalysisRequest(braid="4: s1^3 s2^3 s3^3", prime_asserted=True))
-        assert report["braidVerdict"] == "MeridianUnderFour"
+        prime = run_analyze(AnalysisRequest(braid="3: s1^3 s2^3 s1^3 s2^3"))
+        assert prime["braidVerdict"] == "MeridianUnderFour"
+        # three trefoils summed: a composite closure, adequate only
+        report = run_analyze(AnalysisRequest(braid="4: s1^3 s2^3 s3^3"))
+        assert report["braidVerdict"] == "AdequateOnly"
         assert report["invariants"]["t"] == 3
         # the checkerboard bound 3 - 6/9 beats the twist bound 10/3; both
         # must be present among the candidates
@@ -502,7 +505,7 @@ class TestNonFiniteInput:
             ["analyze", FIG8, "--slopes", "1/5,1/6,1/7", "--volume", "2.029883212819"],
             ["analyze", TREFOIL],
             ["analyze", "--pair", "11,1,24", "--budget", "4"],
-            ["braid", "4: s1^3 s2^3 s3^3", "--prime", "--slopes", "1/9", "--volume", "9.5"],
+            ["braid", "4: s1^3 s2^3 s3^3", "--slopes", "1/9", "--volume", "9.5"],
             ["pretzel", "3,5,7", "--budget", "3"],
             ["surgery", "--delta", "0", "--slopes", "1/5,1/6,x", "--volume", "5.5"],
             ["surgery", "--crossings", "10", "--genus", "1", "--slopes", "1/6"],
@@ -716,7 +719,7 @@ class TestCli:
         assert captured.err == f"error[DegenerateSurfacePair]: {message}\n"
 
     def test_braid_subcommand(self, capsys):
-        assert main(["braid", "4: s1^3 s2^3 s3^3", "--prime", "--format", "json"]) == 0
+        assert main(["braid", "3: s1^3 s2^3 s1^3 s2^3", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["braidVerdict"] == "MeridianUnderFour"
 

@@ -140,8 +140,7 @@ def test_constructor_keywords_and_defaults():
     assert Slope(q=3, p=2) == Slope(2, 3)
     assert SurfacePairData(abs_chi_1=1, abs_chi_2=2, intersection=3).abs_chi_2 == 2
     request = AnalysisRequest(braid="2: s1^3")
-    assert (request.pd, request.budget, request.volume, request.slopes, request.prime_asserted) \
-        == (None, None, None, (), False)
+    assert (request.pd, request.budget, request.volume, request.slopes) == (None, None, None, ())
     assert BatchResult().rows == [] and BatchResult().rows is not BatchResult().rows
     with pytest.raises(TypeError):
         Slope(1, 2, 3)

@@ -19,7 +19,6 @@ from cuspbounds.errors import (
 )
 from cuspbounds.surgery import (
     CUSP_AREA_FLOOR,
-    EXCLUSION_FACTOR,
     V8,
     exceptional_filter,
     montesinos_window,
@@ -57,7 +56,6 @@ class TestSlope:
 
 class TestConstants:
     def test_exclusion_factor_is_exact(self):
-        assert EXCLUSION_FACTOR == Fraction(360, 67)
         assert Fraction(18) / CUSP_AREA_FLOOR == Fraction(360, 67)
 
     def test_octahedron_volume_matches_high_precision(self):
