@@ -4,13 +4,14 @@ The package counts faces and state circles by orbit walks over integer
 darts. The oracles here share none of that code: they rebuild the edge
 pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
-faces with a dict of tuple darts. ``findall_parse_pd`` reads and relabels PD
-labels with ``re.findall`` where the package translates and splits the text
-and numbers edges off the dart pairing, and
-``closure_pd_text`` writes a braid closure as PD text by labelling edges where
-the package pairs darts. The slope
-sweep oracles decide each threshold by a ``Fraction`` comparison in its
-printed form, where the package compares integers.
+faces with a dict of tuple darts; ``face_pair_prime`` decides primeness from
+those faces where the package reads it off a braid word.
+``findall_parse_pd`` reads and relabels PD labels with ``re.findall`` where
+the package translates and splits the text and numbers edges off the dart
+pairing, and ``closure_pd_text`` writes a braid closure as PD text by
+labelling edges where the package pairs darts. The slope sweep oracles decide
+each threshold by a ``Fraction`` comparison in its printed form, where the
+package compares integers.
 """
 
 from __future__ import annotations

@@ -76,8 +76,7 @@ BUDGETS = st.one_of(
 )
 # Mostly a valid format; otherwise a choice that argparse refuses and echoes.
 FORMATS = st.sampled_from(["json", "text"] * 3 + ["JSON", "a" * 5000, NINES, "it's" * 1000])
-# Arguments that no subcommand takes (--prime, which braid took once, among them),
-# echoed as refused.
+# Arguments that no subcommand takes, echoed as refused.
 UNKNOWN = st.one_of(
     st.builds("--x={}".format, NUMBERS),
     st.sampled_from(["--prime", "-q", "--" + "z" * 5000, "y" * 5000, "'" + "b" * 300 + "'"]),
