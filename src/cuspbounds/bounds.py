@@ -216,13 +216,18 @@ def braid_criterion(word: BraidWord) -> str:
     s_j and s_j+1 form one block each in the cyclic word
     (:meth:`BraidWord.closure_is_prime`). Such a diagram is prime iff its knot
     is (Cromwell, *Positive braids are visually prime*, Proc. LMS 1993).
-    Mixed signs or a unit exponent give no verdict.
+    Mixed signs or a unit exponent give no verdict. Exponents are read in the
+    cyclic word, as the closure has them, so every rotation gets one verdict.
 
     The word's closure must be a knot. That is not checked here:
     ``run_analyze`` builds the closure first, and :func:`diagram.braid_closure`
     raises ``ClosureIsLink`` for a link.
     """
     exps = [r for _, r in word.syllables]
+    # Like-signed first and last syllables on one generator are one syllable of
+    # the closure; BraidWord merged every inner pair, so one merge closes the cycle.
+    if len(exps) > 1 and word.syllables[0][0] == word.syllables[-1][0] and exps[0] * exps[-1] > 0:
+        exps[0] += exps.pop()
     same_sign = all(r > 0 for r in exps) or all(r < 0 for r in exps)
     if not same_sign or any(abs(r) < 2 for r in exps):
         return BraidVerdict.INAPPLICABLE

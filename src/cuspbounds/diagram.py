@@ -30,6 +30,11 @@ is all the twist count needs. It keeps no object per face: thousands of
 containers alive at once would start cyclic garbage collections, each of which
 traverses the young 4c-long lists again.
 
+PD text is checked by one of two grammars: canonical text, the exact form
+``pd_string`` writes, by a strict one whose full match also proves every label
+canonical; any other text by the general one, followed by the label checks.
+The strict one accepts only valid text, so no error depends on the path.
+
 Parsing pairs the labels as written and keeps only that pairing; a braid
 closure pairs its darts as it stacks the crossings. Edge labels are derived
 when asked for (``PlanarDiagram.slots``), each edge numbered 1..2c by its
@@ -47,6 +52,7 @@ import re
 import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 from .errors import (
     BadGeneratorIndex,
@@ -193,14 +199,27 @@ def _validated(partner: list[int], one_component: bool = False) -> PlanarDiagram
 # PD-code text
 # --------------------------------------------------------------------------
 
-# Whole tokens, each with its trailing separators; whitespace before a bracket
-# is allowed only after an X. The possessive ``*+`` keeps no backtracking state
-# between tokens, so ``match`` ends at the first bad token in constant memory.
-# Inside a token every quantifier is possessive too: each run is followed by a
-# character it cannot match, so giving some of it back never helps.
-_PD_TOKENS = re.compile(
-    r"(?:(?:[Xx]\s*+)?+[\[\(]\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+[\]\)][\s,]*+)*+"
-)
+# Canonical text, as ``pd_string`` writes it: ``X[a,b,c,d]`` tokens separated
+# by single spaces. A label is ASCII digits with no leading zero, at most 640 of
+# them: no int() digit limit can be lower (sys.int_info.str_digits_check_threshold),
+# so the general path below would pair these labels as written too. Every
+# quantifier is possessive, so a full match keeps no backtracking state.
+_CANONICAL_PD = re.compile(r"X\[L,L,L,L\](?: X\[L,L,L,L\])*+".replace("L", "[1-9][0-9]{0,639}+"))
+
+
+@cache  # compiled on first use: canonical text never needs it
+def _pd_tokens() -> re.Pattern[str]:
+    """The general grammar: whole tokens, each with its trailing separators;
+    whitespace before a bracket is allowed only after an X. The possessive
+    ``*+`` keeps no backtracking state between tokens, so ``match`` ends at the
+    first bad token in constant memory. Inside a token every quantifier is
+    possessive too: each run is followed by a character it cannot match, so
+    giving some of it back never helps."""
+    return re.compile(
+        r"(?:(?:[Xx]\s*+)?+[\[\(]\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+,\s*+\d++\s*+[\]\)][\s,]*+)*+"
+    )
+
+
 # The grammar's brackets, commas and X marks, and ASCII whitespace, as spaces.
 _TO_SPACES = str.maketrans(dict.fromkeys("Xx[](), \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", " "))
 
@@ -217,15 +236,23 @@ def parse_pd(text: str) -> PlanarDiagram:
     than ``int()`` converts) name the same edge exactly when they are the same
     string, so they are paired as written. Any other text has its labels
     converted by ``int()``, which reads every Unicode decimal digit.
+
+    Text in the exact form :meth:`PlanarDiagram.pd_string` writes takes one
+    strict scan, which proves the grammar and every label canonical; only
+    other text meets the general grammar and the label tests.
     """
     stripped = text.strip()
     if not stripped:
         raise EmptyDiagram("no crossings in input")
-    pos = _PD_TOKENS.match(stripped).end()
-    if pos < len(stripped):
-        raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
-    # Every token of the grammar opens with one bracket.
-    crossings = stripped.count("[") + stripped.count("(")
+    canonical = _CANONICAL_PD.fullmatch(stripped) is not None
+    if canonical:
+        crossings = stripped.count("[")
+    else:
+        pos = _pd_tokens().match(stripped).end()
+        if pos < len(stripped):
+            raise MalformedToken(f"unrecognized PD token at: {stripped[pos:pos + 20]!r}")
+        # Every token of the grammar opens with one bracket.
+        crossings = stripped.count("[") + stripped.count("(")
     if crossings > MAX_CROSSINGS:
         raise TooManyCrossings(f"PD code lists {crossings} crossings, more than {MAX_CROSSINGS}")
     # The grammar leaves only edge labels, four per token, once its brackets,
@@ -235,8 +262,8 @@ def parse_pd(text: str) -> PlanarDiagram:
     spaced = stripped.translate(_TO_SPACES)
     labels = spaced.split()
     limit = sys.get_int_max_str_digits()
-    if not stripped.isascii() or " 0" in spaced or (
-            0 < limit < len(stripped) and limit < max(map(len, labels))):
+    if not canonical and (not stripped.isascii() or " 0" in spaced or (
+            0 < limit < len(stripped) and limit < max(map(len, labels)))):
         try:
             labels = list(map(int, labels))
         except ValueError:  # a label with more digits than int() converts

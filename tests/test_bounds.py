@@ -32,7 +32,7 @@ from cuspbounds.bounds import (
     twist_area_bound,
     twist_bound,
 )
-from cuspbounds.diagram import parse_braid
+from cuspbounds.diagram import BraidWord, parse_braid
 from cuspbounds.errors import (
     BadDiagramCounts,
     MoebiusBand,
@@ -302,6 +302,17 @@ class TestBraidCriterion:
                 expected = BraidVerdict.MERIDIAN_UNDER_FOUR if prime else BraidVerdict.ADEQUATE_ONLY
                 assert braid_criterion(word) == expected, word
         assert 500 < composite < 1500
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), min_exponent=st.integers(1, 3))
+    def test_every_rotation_gets_one_verdict(self, seed, min_exponent):
+        # A rotation conjugates the braid and keeps its closure diagram, and
+        # can split a syllable between the two ends of the word.
+        word, _ = random_same_sign_knot(random.Random(seed), min_exponent)
+        letters = [(g, 1 if r > 0 else -1) for g, r in word.syllables for _ in range(abs(r))]
+        verdicts = {braid_criterion(BraidWord(word.strands, letters[k:] + letters[:k]))
+                    for k in range(len(letters))}
+        assert verdicts == {braid_criterion(word)}, word
 
     def test_every_meridian_under_four_verdict_has_its_bound(self):
         # the paper's claim; the 122 such reports drawn here peak at 27/8

@@ -277,6 +277,77 @@ class TestPdTokenRuns:
                 parse(text)
             assert str(excinfo.value) == message
 
+    # Canonical text, as pd_string writes it, takes a strict scan; one odd token
+    # sends it down the general path. 641 digits are one past the strict cap.
+    ODD_TOKENS = ["leading zero", "long label", "x[", "double space", "comma", "X[1,2,3]",
+                  "( 7", "x[1,2,3,4,5]", "X[1,-2,3,4]", "Y[1,2,3,4]"]
+
+    @pytest.mark.parametrize("c", [999, 2000])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("odd", ODD_TOKENS)
+    def test_canonical_text_with_one_odd_token(self, c, where, odd):
+        word = BraidWord(2, ((1, c),)) if c % 2 else BraidWord(3, ((1, c - 1), (2, 1)))
+        tokens = closure_pd_text(word).split(" ")
+        i = {"first": 0, "middle": c // 2, "last": c - 1}[where]
+        separators = [" "] * (c - 1) + [""]
+        if odd == "leading zero":
+            tokens[i] = tokens[i].replace("[", "[0")
+        elif odd == "long label":  # both ends of the token's first edge
+            label = re.match(r"X\[(\d+)", tokens[i]).group(1)
+            long = label.rjust(641, "7")
+            tokens = [re.sub(rf"\b{label}\b", long, t) for t in tokens]
+        elif odd == "x[":
+            tokens[i] = "x" + tokens[i][1:]
+        elif odd in ("double space", "comma"):
+            separators[min(i, c - 2)] = "  " if odd == "double space" else ", "
+        else:
+            tokens[i] = odd
+        text = "".join(map(str.__add__, tokens, separators))
+        try:
+            expected = findall_parse_pd(text)
+        except CuspBoundsError as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                parse_pd(text)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert parse_pd(text).slots == expected
+
+    def test_canonical_text_never_uses_the_general_grammar(self, monkeypatch):
+        def general_grammar():
+            raise AssertionError("general grammar used")
+
+        monkeypatch.setattr(cuspbounds.diagram, "_pd_tokens", general_grammar)
+        rng = random.Random(2718)
+        for _ in range(200):
+            d = random_knot_diagram(rng, 16)
+            assert parse_pd(d.pd_string()) == d
+        weave = braid_closure(weaving_braid(10_000))
+        assert parse_pd(weave.pd_string()) == weave
+        cap = cuspbounds.diagram.MAX_CROSSINGS
+        with pytest.raises(TooManyCrossings, match=f"^PD code lists {cap + 1} crossings"):
+            parse_pd(" ".join(["X[1,1,1,1]"] * (cap + 1)))
+        for text in ("(1,4,2,5) (3,6,4,1) (5,2,6,3)", TREFOIL.replace(" ", "  "),
+                     TREFOIL.replace("[1,", "[01,"), TREFOIL.replace("X", "x"),
+                     TREFOIL + ",", "X[1,2,3]", TREFOIL.replace("6", "٦")):
+            with pytest.raises(AssertionError, match="general grammar used"):
+                parse_pd(text)
+
+    def test_strict_label_cap_holds_under_the_lowest_int_digit_limit(self):
+        # No int() digit limit can be set below 640, so every label the strict
+        # scan pairs as written is one the general path would pair as written.
+        with pytest.raises(ValueError):
+            sys.set_int_max_str_digits(639)
+        texts = {n: re.sub(r"\b1\b", "1".rjust(n, "9"), TREFOIL) for n in (640, 641)}
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert parse_pd(texts[640]) == parse_pd(TREFOIL)
+            with pytest.raises(MalformedToken, match="more digits than int"):
+                parse_pd(texts[641])
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert parse_pd(texts[641]) == parse_pd(TREFOIL)
+
     def test_peak_memory_of_a_large_parse(self):
         # A greedy whole-text match keeps about 1 KB of regex state per
         # crossing, a 21 MB peak at c = 20,000; the possessive match keeps none.
@@ -415,10 +486,12 @@ class TestRelabelPass:
         for a, b in darts.values():
             partner[a], partner[b] = b, a
         assert (d.partner, (d.bigons, d.clasp)) == (tuple(partner), traced_bigons(d))
-        assert findall_parse_pd(text) == slots, text[:80]
-        parsed = parse_pd(text)
-        assert (parsed.slots, parsed.partner, parsed.bigons, parsed.clasp) == (
-            slots, d.partner, d.bigons, d.clasp), text[:80]
+        # the given text, and the canonical text that takes the strict scan
+        for text in (text, d.pd_string()):
+            assert findall_parse_pd(text) == slots, text[:80]
+            parsed = parse_pd(text)
+            assert (parsed.slots, parsed.partner, parsed.bigons, parsed.clasp) == (
+                slots, d.partner, d.bigons, d.clasp), text[:80]
 
     def test_random_diagrams_from_scrambled_text(self):
         rng = random.Random(5150)
