@@ -333,8 +333,8 @@ class TestPdTokenRuns:
                 parse_pd(text)
 
     def test_strict_label_cap_holds_under_the_lowest_int_digit_limit(self):
-        # No int() digit limit can be set below 640, so every label the strict
-        # scan pairs as written is one the general path would pair as written.
+        # No int() digit limit can be set below 640, so int() converts every
+        # label the strict scan pairs as written: both paths raise one error.
         with pytest.raises(ValueError):
             sys.set_int_max_str_digits(639)
         texts = {n: re.sub(r"\b1\b", "1".rjust(n, "9"), TREFOIL) for n in (640, 641)}
@@ -348,22 +348,46 @@ class TestPdTokenRuns:
             sys.set_int_max_str_digits(old)
         assert parse_pd(texts[641]) == parse_pd(TREFOIL)
 
+    def test_general_path_reads_labels_by_int_under_any_digit_limit(self):
+        # Tuple text takes the general path, which converts every label by
+        # int(): a long ASCII label is read under limit 0 (none) or when it has
+        # no more digits than the limit, and refused past it.
+        tuples = "(1,4,2,5) (3,6,4,1) (5,2,6,3)"
+        texts = {n: re.sub(r"\b1\b", "1".rjust(n, "9"), tuples) for n in (641, 4300, 5000)}
+        old = sys.get_int_max_str_digits()
+        try:
+            for limit in (640, sys.int_info.default_max_str_digits, 0):
+                sys.set_int_max_str_digits(limit)
+                for n, text in texts.items():
+                    if limit == 0 or n <= limit:
+                        assert parse_pd(text) == parse_pd(TREFOIL)
+                    else:
+                        with pytest.raises(MalformedToken) as excinfo:
+                            parse_pd(text)
+                        assert str(excinfo.value) == "an edge label has more digits than int() converts"
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_peak_memory_of_a_large_parse(self):
         # A greedy whole-text match keeps about 1 KB of regex state per
         # crossing, a 21 MB peak at c = 20,000; the possessive match keeps none.
+        # Canonical text takes the strict scan, the tuple form the general one.
         text = closure_pd_text(weaving_braid(10_000))
-        tracemalloc.start()
-        try:
-            diagram = parse_pd(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert diagram.c == 20_000
-        assert peak < 15_000_000, f"parse_pd peaked at {peak / 1e6:.1f} MB"
+        tuples = text.replace("X[", "(").replace("]", ")")
+        for source in (text, tuples):
+            tracemalloc.start()
+            try:
+                diagram = parse_pd(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert diagram.c == 20_000
+            assert peak < 15_000_000, f"parse_pd peaked at {peak / 1e6:.1f} MB on {source[:12]!r}"
 
 
-# Label errors in ASCII text, whose labels parse_pd pairs as written unless
-# one is 0; tuples are written as PD text.
+# Label errors in ASCII text, whose labels parse_pd pairs as written when the
+# text is canonical and by int() otherwise (a 0 label is never canonical): the
+# errors are the same either way. Tuples are written as PD text.
 LABEL_ERRORS = [
     ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,7]", EdgeLabelUsedOtherThanTwice,
      "edge labels not used exactly twice: [5, 7]"),
@@ -410,8 +434,8 @@ class TestFlatLabels:
         assert str(excinfo.value) == message
 
     def test_a_leading_zero_after_any_ascii_whitespace_is_read_as_int(self):
-        # Labels are paired as written only with no leading zero, which parse_pd
-        # finds once every ASCII whitespace character has become a space.
+        # A leading zero makes text non-canonical, so its labels are read by
+        # int(), which str.split() cuts apart at every whitespace character.
         for space in filter(str.isspace, map(chr, range(128))):
             assert parse_pd(f"X[1,4,2,5] X[3,6,4,{space}01] X[5,2,6,3]") == parse_pd(TREFOIL)
 
@@ -461,9 +485,10 @@ class TestFlatLabels:
 
 
 class TestRelabelPass:
-    """Parsing pairs the labels as written and numbers edges off that pairing;
-    the ``genutil`` oracles number labels by first appearance and trace faces
-    on (crossing, slot) tuples, and the test pairs darts with a dict."""
+    """Parsing pairs canonical labels as written and others by ``int()``, and
+    numbers edges off that pairing; the ``genutil`` oracles number labels by
+    first appearance and trace faces on (crossing, slot) tuples, and the test
+    pairs darts with a dict."""
 
     @staticmethod
     def scrambled_text(d: PlanarDiagram, rng: random.Random) -> str:
