@@ -310,7 +310,7 @@ def _check_row(row: dict) -> dict:
         return result
     computed = report["bounds"]["meridian"]["value"]
     result.update(status="pass" if computed >= reference else "fail", computedBound=computed,
-                  referenceMeridian=reference, slack=computed - reference)
+                  referenceMeridian=reference, slack=bd.sig12(computed - reference))
     return result
 
 

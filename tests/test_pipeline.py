@@ -534,7 +534,7 @@ def row_from_run_analyze(name: str, pd: str, reference_text: str) -> dict:
     computed = report["bounds"]["meridian"]["value"]
     return {**row, "status": "pass" if computed >= reference else "fail",
             "computedBound": computed, "referenceMeridian": reference,
-            "slack": computed - reference}
+            "slack": float(f"{computed - reference:.12g}")}
 
 
 def random_batch_row(rng: random.Random) -> tuple[str, str]:
