@@ -356,6 +356,8 @@ def _run(argv: list[str] | None) -> int:
         if args.command in ("analyze", "braid", "pretzel"):
             if args.command == "analyze" and (args.pd is None) == (args.pair is None):
                 usage("analyze needs a PD code or --pair, not both")
+            if args.volume is not None and args.slopes is None:
+                usage("--volume needs --slopes")
             # Each subcommand stores its input under the request field it sets.
             sources = {k: getattr(args, k, None) for k in ("pd", "braid", "pretzel", "pair")}
             for key in ("pd", "braid"):
@@ -373,6 +375,8 @@ def _run(argv: list[str] | None) -> int:
                 usage("--crossings needs --genus" if args.genus is None else "--genus needs --crossings")
             if args.slopes is None:
                 usage("surgery needs --slopes")
+            if args.montesinos is not None and args.volume is not None:
+                usage("--montesinos takes no --volume")  # t alone gives the window
             meridian = None  # --montesinos
             if args.delta is not None:
                 meridian = 3 * (1 + args.delta)

@@ -857,6 +857,22 @@ class TestCli:
         assert captured.err.startswith("usage: cuspbounds surgery ")
         assert captured.err.endswith(f"cuspbounds surgery: error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["surgery", "--montesinos", "3", "--slopes", "1/7", "--volume", "3"],
+         "--montesinos takes no --volume"),
+        (["analyze", FIG8, "--volume", "3"], "--volume needs --slopes"),
+        (["braid", "3: s1^3 s2^3 s1^3 s2^3", "--volume", "0"], "--volume needs --slopes"),
+        (["pretzel", "3,5,7", "--volume", "2", "--budget", "3"], "--volume needs --slopes"),
+    ], ids=["surgery-montesinos", "analyze", "braid", "pretzel"])
+    def test_volume_that_no_window_reads_is_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: cuspbounds {argv[0]} ")
+        assert captured.err.endswith(f"cuspbounds {argv[0]}: error: {message}\n")
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--pair", "11,1,24"], ["braid", "3: s1^1 s2^-1 s1^1 s2^-1"], ["pretzel", "3,5,7"]])
     @pytest.mark.parametrize("slopes", [["--slopes", ","], ["--slopes", " , "], ["--slopes="]])
