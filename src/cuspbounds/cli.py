@@ -3,6 +3,11 @@
 Subcommands: analyze (PD code), braid, pretzel, surgery, batch. Exit codes:
 0 success, 1 parse or usage error, 2 bounds inapplicable (for example a
 torus-degenerate diagram), so pipelines can filter non-hyperbolic inputs.
+
+A report is written from its dict alone, in one of two forms that write
+each scalar alike: ``--format json``, as ``json.dumps(indent=2,
+sort_keys=True)`` writes it, or text, one line per dict or list that has a
+scalar member (``_text_lines``). Either writes nothing if a value is refused.
 """
 
 from __future__ import annotations
@@ -98,94 +103,6 @@ def _read_stdin() -> str:
         raise FileUnreadable(f"cannot read standard input: {exc}") from None
 
 
-def _sig(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _print_bounds(report: dict, out) -> None:
-    bounds = report.get("bounds")
-    if bounds is None:
-        return
-    for key, label in (("meridian", "meridian"), ("lambda", "lambda"), ("cuspArea", "cusp area")):
-        entry = bounds.get(key)
-        if entry is not None:
-            print(f"  {label} <= {_sig(entry['value'])}   [{entry['rule']}]", file=out)
-    print(f"  consistent with six-theorem ceiling: {bounds['sixTheoremConsistent']}", file=out)
-
-
-def _print_text(report: dict, out) -> None:
-    print(f"status: {report['status']}", file=out)
-    for diag in report.get("diagnostics", []):
-        print(f"note: {diag}", file=out)
-    inv = report.get("invariants")
-    if inv is not None:
-        delta = inv["delta"]
-        print(
-            f"  c={inv['c']} vA={inv['vA']} vB={inv['vB']} chiA={inv['chiA']} "
-            f"chiB={inv['chiB']} gT={inv['gT']} delta={delta['num']}/{delta['den']}",
-            file=out,
-        )
-        print(
-            f"  adequate: A={inv['aAdequate']} B={inv['bAdequate']}"
-            + (
-                f"   twists: t={inv['t']} bigons={inv['vBi']} torusDegenerate={inv['torusDegenerate']}"
-                if inv.get("t") is not None
-                else ""
-            ),
-            file=out,
-        )
-    if report.get("surfacePair"):
-        sp = report["surfacePair"]
-        print(
-            f"  surface pair: |chi| = {sp['absChi1']}, {sp['absChi2']}, "
-            f"intersection = {sp['intersection']}",
-            file=out,
-        )
-    if report.get("braidVerdict"):
-        print(f"  braid criterion: {report['braidVerdict']}", file=out)
-    _print_bounds(report, out)
-    if report.get("criterion") is not None:
-        crit = report["criterion"]
-        print(f"  budget {_sig(crit['budget'])}: satisfied={crit['satisfied']}", file=out)
-    for slope in report.get("slopes") or []:
-        if "error" in slope:
-            label = slope.get("slope", f"{slope.get('p')}/{slope.get('q')}")
-            print(f"  slope {label}: error {slope['error']['message']}", file=out)
-            continue
-        window = slope.get("volumeWindow")
-        window_text = (
-            f" vol in ({_sig(window['lower'])}, {_sig(window['upper'])})" if window else ""
-        )
-        length = slope.get("lengthLower")
-        length_text = f" length > {_sig(length)}" if length is not None else ""
-        if "windowError" in slope:
-            window_text = f" window error {slope['windowError']['message']}"
-        if slope.get("boundaryHit"):
-            window_text += " boundaryHit=True"
-        print(
-            f"  slope {slope['p']}/{slope['q']}: nonExceptional={slope['nonExceptional']} "
-            f"twoPi={slope['twoPiExceeded']}{length_text}{window_text}",
-            file=out,
-        )
-
-
-def _print_batch_text(report: dict, out) -> None:
-    for row in report["rows"]:
-        if row["status"] == "skip":
-            print(f"  {row['name']}: skip ({row['note']})", file=out)
-        else:
-            print(
-                f"  {row['name']}: {row['status']} bound={_sig(row['computedBound'])} "
-                f"reference={_sig(row['referenceMeridian'])} slack={_sig(row['slack'])}",
-                file=out,
-            )
-    summary = report["summary"]
-    print(
-        f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}",
-        file=out,
-    )
-
-
 _LITERALS = {True: "true", False: "false", None: "null"}.__getitem__
 # The writer of each exact scalar type but float. On slope sweep reports, a
 # float's repr took about three times as long as finding its text again by
@@ -268,15 +185,40 @@ def _texts(columns: list, newline: str) -> list:
     return out
 
 
-def _emit(report: dict, fmt: str, out, print_text=_print_text) -> None:
-    """Print ``report`` as text, or as JSON once all of it is encoded, so that a
-    refused value writes nothing. JSON goes out in 8 KiB pieces: an unbuffered
-    stream (``python -u``) drops the rest of a write that a closed pipe took in
-    part, and the next piece raises ``BrokenPipeError``."""
-    if fmt != "json":
-        print_text(report, out)
-        return
-    text = _texts([[report]], "\n")[0][0] + "\n"
+def _text_lines(value, path: str = ""):
+    """The lines of the text form of ``value``, a report or a dict or list in
+    one at ``path``. Each dict or list with an inline member (a scalar, or an
+    empty dict or list) has one line, ``path: member member ...``; a member is
+    ``key=text`` in a dict and ``[i]=text`` in a list, in sorted key or index
+    order, and ``text`` is what ``_texts`` writes for it. The report's own line
+    has no path. Lines go depth first: a value's own line, then its non-empty
+    dicts and lists, whose paths join keys with ``.`` and add list items as
+    ``[i]`` (``slopes[2].volumeWindow``). What the JSON writer refuses raises
+    ``TypeError`` or ``ValueError`` here too."""
+    if type(value) is dict:  # a key that is not a str raises TypeError at ``+``
+        items = [(key + "=", f"{path}.{key}" if path else key, value[key]) for key in sorted(value)]
+    else:
+        items = [(f"[{i}]=", f"{path}[{i}]", member) for i, member in enumerate(value)]
+    inline = [(label, member) for label, _, member in items
+              if type(member) not in (dict, list) or not member]
+    if inline:
+        labels, members = zip(*inline)
+        line = " ".join(map(str.__add__, labels, _texts([list(members)], "\n")[0]))
+        yield f"{path}: {line}" if path else line
+    for _, member_path, member in items:
+        if type(member) in (dict, list) and member:
+            yield from _text_lines(member, member_path)
+
+
+def _emit(report: dict, fmt: str, out) -> None:
+    """Write ``report`` as JSON or as text once all of it is written, so that a
+    refused value writes nothing. The text goes out in 8 KiB pieces: an
+    unbuffered stream (``python -u``) drops the rest of a write that a closed
+    pipe took in part, and the next piece raises ``BrokenPipeError``."""
+    if fmt == "json":
+        text = _texts([[report]], "\n")[0][0] + "\n"
+    else:
+        text = "".join(line + "\n" for line in _text_lines(report))
     for start in range(0, len(text), 8192):
         out.write(text[start:start + 8192])
 
@@ -387,7 +329,7 @@ def _run(argv: list[str] | None) -> int:
             report = {"status": "ok", "diagnostics": [], "slopes": verdicts}
         else:  # batch
             report = run_batch(args.csv_path).to_dict()
-            _emit(report, args.format, out, _print_batch_text)
+            _emit(report, args.format, out)
             return EXIT_ERROR if report["summary"]["fail"] else EXIT_OK
     except CuspBoundsError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

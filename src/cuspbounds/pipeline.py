@@ -2,9 +2,10 @@
 
 One builder, :func:`_report`, writes the report of every input and batch
 row. Reports are plain JSON-shaped dicts (str-keyed dicts, lists, str, int,
-float, bool, None; no tuples or float subclasses), with floats rounded to 12
-significant digits. The CLI's writer prints them as ``json.dumps(report,
-indent=2, sort_keys=True)`` does, byte for byte.
+float, bool, None; no tuples or float subclasses). Computed floats are rounded
+to 12 significant digits; echoed inputs (``budget``, ``referenceMeridian``)
+are floats as read. These dicts are the one spelling of the report shape: the
+CLI writes both its JSON and its text form from them alone.
 """
 
 from __future__ import annotations

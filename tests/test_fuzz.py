@@ -265,6 +265,17 @@ def test_json_writer_refuses_before_writing(bad, error, value):
         assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("bad, error", REFUSED)
+def test_text_writer_refuses_before_writing(bad, error):
+    # the text form writes each scalar as the JSON writer does, and so refuses what it refuses
+    for report in ({"a": bad}, {"a": 1.5, "b": {"c": [0.5, bad]}}, {"a": [{"b": bad}], "c": 1},
+                   {"slopes": [{"p": 1, "q": 2.5}] * 300 + [{"p": 1, "q": bad}]}):
+        out = io.StringIO()
+        with pytest.raises(error):
+            _emit(report, "text", out)
+        assert out.getvalue() == ""
+
+
 @pytest.mark.parametrize(
     "report",
     [

@@ -54,6 +54,7 @@ from genutil import (
     random_knot_diagram,
     weaving_braid,
 )
+from test_golden import ENTRIES, ROOT, run_cli
 
 DATA = Path(__file__).parent / "data" / "reference_meridians.csv"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -68,6 +69,38 @@ def strict_json(text: str):
         raise ValueError(f"non-finite number {constant} in JSON output")
 
     return json.loads(text, parse_constant=reject)
+
+
+def text_lines(text: str) -> list:
+    """The ``(path, {key: value})`` pair of each line of text output, each
+    value read back by ``json.loads``; the report's own line has path ""."""
+    decoder, lines = json.JSONDecoder(parse_constant=float.__call__), []
+    for line in text.splitlines():
+        path, sep, rest = line.partition(": ")
+        if not sep or "=" in path:  # the report's own line starts with a member
+            path, rest = "", line
+        members, at = {}, 0
+        while at < len(rest):
+            start, at = at, rest.index("=", at) + 1
+            members[rest[start:at - 1]], at = decoder.raw_decode(rest, at)
+            assert rest[at:at + 1] in ("", " "), line
+            at += 1
+        lines.append((path, members))
+    return lines
+
+
+def flattened(value, path: str = "") -> list:
+    """The ``(path, {key: value})`` pairs that the text form of a JSON report
+    prints: one per dict or list with a scalar, empty dict or empty list
+    member, depth first in sorted key or index order."""
+    if isinstance(value, dict):
+        items = [(key, f"{path}.{key}" if path else key, item) for key, item in sorted(value.items())]
+    else:
+        items = [(f"[{i}]", f"{path}[{i}]", item) for i, item in enumerate(value)]
+    deep = [(where, item) for _, where, item in items if isinstance(item, (dict, list)) and item]
+    inline = {key: item for key, _, item in items if not (isinstance(item, (dict, list)) and item)}
+    return [(path, inline)] * bool(inline) + [pair for where, item in deep
+                                              for pair in flattened(item, where)]
 
 
 class TestRunAnalyze:
@@ -756,18 +789,17 @@ class TestCli:
         ["analyze", FIG8, "--volume", "2.03", "--slopes", "1/1,1/5"],
     ])
     def test_text_names_each_window_error(self, capsys, argv):
-        # each slope line ends with its entry's window error, as JSON gives it
+        # each entry with a window error has a line of its code and message, as JSON gives them
         assert main([*argv, "--format", "json"]) == 0
         entries = json.loads(capsys.readouterr().out)["slopes"]
         assert main(argv) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if "  slope " in line]
-        assert len(lines) == len(entries)
+        lines = capsys.readouterr().out.splitlines()
         assert any("windowError" in entry for entry in entries)
-        for line, entry in zip(lines, entries):
-            if "windowError" in entry:
-                assert line.endswith(f" window error {entry['windowError']['message']}")
-            else:
-                assert "window error" not in line
+        for i, entry in enumerate(entries):
+            error = entry.get("windowError")
+            expected = [f"slopes[{i}].windowError: code={json.dumps(error['code'])} "
+                        f"message={json.dumps(error['message'])}"] if error else []
+            assert [line for line in lines if line.startswith(f"slopes[{i}].windowError:")] == expected
 
     def test_text_shows_each_boundary_hit(self, capsys):
         # |q| = 2M puts the window's lower end at 0, which JSON flags as boundaryHit
@@ -775,9 +807,42 @@ class TestCli:
         assert main([*argv, "--format", "json"]) == 0
         hits = ["boundaryHit" in entry for entry in json.loads(capsys.readouterr().out)["slopes"]]
         assert main(argv) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if "  slope " in line]
-        assert [line.endswith(" boundaryHit=True") for line in lines] == hits
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if re.match(r"slopes\[\d+\]: ", line)]
+        assert [line.split(": ")[1].startswith("boundaryHit=true ") for line in lines] == hits
         assert hits == [False, True, False, True]
+
+    def test_text_carries_the_json_report(self, tmp_path, monkeypatch):
+        # every golden argv, and 50 random diagrams through analyze and batch:
+        # the text output reads back as the JSON report, line by line, with
+        # the same exit code and stderr
+        monkeypatch.chdir(ROOT)
+        calls = []
+        for entry in ENTRIES:
+            argv, kept = iter(entry["argv"]), []
+            for arg in argv:
+                if arg == "--format":
+                    next(argv)
+                elif arg not in ("--format=json", "--format=text"):
+                    kept.append(arg)
+            calls.append(kept)
+        rng, rows = random.Random(5150), []
+        for i in range(50):
+            pd = rng.choice([random_knot_diagram, random_adequate_knot_diagram])(rng, 14).pd_string()
+            slopes = ",".join(f"{rng.randint(-9, 9)}/{rng.randint(0, 40)}" for _ in range(6))
+            calls.append(["analyze", pd, f"--slopes={slopes}", f"--volume={rng.uniform(0.5, 30):.6g}",
+                          f"--budget={rng.uniform(0.5, 12):.6g}"])
+            rows.append((f'row {i}, "\u00e9"\n', pd, f"{rng.uniform(0.5, 4.0):.3f}"))
+        path = tmp_path / "table.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([("name", "pd", "reference_meridian"), *rows])
+        calls.append(["batch", os.fspath(path)])
+        for argv in calls:
+            text = run_cli([*argv, "--format", "text"])
+            report = run_cli([*argv, "--format", "json"])
+            assert (text["exit"], text["stderr"]) == (report["exit"], report["stderr"]), argv
+            out = report["stdout"]
+            assert text_lines(text["stdout"]) == (flattened(strict_json(out)) if out else []), argv
 
     def test_surgery_montesinos(self, capsys):
         assert main(["surgery", "--montesinos", "10", "--slopes", "1/7", "--format", "json"]) == 0
@@ -941,7 +1006,9 @@ class TestCli:
         assert entries[0] == {"p": 1, "q": int(huge), "error": error}
         assert entries[1]["nonExceptional"] is True
         assert main(argv + [f"--slopes=1/{huge}"]) == 0
-        assert f"slope 1/{huge}: error {HUGE_Q}" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"slopes[0]: p=1 q={huge}",
+                              f'slopes[0].error: code="InvalidSlope" message="{HUGE_Q}"']
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1138,7 +1205,9 @@ class TestCli:
         entries = strict_json(capsys.readouterr().out)["slopes"]
         assert [entry["error"] for entry in entries] == [error, error]
         assert main(["surgery", "--montesinos", t, "--slopes", "1/7"]) == 0
-        assert capsys.readouterr().out == f"status: ok\n  slope 1/7: error {error['message']}\n"
+        assert capsys.readouterr().out == (
+            'diagnostics=[] status="ok"\nslopes[0]: p=1 q=7\n'
+            f'slopes[0].error: code="NonFiniteVolume" message={json.dumps(error["message"])}\n')
         # 2 v8 t is finite at t = 10^307
         t = "1" + "0" * 307
         assert main(["surgery", "--montesinos", t, "--slopes", "1/7", "--format", "json"]) == 0
