@@ -6,7 +6,9 @@ pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
 faces with a dict of tuple darts; ``face_pair_prime`` decides primeness from
 those faces where the package reads it off a braid word.
-``findall_parse_pd`` reads and relabels PD labels with ``re.findall`` where
+``kauffman_bracket`` sums the Kauffman bracket over every state from those
+circle counts, a knot invariant against which the extreme states' counts
+and adequacy are checked. ``findall_parse_pd`` reads and relabels PD labels with ``re.findall`` where
 the package translates and splits the text and numbers edges off the dart
 pairing, and ``closure_pd_text`` writes a braid closure as PD text by
 labelling edges where the package pairs darts. The slope sweep oracles decide
@@ -16,6 +18,7 @@ package compares integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -83,6 +86,22 @@ def path_following_circle_count(diagram: PlanarDiagram, state: str) -> int:
             queue.append(arc_next[node])
             queue.append(edge_next[node])
     return circles
+
+
+def kauffman_bracket(diagram: PlanarDiagram) -> dict[int, int]:
+    """The Kauffman bracket of ``diagram`` as ``{exponent of A: coefficient}``,
+    non-zero coefficients only: the sum over all 2^c states of
+    A^(#A - #B) d^(k - 1), with d = -A^2 - A^-2 and k the state's circle count
+    by :func:`path_following_circle_count`."""
+    states = Counter()  # (#A - #B, k - 1) -> the number of states
+    for letters in itertools.product("AB", repeat=diagram.c):
+        state = "".join(letters)
+        states[2 * state.count("A") - diagram.c, path_following_circle_count(diagram, state) - 1] += 1
+    bracket = Counter()
+    for (shift, m), count in states.items():
+        for j in range(m + 1):  # d^m = (-1)^m sum_j C(m, j) A^(4j - 2m)
+            bracket[shift + 4 * j - 2 * m] += (-1) ** m * math.comb(m, j) * count
+    return {exponent: value for exponent, value in bracket.items() if value}
 
 
 def union_find_circle_count(diagram: PlanarDiagram, state: str) -> tuple[int, tuple[bool, ...]]:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbounds import (
     invariants,
@@ -18,8 +20,10 @@ from cuspbounds.errors import ClosureIsLink, NonAlternatingBigon, StateLengthMis
 from genutil import (
     closure_pd_text,
     is_alternating_diagram,
+    kauffman_bracket,
     path_following_circle_count,
     pretzel_pd,
+    random_adequate_knot_diagram,
     random_knot_diagram,
     traced_bigons,
     traced_faces,
@@ -230,6 +234,32 @@ class TestTwistAnalysis:
             if not tw["torusDegenerate"]:
                 assert 1 <= tw["t"] <= d.c
                 assert tw["t"] == d.c - tw["vBi"]
+
+
+class TestKauffmanBracket:
+    def test_known_brackets(self):
+        # the trefoil as listed is the knot of A^7 - A^3 - A^-5
+        assert kauffman_bracket(TREFOIL) == {7: 1, 3: -1, -5: -1}
+        assert kauffman_bracket(FIG8) == {8: 1, 4: -1, 0: 1, -4: -1, -8: 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_extreme_states_bound_the_bracket(self, seed):
+        # The all-A state gives the top degree c + 2vA - 2 and the all-B state
+        # the bottom one; on an adequate side that coefficient is +-1
+        # (Lickorish-Thistlethwaite), so an adequate diagram has span 4c - 4gT.
+        rng = random.Random(seed)
+        diagram = rng.choice([random_knot_diagram, random_adequate_knot_diagram])(rng, 10)
+        inv = invariants(diagram)
+        bracket = kauffman_bracket(diagram)
+        top, bottom = inv["c"] + 2 * inv["vA"] - 2, -inv["c"] - 2 * inv["vB"] + 2
+        assert bottom <= min(bracket) and max(bracket) <= top
+        if inv["aAdequate"]:
+            assert bracket.get(top) in (1, -1)
+        if inv["bAdequate"]:
+            assert bracket.get(bottom) in (1, -1)
+        if inv["adequate"]:
+            assert max(bracket) - min(bracket) == 4 * inv["c"] - 4 * inv["gT"]
 
 
 class TestKernelAgainstOracles:
