@@ -211,8 +211,8 @@ def _text_lines(value, path: str = ""):
 
 
 def _emit(report: dict, fmt: str, out) -> None:
-    """Write ``report`` as JSON or as text once all of it is written, so that a
-    refused value writes nothing. The text goes out in 8 KiB pieces: an
+    """Write ``report`` as JSON or as text once all of it is encoded, so that a
+    refused value writes nothing. Either goes out in 8 KiB pieces: an
     unbuffered stream (``python -u``) drops the rest of a write that a closed
     pipe took in part, and the next piece raises ``BrokenPipeError``."""
     if fmt == "json":

@@ -6,13 +6,14 @@ pairing from the slot convention on (crossing, slot) pairs and count circles
 by breadth-first traversal or by a union-find over edge labels, and trace
 faces with a dict of tuple darts; ``face_pair_prime`` decides primeness from
 those faces where the package reads it off a braid word.
-``kauffman_bracket`` sums the Kauffman bracket over every state from those
-circle counts, a knot invariant against which the extreme states' counts
-and adequacy are checked. ``findall_parse_pd`` reads and relabels PD labels with ``re.findall`` where
-the package translates and splits the text and numbers edges off the dart
-pairing, and ``closure_pd_text`` writes a braid closure as PD text by
-labelling edges where the package pairs darts. The slope sweep oracles decide
-each threshold by a ``Fraction`` comparison in its printed form, where the
+``kauffman_bracket`` sums the Kauffman bracket over every state from the
+path-following circle counts: a knot invariant against which the extreme
+states' counts and adequacy are checked. ``findall_parse_pd`` reads and
+relabels PD labels with ``re.findall`` where the package translates and
+splits the text and numbers edges off the dart pairing, and
+``closure_pd_text`` writes a braid closure as PD text by labelling edges
+where the package pairs darts. The slope sweep oracles decide each
+threshold by a ``Fraction`` comparison in its printed form, where the
 package compares integers.
 """
 

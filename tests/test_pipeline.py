@@ -74,7 +74,7 @@ def strict_json(text: str):
 def text_lines(text: str) -> list:
     """The ``(path, {key: value})`` pair of each line of text output, each
     value read back by ``json.loads``; the report's own line has path ""."""
-    decoder, lines = json.JSONDecoder(parse_constant=float.__call__), []
+    decoder, lines = json.JSONDecoder(), []
     for line in text.splitlines():
         path, sep, rest = line.partition(": ")
         if not sep or "=" in path:  # the report's own line starts with a member

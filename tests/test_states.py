@@ -238,7 +238,8 @@ class TestTwistAnalysis:
 
 class TestKauffmanBracket:
     def test_known_brackets(self):
-        # the trefoil as listed is the knot of A^7 - A^3 - A^-5
+        # the trefoil as listed has the bracket A^7 - A^3 - A^-5; the
+        # figure-eight, which is its own mirror image, a symmetric one
         assert kauffman_bracket(TREFOIL) == {7: 1, 3: -1, -5: -1}
         assert kauffman_bracket(FIG8) == {8: 1, 4: -1, 0: 1, -4: -1, -8: 1}
 
